@@ -163,7 +163,7 @@ func BenchmarkAblation_AdaptiveThreshold(b *testing.B) {
 func BenchmarkAblation_LazyVsEagerTree(b *testing.B) {
 	eager := secmem.PSSM(protected)
 	eager.Scheme = "pssm-eager"
-	eager.EagerTreeUpdate = true
+	eager.Freshness = secmem.FreshEagerBMT
 	for i := 0; i < b.N; i++ {
 		sp := geoSpeedup(b, eager, secmem.PSSM(protected))
 		b.ReportMetric(sp.Mean, "lazyOverEager")

@@ -368,18 +368,19 @@ func Fig22(r *Runner) (string, error) {
 
 // verifyPath names the mechanism a scheme uses to decide a read's
 // integrity verdict — the column that distinguishes the scheme families
-// in the frontier table.
+// in the frontier table. It is the scheme's check, qualified by its
+// version source and freshness part.
 func verifyPath(sc secmem.Config) string {
 	switch {
-	case sc.NoSecurity:
+	case sc.Check == secmem.CheckNone:
 		return "none"
-	case sc.SSM:
+	case sc.Check == secmem.CheckShares:
 		return fmt.Sprintf("reconstruct %d-of-%d", sc.SSMThreshold, sc.SSMShares)
-	case sc.MGX:
-		return "mac+bmt, derived versions"
-	case sc.ValueVerify:
+	case sc.Check == secmem.CheckValue:
 		return "value-match, mac+bmt fallback"
-	case sc.NoTreeTraffic:
+	case sc.Versions == secmem.VersionsDerived:
+		return "mac+bmt, derived versions"
+	case sc.Freshness == secmem.FreshBMTNoTraffic:
 		return "mac+bmt (tree traffic elided)"
 	default:
 		return "mac+bmt"

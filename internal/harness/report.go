@@ -44,7 +44,7 @@ func Report(st *stats.Stats, sc secmem.Config) string {
 		100*float64(st.Traffic.MetadataBytes())/float64(st.Traffic.Bytes(stats.Data)))
 
 	fmt.Fprintf(&b, "L2 hit rate: %.1f%%\n", 100*st.L2.HitRate())
-	if !sc.NoSecurity {
+	if sc.Versions != secmem.VersionsNone {
 		fmt.Fprintf(&b, "counter / MAC / BMT cache hit rates: %.1f%% / %.1f%% / %.1f%%\n",
 			100*st.CounterCache.HitRate(), 100*st.MACCache.HitRate(), 100*st.BMTCache.HitRate())
 		fmt.Fprintf(&b, "value-verified reads: %d   MAC-verified reads: %d   MAC updates skipped: %d\n",

@@ -81,7 +81,7 @@ func (e *Engine) SpliceCiphertext(dst, src geom.Addr) {
 func (e *Engine) TamperMAC(local geom.Addr) {
 	local = geom.SectorAddr(local)
 	e.materialize(local)
-	if e.cfg.NoSecurity || e.cfg.SSM {
+	if !e.cfg.HasDRAMMAC() {
 		return // no MACs in memory to attack
 	}
 	i := e.sectorIdx(local)
@@ -99,18 +99,17 @@ func (e *Engine) TamperMAC(local geom.Addr) {
 // counters have the covering compact unit rolled back too (the attacker
 // replays the whole boot image).
 func (e *Engine) ReplayCounter(local geom.Addr) {
-	if e.cfg.NoSecurity || e.cfg.SSM {
+	if !e.cfg.HasDRAMCounters() {
 		return // no counters in memory to attack
 	}
 	i := e.sectorIdx(geom.SectorAddr(local))
-	u := e.ctrUnitOf(i)
-	e.ctrReplayed.Set(u)
-	// Evict the unit so the next access must refetch and verify it.
-	e.ctrCache.Invalidate(e.ctrUnitAddr(u))
-	if e.compact != nil {
-		cu := e.cctrUnitOf(i)
-		e.cctrReplayed.Set(cu)
-		e.cctrCache.Invalidate(e.cctrUnitAddr(cu))
+	for _, r := range [...]*counterRegion{&e.ctr, &e.cctr} {
+		if r.tree != nil {
+			u := r.unitOf(i)
+			r.replayed.Set(u)
+			// Evict the unit so the next access must refetch and verify it.
+			r.cache.Invalidate(r.unitAddr(u))
+		}
 	}
 	e.st.Sec.TamperInjected++
 }
@@ -119,24 +118,23 @@ func (e *Engine) ReplayCounter(local geom.Addr) {
 // local's counter unit (the first non-root node on its verification
 // path). The next fetch of that node fails verification against its
 // parent. The no-security baseline has no tree to attack; under
-// NoTreeTraffic the node is never refetched, so the attack — which
+// FreshBMTNoTraffic the node is never refetched, so the attack — which
 // leaves data and counters intact — is vacuously survived.
 func (e *Engine) CorruptBMTNode(local geom.Addr) {
-	if e.cfg.NoSecurity || e.cfg.SSM {
+	if !e.cfg.HasDRAMTree() {
 		return // no tree in memory to attack
 	}
-	i := e.sectorIdx(geom.SectorAddr(local))
-	u := e.ctrUnitOf(i)
-	ref, ok := e.tree.LeafForUnit(u)
+	u := e.ctr.unitOf(e.sectorIdx(geom.SectorAddr(local)))
+	ref, ok := e.ctr.tree.LeafForUnit(u)
 	if !ok {
 		return // bare-root tree: the whole chain is on-chip
 	}
-	na := e.lay.bmtBase + e.tree.NodeAddr(ref)
+	na := e.ctr.treeBase + e.ctr.tree.NodeAddr(ref)
 	e.bmtTampered[na] = true
-	e.bmtCache.Invalidate(na)
+	e.ctr.treeCache.Invalidate(na)
 	// The walk only happens on a counter-unit miss; evict the unit so
 	// the next access re-verifies through the corrupted node.
-	e.ctrCache.Invalidate(e.ctrUnitAddr(u))
+	e.ctr.cache.Invalidate(e.ctr.unitAddr(u))
 	e.st.Sec.TamperInjected++
 }
 

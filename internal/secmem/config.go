@@ -73,13 +73,86 @@ func (g Granularity) BMTNodeBytes() int {
 	return 128
 }
 
+// A scheme is a composition of three parts, one per seam of the
+// datapath: a version source (where a sector's encryption version comes
+// from), an integrity check (how a read's verdict is decided) and a
+// freshness part (how stored versions are protected against replay).
+// The zero value of every seam is "none"; all three none is the
+// no-security baseline.
+
+// Versions selects the version source.
+type Versions int
+
+const (
+	// VersionsNone stores plaintext: no encryption, no versions.
+	VersionsNone Versions = iota
+	// VersionsStored keeps sectored split counters in DRAM, fetched
+	// through the counter cache and verified by the freshness part.
+	VersionsStored
+	// VersionsCommon adds Na et al.'s [18] on-chip write tracker to the
+	// stored counters: reads of never-written CommonRegionBytes regions
+	// have all-zero counters known on-chip and skip counter and tree
+	// traffic entirely.
+	VersionsCommon
+	// VersionsCompact mirrors the stored counters in a compact counter
+	// region with its own tree (paper §IV-D); Compact picks the design.
+	VersionsCompact
+	// VersionsDerived is mgx: sectors on workload-declared regular write
+	// streams derive their versions on-chip from the stream cursor
+	// (Engine.StreamHint, the secmem↔workload contract); sectors written
+	// outside a declared stream fall back to the stored split counters.
+	VersionsDerived
+	// VersionsOnChip keeps one write version per sector on-chip, keying
+	// the share pads of the share-reconstruction check (ssm).
+	VersionsOnChip
+)
+
+// stored reports whether the source keeps split counters in DRAM.
+func (v Versions) stored() bool { return v >= VersionsStored && v <= VersionsDerived }
+
+// Check selects the integrity check.
+type Check int
+
+const (
+	// CheckNone verifies nothing: reads return whatever DRAM holds.
+	CheckNone Check = iota
+	// CheckMAC compares each sector against its DRAM-resident MAC.
+	CheckMAC
+	// CheckValue accepts a sector whose words hit the value cache and
+	// falls back to the MAC otherwise (paper §IV-C); Value sizes the
+	// cache.
+	CheckValue
+	// CheckShares stores each sector as SSMShares Shamir shares and
+	// detects tampering as reconstruction inconsistency.
+	CheckShares
+)
+
+// Freshness selects the freshness part over stored versions.
+type Freshness int
+
+const (
+	// FreshNone keeps no integrity tree.
+	FreshNone Freshness = iota
+	// FreshLazyBMT verifies counters through a Bonsai Merkle Tree whose
+	// updates ride metadata-cache evictions (every evaluated scheme).
+	FreshLazyBMT
+	// FreshEagerBMT writes every counter update's whole tree path back
+	// at once (paper §II-A3's eager scheme, for the ablation).
+	FreshEagerBMT
+	// FreshBMTNoTraffic keeps the tree's verdicts but elides all of its
+	// traffic, modelling the MGX/TNPU/softVN-style comparison of Fig. 20.
+	FreshBMTNoTraffic
+)
+
 // Config describes one partition's secure-memory scheme.
 type Config struct {
 	// Scheme is the display name used in result tables.
 	Scheme string
 
-	// NoSecurity disables everything (the normalization baseline).
-	NoSecurity bool
+	// Versions, Check and Freshness compose the scheme.
+	Versions  Versions
+	Check     Check
+	Freshness Freshness
 
 	// Encryption selects CME (PSSM baseline) or XTS (Plutus).
 	Encryption gcipher.Mode
@@ -90,50 +163,25 @@ type Config struct {
 	// Granularity is the metadata-block design (paper §IV-E).
 	Granularity Granularity
 
-	// Compact selects the compact mirrored-counter design (§IV-D).
+	// Compact is the compact mirrored-counter design of VersionsCompact
+	// (default: 3-bit adaptive).
 	Compact counters.CompactKind
 	// CompactThreshold is the adaptive disable threshold (0 = default 8).
 	CompactThreshold int
 
-	// ValueVerify enables value-based integrity verification (§IV-C).
-	ValueVerify bool
-	// Value configures the value cache (used when ValueVerify is set).
+	// Value configures the value cache of CheckValue.
 	Value valcache.Config
 
-	// CommonCounters models Na et al. [18]: a 16 KiB-region on-chip
-	// write tracker; reads of never-written regions skip counter and
-	// tree traffic entirely.
-	CommonCounters bool
-	// CommonRegionBytes is the tracking granularity (default 16 KiB).
+	// CommonRegionBytes is the VersionsCommon tracking granularity
+	// (default 16 KiB).
 	CommonRegionBytes int
 
-	// NoTreeTraffic eliminates all integrity-tree traffic, modelling the
-	// MGX/TNPU/softVN-style comparison of Fig. 20.
-	NoTreeTraffic bool
-
-	// MGX enables the mgx frontier scheme: sectors on workload-declared
-	// regular write streams derive their version numbers on-chip from the
-	// stream cursor (Engine.StreamHint, the secmem↔workload contract)
-	// instead of fetching stored counter blocks; sectors written outside
-	// a declared stream fall back to the stored split-counter + BMT path.
-	MGX bool
-
-	// SSM enables the secret-sharing frontier scheme: every data sector
-	// is stored as SSMShares Shamir shares scattered across the protected
-	// space, and k-of-n reconstruction replaces the counter/MAC/BMT
-	// verify path entirely (tamper surfaces as reconstruction failure).
-	SSM bool
-	// SSMShares is n, the total shares per sector (default 3).
+	// SSMShares is n, the total shares per sector under CheckShares
+	// (default 3).
 	SSMShares int
 	// SSMThreshold is k, the shares needed to reconstruct (default 2).
 	// The n-k surplus shares are the redundancy that detects tampering.
 	SSMThreshold int
-
-	// EagerTreeUpdate propagates every counter update to the tree root
-	// immediately (paper §II-A3's "eager update scheme") instead of
-	// riding updates on cache evictions (the lazy scheme all evaluated
-	// configurations use). Exists for the lazy-vs-eager ablation.
-	EagerTreeUpdate bool
 
 	// ProtectedBytes is the partition's protected data capacity.
 	ProtectedBytes uint64
@@ -188,10 +236,13 @@ func (c *Config) Normalize() error {
 	if c.MACBytes == 0 {
 		c.MACBytes = 8
 	}
-	if c.ValueVerify && c.Value.Entries == 0 {
+	if c.Versions == VersionsCompact && c.Compact == counters.CompactOff {
+		c.Compact = counters.Compact3BitAdaptive
+	}
+	if c.Check == CheckValue && c.Value.Entries == 0 {
 		c.Value = valcache.DefaultConfig()
 	}
-	if c.SSM {
+	if c.Check == CheckShares {
 		if c.SSMShares == 0 {
 			c.SSMShares = 3
 		}
@@ -199,35 +250,32 @@ func (c *Config) Normalize() error {
 			c.SSMThreshold = 2
 		}
 	}
-	if c.NoSecurity {
+	if c.Versions == VersionsNone && c.Check == CheckNone && c.Freshness == FreshNone {
 		return nil
 	}
-	if c.SSM {
+	if c.ProtectedBytes%uint64(geom.BlockSize) != 0 {
+		return fmt.Errorf("secmem: protected size %d not block aligned", c.ProtectedBytes)
+	}
+	if c.Versions == VersionsOnChip || c.Check == CheckShares {
 		switch {
-		case c.MGX || c.ValueVerify || c.Compact != counters.CompactOff || c.CommonCounters:
-			return fmt.Errorf("secmem: SSM composes with no counter/MAC/tree mechanism (shares are the whole datapath)")
+		case c.Versions != VersionsOnChip || c.Check != CheckShares || c.Freshness != FreshNone:
+			return fmt.Errorf("secmem: share reconstruction composes only with on-chip versions and no freshness part")
 		case c.SSMThreshold < 2 || c.SSMShares <= c.SSMThreshold || c.SSMShares > 8:
-			return fmt.Errorf("secmem: SSM needs 2 ≤ k < n ≤ 8 shares; got k=%d n=%d", c.SSMThreshold, c.SSMShares)
-		case c.ProtectedBytes%uint64(geom.BlockSize) != 0:
-			return fmt.Errorf("secmem: protected size %d not block aligned", c.ProtectedBytes)
+			return fmt.Errorf("secmem: share reconstruction needs 2 ≤ k < n ≤ 8 shares; got k=%d n=%d", c.SSMThreshold, c.SSMShares)
 		}
 		return nil
-	}
-	if c.MGX && (c.Compact != counters.CompactOff || c.CommonCounters || c.ValueVerify) {
-		return fmt.Errorf("secmem: MGX derived versions compose only with the plain MAC+BMT fallback path")
 	}
 	switch {
+	case c.Versions == VersionsNone || c.Check == CheckNone || c.Freshness == FreshNone:
+		return fmt.Errorf("secmem: stored versions need a MAC-based check and a BMT freshness part")
+	case c.Versions == VersionsDerived && c.Check != CheckMAC:
+		return fmt.Errorf("secmem: derived versions compose only with the plain MAC check")
 	case c.MACBytes != 1 && c.MACBytes != 2 && c.MACBytes != 4 && c.MACBytes != 8:
 		return fmt.Errorf("secmem: MAC size %d B not a power of two ≤ 8", c.MACBytes)
-	case c.ProtectedBytes%uint64(geom.BlockSize) != 0:
-		return fmt.Errorf("secmem: protected size %d not block aligned", c.ProtectedBytes)
-	case c.ValueVerify && c.Encryption != gcipher.ModeXTS:
+	case c.Check == CheckValue && c.Encryption != gcipher.ModeXTS:
 		return fmt.Errorf("secmem: value verification requires XTS (malleability resistance); got %v", c.Encryption)
-	}
-	if c.ValueVerify {
-		if err := c.Value.Validate(); err != nil {
-			return err
-		}
+	case c.Check == CheckValue:
+		return c.Value.Validate()
 	}
 	return nil
 }
@@ -236,7 +284,7 @@ func (c *Config) Normalize() error {
 
 // Baseline returns the no-security configuration.
 func Baseline(protected uint64) Config {
-	return Config{Scheme: "nosec", NoSecurity: true, ProtectedBytes: protected}
+	return Config{Scheme: "nosec", ProtectedBytes: protected}
 }
 
 // PSSM returns the paper's baseline: CME, sectored split counters, 8 B
@@ -245,6 +293,9 @@ func Baseline(protected uint64) Config {
 func PSSM(protected uint64) Config {
 	return Config{
 		Scheme:         "pssm",
+		Versions:       VersionsStored,
+		Check:          CheckMAC,
+		Freshness:      FreshLazyBMT,
 		Encryption:     gcipher.ModeCME,
 		MACBytes:       8,
 		Granularity:    GranAll128,
@@ -264,7 +315,7 @@ func PSSM4B(protected uint64) Config {
 func CommonCtr(protected uint64) Config {
 	c := PSSM(protected)
 	c.Scheme = "pssm+cc"
-	c.CommonCounters = true
+	c.Versions = VersionsCommon
 	return c
 }
 
@@ -273,7 +324,7 @@ func PlutusValueOnly(protected uint64) Config {
 	c := PSSM(protected)
 	c.Scheme = "plutus-V"
 	c.Encryption = gcipher.ModeXTS
-	c.ValueVerify = true
+	c.Check = CheckValue
 	c.Value = valcache.DefaultConfig()
 	return c
 }
@@ -290,6 +341,7 @@ func PlutusFineGrain(protected uint64, g Granularity) Config {
 func PlutusCompact(protected uint64, k counters.CompactKind) Config {
 	c := PSSM(protected)
 	c.Scheme = "plutus-C-" + k.String()
+	c.Versions = VersionsCompact
 	c.Compact = k
 	return c
 }
@@ -299,11 +351,13 @@ func PlutusCompact(protected uint64, k counters.CompactKind) Config {
 func Plutus(protected uint64) Config {
 	return Config{
 		Scheme:         "plutus",
+		Versions:       VersionsCompact,
+		Check:          CheckValue,
+		Freshness:      FreshLazyBMT,
 		Encryption:     gcipher.ModeXTS,
 		MACBytes:       8,
 		Granularity:    GranAll32,
 		Compact:        counters.Compact3BitAdaptive,
-		ValueVerify:    true,
 		Value:          valcache.DefaultConfig(),
 		ProtectedBytes: protected,
 	}
@@ -314,7 +368,7 @@ func Plutus(protected uint64) Config {
 func PlutusNoTree(protected uint64) Config {
 	c := Plutus(protected)
 	c.Scheme = "plutus-notree"
-	c.NoTreeTraffic = true
+	c.Freshness = FreshBMTNoTraffic
 	return c
 }
 
@@ -328,10 +382,12 @@ func PlutusNoTree(protected uint64) Config {
 func MGXConfig(protected uint64) Config {
 	return Config{
 		Scheme:         "mgx",
+		Versions:       VersionsDerived,
+		Check:          CheckMAC,
+		Freshness:      FreshLazyBMT,
 		Encryption:     gcipher.ModeXTS,
 		MACBytes:       8,
 		Granularity:    GranAll32,
-		MGX:            true,
 		ProtectedBytes: protected,
 	}
 }
@@ -346,7 +402,8 @@ func MGXConfig(protected uint64) Config {
 func SSMConfig(protected uint64) Config {
 	return Config{
 		Scheme:         "ssm",
-		SSM:            true,
+		Versions:       VersionsOnChip,
+		Check:          CheckShares,
 		SSMShares:      3,
 		SSMThreshold:   2,
 		ProtectedBytes: protected,
@@ -402,21 +459,22 @@ func ByName(name string, protected uint64) (Config, error) {
 //
 // The tamper subsystem validates attack plans against these: an attack
 // kind that targets metadata a scheme does not store in DRAM is a plan
-// error, not a silent no-op (see tamper.Plan.ValidateFor).
+// error, not a silent no-op (see tamper.Plan.ValidateFor). Each follows
+// from which parts the composition holds.
 
 // HasDRAMMAC reports whether the scheme stores per-sector MACs in DRAM
-// (the mac-corrupt attack surface).
-func (c Config) HasDRAMMAC() bool { return !c.NoSecurity && !c.SSM }
+// (the mac-corrupt attack surface): the MAC and value checks do.
+func (c Config) HasDRAMMAC() bool { return c.Check == CheckMAC || c.Check == CheckValue }
 
 // HasDRAMCounters reports whether the scheme stores encryption counters
 // in DRAM (the ctr-rollback attack surface). mgx qualifies: its
 // irregular-write fallback keeps the stored split counters.
-func (c Config) HasDRAMCounters() bool { return !c.NoSecurity && !c.SSM }
+func (c Config) HasDRAMCounters() bool { return c.Versions.stored() }
 
 // HasDRAMTree reports whether the scheme maintains a DRAM-resident
-// integrity tree (the bmt-corrupt attack surface). NoTreeTraffic elides
-// the tree's traffic, not the tree itself.
-func (c Config) HasDRAMTree() bool { return !c.NoSecurity && !c.SSM }
+// integrity tree (the bmt-corrupt attack surface). FreshBMTNoTraffic
+// elides the tree's traffic, not the tree itself.
+func (c Config) HasDRAMTree() bool { return c.Freshness != FreshNone }
 
 // keys derives the distinct engine keys from the config key material.
 func (c *Config) keys() (enc [32]byte, mac siphash.Key, tree siphash.Key) {

@@ -26,7 +26,7 @@ func conformanceRig(t *testing.T, name string) *testRig {
 	r.e.InitData = func(local geom.Addr) []byte {
 		return sector(uint32(local)^0xdead, uint32(local)+7)
 	}
-	if cfg.MGX {
+	if cfg.Versions == VersionsDerived {
 		r.e.StreamHint = func(local geom.Addr) (uint64, bool) {
 			if local < 0x800 {
 				return uint64(local) / geom.BlockSize, true
@@ -120,13 +120,13 @@ func TestConformanceGeometry(t *testing.T) {
 			if cfg.ProtectedBytes%uint64(geom.BlockSize) != 0 {
 				t.Fatalf("protected size %d not block aligned", cfg.ProtectedBytes)
 			}
-			if cfg.NoSecurity {
+			if cfg.Versions == VersionsNone {
 				return
 			}
 			if got, want := e.lay.dataSectors, cfg.ProtectedBytes/geom.SectorSize; got != want {
 				t.Fatalf("dataSectors = %d, want %d", got, want)
 			}
-			if cfg.SSM {
+			if cfg.Check == CheckShares {
 				// Every share region must be a bijection of the data
 				// sector space, and regions must never collide.
 				seen := make(map[uint64]bool)

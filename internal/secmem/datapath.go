@@ -3,7 +3,6 @@ package secmem
 import (
 	"fmt"
 
-	"github.com/plutus-gpu/plutus/internal/bmt"
 	"github.com/plutus-gpu/plutus/internal/cache"
 	"github.com/plutus-gpu/plutus/internal/counters"
 	"github.com/plutus-gpu/plutus/internal/geom"
@@ -66,7 +65,8 @@ func (e *Engine) Read(local geom.Addr, done func(ReadResult)) {
 		}
 	}
 
-	if e.cfg.NoSecurity {
+	switch e.cfg.Check {
+	case CheckNone:
 		e.ch.Access(local, false, stats.Data, func() {
 			// No verification exists: a read of attacker-mutated data
 			// succeeds and returns the corruption — the baseline's
@@ -78,9 +78,7 @@ func (e *Engine) Read(local geom.Addr, done func(ReadResult)) {
 			finish(ReadResult{Data: e.plaintextOf(local), OK: true})
 		})
 		return
-	}
-
-	if e.cfg.SSM {
+	case CheckShares:
 		e.ssmRead(local, finish)
 		return
 	}
@@ -143,19 +141,12 @@ func (e *Engine) completeRead(local geom.Addr, freshOK bool, finish func(ReadRes
 	e.fetchMeta(e.macCache, e.macAddrOf(i), e.macCache.MaskFor(e.macAddrOf(i)), stats.MAC, func() {
 		e.eng.Schedule(e.cfg.MACLatency, func() {
 			e.st.Sec.MACVerified++
-			ok := true
-			if stale {
-				// A write-guarantee sector should always value-verify;
-				// reaching the MAC path with a stale MAC means either the
-				// guarantee logic is unsound or an attacker interfered.
-				ok = false
-				e.st.Sec.TamperDetected++
-				e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
-				if debugGuarantee != nil {
-					debugGuarantee(e, local, pt)
-				}
-			} else if mismatch {
-				ok = false
+			ok := !stale && !mismatch
+			if !ok {
+				// A stale MAC fails too: a write-guarantee sector should
+				// always value-verify, so reaching the MAC path with one
+				// means either the guarantee logic is unsound or an
+				// attacker interfered.
 				e.st.Sec.TamperDetected++
 				e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
 			} else if tainted {
@@ -187,27 +178,23 @@ func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
 		}
 	}
 
-	if e.cfg.NoSecurity {
+	if e.cfg.Check == CheckNone {
 		copy(e.mem.Put(e.sectorIdx(local)), data)
 		e.taintData.Clear(e.sectorIdx(local)) // overwritten: corruption gone
 		e.ch.Access(local, true, stats.Data, func() { finish() })
 		return
 	}
-
-	if e.cfg.SSM {
-		pt := make([]byte, geom.SectorSize)
-		copy(pt, data)
+	pt := make([]byte, geom.SectorSize)
+	copy(pt, data)
+	if e.cfg.Check == CheckShares {
 		e.ssmWrite(local, pt, finish)
 		return
 	}
 
 	// The first write to a region ends its common-counter (all-zero) era.
-	if e.cfg.CommonCounters {
+	if e.cfg.Versions == VersionsCommon {
 		e.regionWritten.Set(e.regionOf(local))
 	}
-
-	pt := make([]byte, geom.SectorSize)
-	copy(pt, data)
 
 	freshOK := true
 	j := &join{}
@@ -216,7 +203,7 @@ func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
 			// The counter fetched for this write failed freshness
 			// verification. The controller raises the alarm; the write
 			// itself still commits, rewriting the unit with fresh state
-			// (see dirtyOriginalCounter), as real hardware would after
+			// (see dirtyCounter), as real hardware would after
 			// flagging the violation.
 			e.st.Sec.ReplayDetected++
 			e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
@@ -233,25 +220,25 @@ func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
 func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 	i := e.sectorIdx(local)
 
-	mgxDerived := e.cfg.MGX && e.mgxDerived.Get(i)
-	if mgxDerived {
-		e.mgxBumpVersion(i)
+	derived := e.derived.has(i)
+	if derived {
+		e.derived.bump(i)
 	} else {
 		e.bumpCounter(local)
 	}
-	ct := e.storeCiphertext(local, pt)
-	_ = ct
+	e.storeCiphertext(local, pt)
 	// The sector's DRAM copy (and MAC, below) is rewritten wholesale:
 	// any earlier mutation of it is gone.
 	e.taintData.Clear(i)
 	e.taintMeta.Clear(i)
 
-	if mgxDerived {
+	switch {
+	case derived:
 		// A derived sector has no stored counter to dirty and no tree
 		// unit to refresh — that absence is the scheme's entire saving.
-	} else if e.compact == nil {
-		e.dirtyOriginalCounter(i)
-	} else {
+	case e.compact == nil:
+		e.dirtyCounter(&e.ctr, i)
+	default:
 		// While a write is absorbed by the compact layer, the original
 		// counters and main BMT stay untouched in memory — that is the
 		// whole bandwidth saving. The original copy is written only when
@@ -262,25 +249,21 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 		justSaturated := e.split.Minor(i) == sat && e.split.Major(e.split.GroupOf(i)) == 0
 		if out == counters.ServedCompact || justSaturated {
 			// The compact value changed: dirty the compact sector and
-			// update the small tree. Writing the unit replaces any
-			// attacker-replayed DRAM copy with fresh state.
-			cca := e.cctrSectorAddr(i)
-			e.handleEvictions(e.cctrCache.Insert(cca, e.cctrCache.MaskFor(cca), true), stats.CompactCounter, false)
-			cu := e.cctrUnitOf(i)
-			e.cctrReplayed.Clear(cu)
-			e.ctree.SetUnitHash(cu, e.compactUnitHash(cu))
+			// update the small tree.
+			e.dirtyCounter(&e.cctr, i)
 		}
 		if out != counters.ServedCompact {
 			// Saturated or disabled: this write lives in the originals.
-			e.dirtyOriginalCounter(i)
+			e.dirtyCounter(&e.ctr, i)
 		}
 		if justDisabled {
 			// One-time copy of the block's surviving compact counters to
 			// the original store: two original counter sectors written
 			// (paper §IV-D; 2× compaction), and the main tree now covers
 			// the propagated values.
-			e.ch.Access(e.ctrUnitAddr(e.ctrUnitOf(i)), true, stats.Counter, nil)
-			e.ch.Access(e.ctrUnitAddr(e.ctrUnitOf(i))+geom.SectorSize, true, stats.Counter, nil)
+			ua := e.ctr.unitAddr(e.ctr.unitOf(i))
+			e.ch.Access(ua, true, stats.Counter, nil)
+			e.ch.Access(ua+geom.SectorSize, true, stats.Counter, nil)
 			e.refreshDisabledBlockHashes(i)
 		}
 	}
@@ -289,9 +272,7 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 	skipMAC := false
 	if e.vcache != nil {
 		e.vcache.ObserveSector(pt)
-		if e.vcache.WriteGuaranteed(pt) {
-			skipMAC = true
-		}
+		skipMAC = e.vcache.WriteGuaranteed(pt)
 	}
 	if skipMAC {
 		e.st.Sec.MACSkippedWrites++
@@ -301,41 +282,13 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 		e.setMAC(i, e.currentMAC(local))
 		e.macStale.Clear(i)
 		ma := e.macAddrOf(i)
-		e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC, false)
+		e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC)
 	}
 
 	// Encrypt latency then the data write transaction.
 	e.eng.Schedule(e.cfg.AESLatency, func() {
 		e.ch.Access(local, true, stats.Data, func() { finish() })
 	})
-}
-
-// dirtyOriginalCounter marks sector i's original counter sector dirty
-// and refreshes the main tree's hash of its unit. Under the eager-update
-// scheme the whole path to the root is written back immediately instead
-// of waiting for evictions.
-func (e *Engine) dirtyOriginalCounter(i uint64) {
-	ca := e.ctrSectorAddr(i)
-	e.handleEvictions(e.ctrCache.Insert(ca, e.ctrCache.MaskFor(ca), true), stats.Counter, false)
-	u := e.ctrUnitOf(i)
-	// Writing the unit replaces any attacker-replayed DRAM copy.
-	e.ctrReplayed.Clear(u)
-	e.tree.SetUnitHash(u, e.counterUnitHash(u))
-	if e.cfg.EagerTreeUpdate && !e.cfg.NoTreeTraffic {
-		e.eagerWritePath(e.tree, e.lay.bmtBase, u, stats.BMT)
-	}
-}
-
-// eagerWritePath charges one write per non-root tree node on unit u's
-// path — the eager scheme's cost: every counter update rewrites its
-// entire verification chain in memory.
-func (e *Engine) eagerWritePath(t *bmt.Tree, base geom.Addr, u uint64, cl stats.Class) {
-	for _, ref := range t.Path(u) {
-		if t.IsRoot(ref) {
-			break
-		}
-		e.ch.Access(geom.SectorAddr(base+t.NodeAddr(ref)), true, cl, nil)
-	}
 }
 
 // refreshDisabledBlockHashes re-hashes every main-tree unit covering a
@@ -347,11 +300,11 @@ func (e *Engine) refreshDisabledBlockHashes(i uint64) {
 	start := i / blockSectors * blockSectors
 	seen := map[uint64]bool{}
 	for s := start; s < start+blockSectors && s < e.lay.dataSectors; s += uint64(e.split.Config().GroupSize) {
-		u := e.ctrUnitOf(s)
+		u := e.ctr.unitOf(s)
 		if !seen[u] {
 			seen[u] = true
-			e.ctrReplayed.Clear(u) // propagation rewrites the unit
-			e.tree.SetUnitHash(u, e.counterUnitHash(u))
+			e.ctr.replayed.Clear(u) // propagation rewrites the unit
+			e.ctr.tree.SetUnitHash(u, e.ctr.unitHash(u))
 		}
 	}
 }
@@ -366,7 +319,7 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 		g := e.split.GroupOf(i)
 		base := g * uint64(e.split.Config().GroupSize)
 		for k := 0; k < e.split.Config().GroupSize; k++ {
-			if e.cfg.MGX && e.mgxDerived.Get(base+uint64(k)) {
+			if e.derived.has(base + uint64(k)) {
 				// Derived group-mates don't ride the split counters: the
 				// major bump doesn't change their effective version, so
 				// they must not be re-encrypted.
@@ -383,22 +336,6 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 
 // --- counter acquisition ---
 
-// ctrFetchMask is the sector mask for a counter-unit fetch: the whole
-// 128 B block for GranAll128, a single 32 B sector otherwise.
-func (e *Engine) ctrFetchMask(unitAddr geom.Addr) geom.SectorMask {
-	if e.cfg.Granularity.CounterUnitBytes() == geom.BlockSize {
-		return geom.AllSectors
-	}
-	return e.ctrCache.MaskFor(unitAddr)
-}
-
-func (e *Engine) cctrFetchMask(unitAddr geom.Addr) geom.SectorMask {
-	if e.cfg.Granularity.CounterUnitBytes() == geom.BlockSize {
-		return geom.AllSectors
-	}
-	return e.cctrCache.MaskFor(unitAddr)
-}
-
 // acquireCounter arranges for sector local's encryption counter to be
 // on-chip and verified, joining all resulting memory activity onto j.
 // freshOK is cleared if counter verification fails (replay detection).
@@ -408,8 +345,8 @@ func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 	// mgx fast path: a derived sector's version is regenerated on-chip
 	// from the stream cursor — no counter fetch, no tree walk, nothing
 	// to verify. Irregular sectors fall through to the stored path.
-	if e.cfg.MGX {
-		if e.mgxClassify(i, local) {
+	if e.derived != nil {
+		if e.classifyDerived(i, local) {
 			e.st.Sec.DerivedVersions++
 			return
 		}
@@ -418,7 +355,7 @@ func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 
 	// Common-counters fast path: a never-written region has all-zero
 	// counters known on-chip; no counter or tree traffic at all.
-	if e.cfg.CommonCounters && !e.regionWritten.Get(e.regionOf(local)) {
+	if e.cfg.Versions == VersionsCommon && !e.regionWritten.Get(e.regionOf(local)) {
 		return
 	}
 
@@ -426,7 +363,7 @@ func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 		switch e.compact.Classify(i) {
 		case counters.ServedCompact:
 			e.st.Sec.CompactHits++
-			e.fetchCompactUnit(i, j, freshOK)
+			e.fetchUnit(&e.cctr, i, j, freshOK)
 			return
 		case counters.ServedOverflowed:
 			e.st.Sec.CompactOverflow++
@@ -436,104 +373,32 @@ func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 			cj := &join{}
 			cj.then = func() {
 				oj := &join{then: inner}
-				e.fetchCounterUnit(i, oj, freshOK)
+				e.fetchUnit(&e.ctr, i, oj, freshOK)
 				oj.seal()
 			}
-			e.fetchCompactUnit(i, cj, freshOK)
+			e.fetchUnit(&e.cctr, i, cj, freshOK)
 			cj.seal()
 			return
 		default: // counters.ServedDisabled
 			e.st.Sec.CompactDisabled++
 		}
 	}
-	e.fetchCounterUnit(i, j, freshOK)
+	e.fetchUnit(&e.ctr, i, j, freshOK)
 }
 
-// fetchCounterUnit brings sector i's original counter unit on-chip,
-// verifying it through the BMT.
-func (e *Engine) fetchCounterUnit(i uint64, j *join, freshOK *bool) {
-	u := e.ctrUnitOf(i)
-	ua := e.ctrUnitAddr(u)
-	mask := e.ctrFetchMask(ua)
-
-	before := e.ctrCache.Probe(ua) & mask
-	e.fetchMetaJoin(e.ctrCache, ua, mask, stats.Counter, j)
-	if before == mask {
-		return // cache hit: already verified when it was filled
-	}
-	// Miss path: the fetched unit must be verified against the tree.
-	if !e.tree.VerifyUnit(u, e.counterUnitHash(u)) {
-		*freshOK = false
-	}
-	if !e.cfg.NoTreeTraffic {
-		e.walkTree(e.tree, e.bmtCache, e.lay.bmtBase, u, stats.BMT, j, freshOK)
-	}
-}
-
-// fetchCompactUnit brings sector i's compact counter unit on-chip,
-// verifying it through the compact tree.
-func (e *Engine) fetchCompactUnit(i uint64, j *join, freshOK *bool) {
-	u := e.cctrUnitOf(i)
-	ua := e.cctrUnitAddr(u)
-	mask := e.cctrFetchMask(ua)
-
-	before := e.cctrCache.Probe(ua) & mask
-	e.fetchMetaJoin(e.cctrCache, ua, mask, stats.CompactCounter, j)
-	if before == mask {
-		return
-	}
-	if !e.ctree.VerifyUnit(u, e.compactUnitHash(u)) {
-		*freshOK = false
-	}
-	if !e.cfg.NoTreeTraffic {
-		e.walkTree(e.ctree, e.cbmtCache, e.lay.cbmtBase, u, stats.CompactBMT, j, freshOK)
-	}
-}
-
-// walkTree performs the verification walk for counter unit u: fetch tree
-// nodes bottom-up until one hits in the (verified) metadata cache or the
-// on-chip root is reached. Fetching a node whose DRAM copy an attacker
-// corrupted fails verification against its parent and clears freshOK.
-func (e *Engine) walkTree(t *bmt.Tree, mc *cache.Cache, base geom.Addr, u uint64, cl stats.Class, j *join, freshOK *bool) {
-	for _, ref := range t.Path(u) {
-		if t.IsRoot(ref) {
-			break // root is on-chip: free and always trusted
-		}
-		na := base + t.NodeAddr(ref)
-		nodeMask := e.nodeFetchMask(mc, na)
-		if mc.Probe(na)&nodeMask == nodeMask {
-			mc.Lookup(na, nodeMask, false, nil) // LRU touch
-			break                               // verified boundary reached
-		}
-		e.st.Sec.BMTNodeVerifies++
-		if e.bmtTampered[na] {
-			*freshOK = false
-		}
-		e.fetchMetaJoin(mc, na, nodeMask, cl, j)
-	}
-}
-
-// nodeFetchMask is the sector mask of one tree-node fetch.
-func (e *Engine) nodeFetchMask(mc *cache.Cache, nodeAddr geom.Addr) geom.SectorMask {
-	if e.cfg.Granularity.BMTNodeBytes() == geom.BlockSize {
+// fetchMask is the sector mask of one fetch of a size-byte metadata
+// item at addr through mc: the whole block for 128 B items, a single
+// 32 B sector otherwise.
+func fetchMask(mc *cache.Cache, addr geom.Addr, size int) geom.SectorMask {
+	if size == geom.BlockSize {
 		return geom.AllSectors
 	}
-	return mc.MaskFor(nodeAddr)
-}
-
-// fetchMetaJoin fetches (addr, mask) through metadata cache mc, arming j
-// with the completion.
-func (e *Engine) fetchMetaJoin(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, j *join) {
-	e.fetchMeta2(mc, addr, mask, cl, j.arm())
+	return mc.MaskFor(addr)
 }
 
 // fetchMeta fetches (addr, mask) through mc and runs done when the
 // requested sectors are present.
 func (e *Engine) fetchMeta(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done func()) {
-	e.fetchMeta2(mc, addr, mask, cl, done)
-}
-
-func (e *Engine) fetchMeta2(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done func()) {
 	out, need, m := mc.Lookup(addr, mask, false, nil)
 	switch out {
 	case cache.Hit:
@@ -546,7 +411,7 @@ func (e *Engine) fetchMeta2(mc *cache.Cache, addr geom.Addr, mask geom.SectorMas
 	case cache.MissNoMSHR:
 		// Park until some fill frees an MSHR (models MSHR-full stall
 		// without polling).
-		e.mshrWait.Push(func() { e.fetchMeta2(mc, addr, mask, cl, done) })
+		e.mshrWait.Push(func() { e.fetchMeta(mc, addr, mask, cl, done) })
 	}
 }
 
@@ -554,13 +419,12 @@ func (e *Engine) fetchMeta2(mc *cache.Cache, addr geom.Addr, mask geom.SectorMas
 // cache as each lands; waiters resume when the MSHR completes.
 func (e *Engine) issueMetaFill(mc *cache.Cache, m *cache.MSHR, addr geom.Addr, need geom.SectorMask, cl stats.Class) {
 	block := addr &^ geom.Addr(geom.BlockSize-1)
-	isTree := mc == e.bmtCache || mc == e.cbmtCache
 	need.Sectors(func(s int) {
 		sa := block + geom.Addr(s*geom.SectorSize)
 		smask := geom.SectorMask(1 << s)
 		e.ch.Access(sa, false, cl, func() {
 			evs, done, waiters := mc.FillSectors(m, smask, false)
-			e.handleEvictions(evs, cl, isTree)
+			e.handleEvictions(evs, cl)
 			if done {
 				for _, w := range waiters {
 					w()
@@ -572,9 +436,9 @@ func (e *Engine) issueMetaFill(mc *cache.Cache, m *cache.MSHR, addr geom.Addr, n
 }
 
 // handleEvictions writes back dirty sectors of evicted metadata blocks
-// and, for counter/tree blocks under lazy update, propagates the update
-// to the parent tree node.
-func (e *Engine) handleEvictions(evs []cache.Eviction, cl stats.Class, isTreeCache bool) {
+// of traffic class cl and, for a counter region's counter or tree blocks
+// under lazy update, propagates the update to the parent tree node.
+func (e *Engine) handleEvictions(evs []cache.Eviction, cl stats.Class) {
 	for _, ev := range evs {
 		if ev.Dirty == 0 {
 			continue
@@ -582,48 +446,16 @@ func (e *Engine) handleEvictions(evs []cache.Eviction, cl stats.Class, isTreeCac
 		ev.Dirty.Sectors(func(s int) {
 			e.ch.Access(ev.Addr+geom.Addr(s*geom.SectorSize), true, cl, nil)
 		})
-		switch cl {
-		case stats.Counter:
-			e.propagateDirty(e.tree, e.bmtCache, e.lay.bmtBase, e.unitOfCtrAddr(ev.Addr), stats.BMT)
-		case stats.CompactCounter:
-			e.propagateDirty(e.ctree, e.cbmtCache, e.lay.cbmtBase, e.unitOfCctrAddr(ev.Addr), stats.CompactBMT)
-		case stats.BMT:
-			if isTreeCache {
-				e.propagateNodeDirty(e.tree, e.bmtCache, e.lay.bmtBase, ev.Addr, stats.BMT)
-			}
-		case stats.CompactBMT:
-			if isTreeCache {
-				e.propagateNodeDirty(e.ctree, e.cbmtCache, e.lay.cbmtBase, ev.Addr, stats.CompactBMT)
+		for _, r := range [...]*counterRegion{&e.ctr, &e.cctr} {
+			switch {
+			case r.tree == nil: // absent compact region
+			case cl == r.ctrClass:
+				e.propagateDirty(r, r.unitOfAddr(ev.Addr))
+			case cl == r.treeClass:
+				e.propagateNodeDirty(r, ev.Addr)
 			}
 		}
 	}
-}
-
-// unitOfCtrAddr maps a counter-region local address back to a unit index.
-func (e *Engine) unitOfCtrAddr(a geom.Addr) uint64 {
-	return uint64(a-e.lay.ctrBase) / uint64(e.cfg.Granularity.CounterUnitBytes())
-}
-
-func (e *Engine) unitOfCctrAddr(a geom.Addr) uint64 {
-	return uint64(a-e.lay.cctrBase) / uint64(e.cfg.Granularity.CounterUnitBytes())
-}
-
-// propagateDirty marks unit u's level-0 parent node dirty in the tree
-// cache (the lazy-update scheme: a dirty counter writeback makes its
-// parent hash stale in memory until that node is itself written back).
-func (e *Engine) propagateDirty(t *bmt.Tree, mc *cache.Cache, base geom.Addr, u uint64, cl stats.Class) {
-	if e.cfg.NoTreeTraffic || e.cfg.EagerTreeUpdate {
-		// Eager mode already wrote the whole path at update time.
-		return
-	}
-	path := t.Path(u)
-	if len(path) == 0 || t.IsRoot(path[0]) {
-		return
-	}
-	// Only the parent's 32 B sector holding this child's hash changes.
-	slot := u % uint64(t.Config().Arity())
-	na := base + t.NodeAddr(path[0]) + geom.Addr(slot*bmt.HashBytes/geom.SectorSize*geom.SectorSize)
-	e.markNodeDirty(mc, na, cl)
 }
 
 // markNodeDirty dirties one tree-node sector in its cache. An absent
@@ -635,7 +467,7 @@ func (e *Engine) markNodeDirty(mc *cache.Cache, na geom.Addr, cl stats.Class) {
 	if mc.MarkDirty(na, mask) {
 		return
 	}
-	e.fetchMeta2(mc, na, mask, cl, func() {
+	e.fetchMeta(mc, na, mask, cl, func() {
 		if !mc.MarkDirty(na, mask) {
 			// Filled and already evicted again (cache thrash): charge the
 			// update write directly rather than loop.
@@ -644,69 +476,24 @@ func (e *Engine) markNodeDirty(mc *cache.Cache, na geom.Addr, cl stats.Class) {
 	})
 }
 
-// propagateNodeDirty handles a dirty tree-node eviction: its parent node
-// becomes dirty in turn (cascading toward the root, which absorbs the
-// final update on-chip for free).
-func (e *Engine) propagateNodeDirty(t *bmt.Tree, mc *cache.Cache, base geom.Addr, nodeAddr geom.Addr, cl stats.Class) {
-	if nodeAddr < base {
-		return
-	}
-	ref, ok := t.RefForAddr(nodeAddr - base)
-	if !ok {
-		return
-	}
-	parent, ok := t.Parent(ref)
-	if !ok || t.IsRoot(parent) {
-		return
-	}
-	slot := ref.Index % uint64(t.Config().Arity())
-	na := base + t.NodeAddr(parent) + geom.Addr(slot*bmt.HashBytes/geom.SectorSize*geom.SectorSize)
-	e.markNodeDirty(mc, na, cl)
-}
-
 // FlushDirtyMetadata writes back all dirty metadata (end-of-run
 // accounting so lazy updates are not silently dropped).
 func (e *Engine) FlushDirtyMetadata() {
-	flush := func(mc *cache.Cache, cl stats.Class) {
-		if mc == nil {
-			return
+	for _, f := range [...]struct {
+		mc *cache.Cache
+		cl stats.Class
+	}{
+		{e.ctr.cache, stats.Counter}, {e.macCache, stats.MAC}, {e.ctr.treeCache, stats.BMT},
+		{e.cctr.cache, stats.CompactCounter}, {e.cctr.treeCache, stats.CompactBMT},
+	} {
+		if f.mc == nil {
+			continue
 		}
-		mc.WalkDirty(func(b geom.Addr, d geom.SectorMask) {
+		f.mc.WalkDirty(func(b geom.Addr, d geom.SectorMask) {
 			d.Sectors(func(s int) {
-				e.ch.Access(b+geom.Addr(s*geom.SectorSize), true, cl, nil)
+				e.ch.Access(b+geom.Addr(s*geom.SectorSize), true, f.cl, nil)
 			})
-			mc.CleanSectors(b, d)
+			f.mc.CleanSectors(b, d)
 		})
-	}
-	flush(e.ctrCache, stats.Counter)
-	flush(e.macCache, stats.MAC)
-	flush(e.bmtCache, stats.BMT)
-	flush(e.cctrCache, stats.CompactCounter)
-	flush(e.cbmtCache, stats.CompactBMT)
-}
-
-// debugGuarantee, when non-nil, is invoked on a stale-MAC read (test
-// diagnostics for the write-guarantee invariant).
-var debugGuarantee func(e *Engine, local geom.Addr, pt []byte)
-
-// SetDebugGuarantee installs a diagnostic hook that fires on stale-MAC
-// reads with a description of the sector's verification state.
-func SetDebugGuarantee(fn func(info string)) {
-	if fn == nil {
-		debugGuarantee = nil
-		return
-	}
-	debugGuarantee = func(e *Engine, local geom.Addr, pt []byte) {
-		res := e.vcache.VerifySector(pt)
-		var detail string
-		for off := 0; off < len(pt); off += 16 {
-			for k := 0; k < 4; k++ {
-				v := uint32(pt[off+k*4]) | uint32(pt[off+k*4+1])<<8 | uint32(pt[off+k*4+2])<<16 | uint32(pt[off+k*4+3])<<24
-				hit, pinned := e.vcache.Probe(v)
-				detail += fmt.Sprintf(" v=%08x hit=%v pin=%v;", v, hit, pinned)
-			}
-			detail += " |"
-		}
-		fn(fmt.Sprintf("stale-MAC read local=%#x verified=%v hits=%d:%s", local, res.Verified, res.Hits, detail))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/plutus-gpu/plutus/internal/bmt"
 	"github.com/plutus-gpu/plutus/internal/cache"
 	"github.com/plutus-gpu/plutus/internal/counters"
 	"github.com/plutus-gpu/plutus/internal/crypto/gcipher"
@@ -32,8 +31,11 @@ type layout struct {
 	cbmtBase    geom.Addr
 }
 
-// Engine is one partition's secure memory controller.
+// Engine is one partition's secure memory controller. Which of its
+// parts exist follows from the configuration's three seams; an absent
+// part is nil (or, for the compact counter region, has a nil tree).
 type Engine struct {
+	//simlint:ignore snapsym configuration, rebuilt by New
 	cfg Config
 	//simlint:ignore snapsym construction wiring, rebuilt by New
 	eng *sim.Engine
@@ -49,23 +51,25 @@ type Engine struct {
 	//simlint:ignore snapsym key material is part of the configuration, not mutable state
 	treeKey siphash.Key
 
+	// Version sources: the split counters (every stored source), the
+	// compact mirror, mgx's derived versions, ssm's share versions.
 	split   *counters.SplitStore
 	compact *counters.CompactView
-	tree    *bmt.Tree // over the original counters
-	ctree   *bmt.Tree // over the compact counters
+	derived *derivedVersions
+	shares  *shareStore
 
-	ctrCache  *cache.Cache
-	macCache  *cache.Cache
-	bmtCache  *cache.Cache
-	cctrCache *cache.Cache
-	cbmtCache *cache.Cache
-	vcache    *valcache.Cache
+	// ctr is the region over the original split counters; cctr the one
+	// over the compact mirror (present only under VersionsCompact).
+	ctr, cctr counterRegion
+
+	macCache *cache.Cache
+	vcache   *valcache.Cache
 
 	//simlint:ignore snapsym address-space layout is pure geometry derived from the configuration
 	lay layout
 
 	// Functional DRAM image, indexed by data-sector index: 32 B
-	// ciphertext per sector (plaintext when NoSecurity). Presence is
+	// ciphertext per sector (plaintext without versions). Presence is
 	// explicit — an absent sector is lazily materialized from InitData.
 	mem dense.Sectors
 	// macs holds the DRAM copy of each data sector's truncated MAC;
@@ -84,12 +88,6 @@ type Engine struct {
 	// taintMeta marks sectors whose DRAM MAC an attacker corrupted; the
 	// data itself is still authentic.
 	taintMeta dense.Bitmap
-	// ctrReplayed marks counter units whose DRAM copy an attacker rolled
-	// back to the boot image (all counters zero): verification recomputes
-	// the stale copy's hash until the controller rewrites the unit.
-	ctrReplayed dense.Bitmap
-	// cctrReplayed is ctrReplayed for the compact counter region.
-	cctrReplayed dense.Bitmap
 	// bmtTampered marks DRAM-resident tree nodes (by local address) an
 	// attacker corrupted: fetching one fails parent verification. It is
 	// touched only by attack primitives and the (cold) tree walk, so it
@@ -97,28 +95,6 @@ type Engine struct {
 	bmtTampered map[geom.Addr]bool
 	// regionWritten is the common-counters on-chip write tracker.
 	regionWritten dense.Bitmap
-
-	// --- mgx frontier state (cfg.MGX) ---
-	// mgxVer holds the on-chip derived version of every derived sector.
-	mgxVer dense.U64
-	// mgxDerived marks sectors classified onto a regular stream: their
-	// versions come from mgxVer, never from the split store.
-	mgxDerived dense.Bitmap
-	// mgxIrregular marks sectors classified off-stream (stored-counter
-	// fallback); classification is sticky first-touch (see mgxClassify).
-	mgxIrregular dense.Bitmap
-
-	// --- ssm frontier state (cfg.SSM) ---
-	// ssmVer is the per-sector write version keying the share pads.
-	ssmVer dense.U64
-	// ssmWritten marks sectors ever written (snapshot enumeration).
-	ssmWritten dense.Bitmap
-	//simlint:ignore snapsym keyed rotations are pure geometry derived from the configuration
-	ssmRot []uint64
-	//simlint:ignore snapsym Lagrange reconstruction basis derived from the configuration
-	ssmRecon []byte
-	//simlint:ignore snapsym check-share basis matrix derived from the configuration
-	ssmCheck [][]byte
 
 	// StreamHint, when non-nil, reports whether a partition-local address
 	// lies on a workload-declared regular write stream and, if so, which
@@ -182,12 +158,12 @@ func New(cfg Config, eng *sim.Engine, ch *dram.Channel, st *stats.Stats) (*Engin
 		bmtTampered:   make(map[geom.Addr]bool),
 		overflowPlain: make(map[geom.Addr][]byte),
 	}
-	if cfg.NoSecurity {
+	switch cfg.Versions {
+	case VersionsNone:
 		return e, nil
-	}
-	if cfg.SSM {
-		// The secret-sharing datapath has no counters, MACs, trees or
-		// metadata caches to build — shares are the whole scheme.
+	case VersionsOnChip:
+		// The share datapath has no counters, MACs, trees or metadata
+		// caches to build — shares are the whole scheme.
 		if err := e.initSSM(); err != nil {
 			return nil, err
 		}
@@ -204,40 +180,31 @@ func New(cfg Config, eng *sim.Engine, ch *dram.Channel, st *stats.Stats) (*Engin
 
 	e.split = counters.MustSplitStore(counters.DefaultSplitConfig())
 	e.split.OnOverflow = e.onCounterOverflow
-
 	e.lay = computeLayout(cfg)
 
-	unitBytes := cfg.Granularity.CounterUnitBytes()
-	nodeBytes := cfg.Granularity.BMTNodeBytes()
-	units := e.lay.ctrBytes / uint64(unitBytes)
-	if units == 0 {
-		units = 1
+	e.ctr = counterRegion{
+		base: e.lay.ctrBase, treeBase: e.lay.bmtBase, ctrClass: stats.Counter, treeClass: stats.BMT,
+		perSector: uint64(e.split.Config().GroupSize), hash: e.hashCounterUnit,
 	}
-	e.tree = bmt.MustNew(bmt.Config{
-		Units: units, UnitBytes: unitBytes, NodeBytes: nodeBytes, Key: treeKey,
-	}, e.freshUnitHash(0))
-
-	e.ctrCache = cfg.metaCache("ctr", geom.BlockSize)
+	e.ctr.build(&cfg, treeKey, e.lay.ctrBytes, "ctr", "bmt")
 	e.macCache = cfg.metaCache("mac", geom.BlockSize)
-	e.bmtCache = cfg.metaCache("bmt", geom.BlockSize)
 
-	if cfg.Compact != counters.CompactOff {
+	switch cfg.Versions {
+	case VersionsDerived:
+		e.derived = &derivedVersions{}
+	case VersionsCompact:
 		e.compact, err = counters.NewCompactView(cfg.Compact, e.split, cfg.CompactThreshold)
 		if err != nil {
 			return nil, err
 		}
-		cunits := e.lay.cctrBytes / uint64(unitBytes)
-		if cunits == 0 {
-			cunits = 1
+		e.cctr = counterRegion{
+			base: e.lay.cctrBase, treeBase: e.lay.cbmtBase, ctrClass: stats.CompactCounter, treeClass: stats.CompactBMT,
+			perSector: uint64(cfg.Compact.CountersPerSector()), hash: e.hashCompactUnit,
 		}
-		e.ctree = bmt.MustNew(bmt.Config{
-			Units: cunits, UnitBytes: unitBytes, NodeBytes: nodeBytes, Key: treeKey,
-		}, e.freshCompactUnitHash(0))
-		e.cctrCache = cfg.metaCache("cctr", geom.BlockSize)
-		e.cbmtCache = cfg.metaCache("cbmt", geom.BlockSize)
+		e.cctr.build(&cfg, treeKey, e.lay.cctrBytes, "cctr", "cbmt")
 	}
 
-	if cfg.ValueVerify {
+	if cfg.Check == CheckValue {
 		e.vcache, err = valcache.New(cfg.Value)
 		if err != nil {
 			return nil, err
@@ -274,7 +241,7 @@ func computeLayout(cfg Config) layout {
 	// exact size depends on its config; 2× the counter region is a safe
 	// upper bound for any arity ≥ 2).
 	bmtWindow := geom.Addr(2 * l.ctrBytes)
-	if cfg.Compact != counters.CompactOff {
+	if cfg.Versions == VersionsCompact {
 		per := uint64(cfg.Compact.CountersPerSector())
 		csecs := (l.dataSectors + per - 1) / per
 		l.cctrBytes = csecs * geom.SectorSize
@@ -287,67 +254,27 @@ func computeLayout(cfg Config) layout {
 // Config returns the engine's (normalized) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// ValueCache exposes the value cache for analysis (nil unless enabled).
-func (e *Engine) ValueCache() *valcache.Cache { return e.vcache }
-
-// Caches exposes metadata cache statistics collection points.
-func (e *Engine) syncCacheStats() {
-	if e.ctrCache != nil {
-		e.st.CounterCache = e.ctrCache.Stats
-	}
-	if e.macCache != nil {
-		e.st.MACCache = e.macCache.Stats
-	}
-	if e.bmtCache != nil {
-		e.st.BMTCache = e.bmtCache.Stats
-	}
-	if e.cctrCache != nil {
-		e.st.CompactCache = e.cctrCache.Stats
-	}
-	if e.cbmtCache != nil {
-		e.st.CompactBMTC = e.cbmtCache.Stats
+// FinishStats copies each present metadata cache's counters into the
+// stats record; call once at the end of a run.
+func (e *Engine) FinishStats() {
+	for _, c := range [...]struct {
+		mc  *cache.Cache
+		dst *stats.CacheStats
+	}{
+		{e.ctr.cache, &e.st.CounterCache}, {e.macCache, &e.st.MACCache}, {e.ctr.treeCache, &e.st.BMTCache},
+		{e.cctr.cache, &e.st.CompactCache}, {e.cctr.treeCache, &e.st.CompactBMTC},
+	} {
+		if c.mc != nil {
+			*c.dst = c.mc.Stats
+		}
 	}
 }
-
-// FinishStats copies cache counters into the stats record; call once at
-// the end of a run.
-func (e *Engine) FinishStats() { e.syncCacheStats() }
 
 // --- index and address helpers ---
 
 //simlint:hotpath
 func (e *Engine) sectorIdx(local geom.Addr) uint64 {
 	return uint64(local) / geom.SectorSize
-}
-
-// ctrUnitOf returns the BMT unit index covering data sector i's counters.
-//
-//simlint:hotpath
-func (e *Engine) ctrUnitOf(i uint64) uint64 {
-	groupBytes := e.split.GroupOf(i) * geom.SectorSize // counter-region byte offset of i's group sector
-	return groupBytes / uint64(e.cfg.Granularity.CounterUnitBytes())
-}
-
-// ctrUnitAddr returns the local address of counter unit u.
-//
-//simlint:hotpath
-func (e *Engine) ctrUnitAddr(u uint64) geom.Addr {
-	return e.lay.ctrBase + geom.Addr(u*uint64(e.cfg.Granularity.CounterUnitBytes()))
-}
-
-// ctrSectorAddr returns the local address of the 32 B counter sector
-// holding data sector i's minor counter (the write-dirty granularity).
-//
-//simlint:hotpath
-func (e *Engine) ctrSectorAddr(i uint64) geom.Addr {
-	return e.lay.ctrBase + geom.Addr(e.split.GroupOf(i)*geom.SectorSize)
-}
-
-// cctrSectorAddr is ctrSectorAddr for the compact layer.
-//
-//simlint:hotpath
-func (e *Engine) cctrSectorAddr(i uint64) geom.Addr {
-	return e.lay.cctrBase + geom.Addr(i/uint64(e.cfg.Compact.CountersPerSector())*geom.SectorSize)
 }
 
 // macAddrOf returns the local address of the 32 B MAC sector holding data
@@ -359,50 +286,15 @@ func (e *Engine) macAddrOf(i uint64) geom.Addr {
 	return e.lay.macBase + geom.Addr(i/perSector*geom.SectorSize)
 }
 
-// cctrUnitOf returns the compact-tree unit index covering sector i.
-//
-//simlint:hotpath
-func (e *Engine) cctrUnitOf(i uint64) uint64 {
-	secBytes := i / uint64(e.cfg.Compact.CountersPerSector()) * geom.SectorSize
-	return secBytes / uint64(e.cfg.Granularity.CounterUnitBytes())
-}
-
-// cctrUnitAddr returns the local address of compact counter unit u.
-//
-//simlint:hotpath
-func (e *Engine) cctrUnitAddr(u uint64) geom.Addr {
-	return e.lay.cctrBase + geom.Addr(u*uint64(e.cfg.Granularity.CounterUnitBytes()))
-}
-
 //simlint:hotpath
 func (e *Engine) regionOf(local geom.Addr) uint64 {
 	return uint64(local) / uint64(e.cfg.CommonRegionBytes)
 }
 
-// --- functional counter-unit hashing ---
+// --- functional counter-unit hashing (the two regions' hash functions) ---
 
-// freshUnitHash returns the hash of an untouched counter unit (all
-// counters zero) — the tree's default leaf value.
-func (e *Engine) freshUnitHash(u uint64) uint64 {
-	return e.hashCounterUnit(u, true)
-}
-
-// counterUnitHash recomputes the hash of unit u's DRAM-resident copy
-// from current counter state. A replayed unit hashes as the boot image
-// (all counters zero) — the attacker substituted the stale initial copy
-// — so verification against the tree fails exactly when the unit has
-// been written since boot. The mark is cleared when the controller next
-// writes the unit (see dirtyOriginalCounter), which replaces the DRAM
-// copy with fresh state.
-func (e *Engine) counterUnitHash(u uint64) uint64 {
-	return e.hashCounterUnit(u, e.ctrReplayed.Get(u))
-}
-
-// hashCounterUnit hashes unit u's serialized counter contents as they
-// exist in the ORIGINAL (in-memory) copy. The unit index is deliberately
-// NOT part of the input: the tree stores hashes per unit position, which
-// already binds location, and a contents-only hash lets every untouched
-// unit match one default leaf.
+// hashCounterUnit hashes original-counter unit u's serialized contents
+// as they exist in the ORIGINAL (in-memory) copy.
 //
 // With compact mirrored counters active, a sector's writes live entirely
 // in the compact layer until its compact counter saturates or its block
@@ -453,20 +345,8 @@ func (e *Engine) originalMinor(i uint64, major uint64) uint32 {
 	return 0
 }
 
-// freshCompactUnitHash is the default leaf hash of the compact tree.
-func (e *Engine) freshCompactUnitHash(u uint64) uint64 {
-	return e.hashCompactUnit(u, true)
-}
-
-// compactUnitHash recomputes the hash of compact unit u's DRAM-resident
-// copy; a replayed unit hashes as the boot image (see counterUnitHash).
-func (e *Engine) compactUnitHash(u uint64) uint64 {
-	return e.hashCompactUnit(u, e.cctrReplayed.Get(u))
-}
-
-// hashCompactUnit hashes compact unit u's counter values (contents only,
-// for the same default-leaf reason as hashCounterUnit; the leading 0x43
-// byte domain-separates it from the full-counter hash).
+// hashCompactUnit hashes compact unit u's counter values (the leading
+// 0x43 byte domain-separates it from the full-counter hash).
 //
 //simlint:hotpath
 func (e *Engine) hashCompactUnit(u uint64, fresh bool) uint64 {
@@ -500,7 +380,7 @@ func (e *Engine) setMAC(i uint64, mac uint64) {
 func (e *Engine) materialize(local geom.Addr) []byte {
 	local = geom.SectorAddr(local)
 	i := e.sectorIdx(local)
-	if e.cfg.SSM {
+	if e.shares != nil {
 		return e.ssmShare0(i)
 	}
 	if ct, ok := e.mem.Lookup(i); ok {
@@ -511,7 +391,7 @@ func (e *Engine) materialize(local geom.Addr) []byte {
 	if e.InitData != nil {
 		copy(pt[:], e.InitData(local))
 	}
-	if e.cfg.NoSecurity {
+	if e.enc == nil {
 		copy(dst, pt[:])
 		return dst
 	}
@@ -527,13 +407,13 @@ func (e *Engine) materialize(local geom.Addr) []byte {
 // is a fresh buffer (it escapes into ReadResult.Data).
 func (e *Engine) plaintextOf(local geom.Addr) []byte {
 	local = geom.SectorAddr(local)
-	if e.cfg.SSM {
+	if e.shares != nil {
 		pt, _ := e.ssmReconstruct(e.sectorIdx(local))
 		return pt
 	}
 	ct := e.materialize(local)
 	out := make([]byte, len(ct))
-	if e.cfg.NoSecurity {
+	if e.enc == nil {
 		copy(out, ct)
 		return out
 	}
@@ -620,7 +500,7 @@ func (e *Engine) onCounterOverflow(gi uint64, sectors []uint64) {
 		e.ch.Access(local, true, stats.Data, nil)
 		if e.macCache != nil {
 			ma := e.macAddrOf(s)
-			e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC, false)
+			e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC)
 		}
 	}
 }

@@ -37,6 +37,38 @@ func TestNamesStability(t *testing.T) {
 	}
 }
 
+// TestNormalizeRejectsIllegalCompositions lists the composition rules
+// the seam types cannot express, each of which Normalize must enforce.
+func TestNormalizeRejectsIllegalCompositions(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"value check under CME", func(c *Config) { c.Check = CheckValue }},
+		{"shares with a lazy tree", func(c *Config) { *c = SSMConfig(protected); c.Freshness = FreshLazyBMT }},
+		{"shares with an eager tree", func(c *Config) { *c = SSMConfig(protected); c.Freshness = FreshEagerBMT }},
+		{"shares over stored versions", func(c *Config) { c.Check = CheckShares; c.Freshness = FreshNone }},
+		{"on-chip versions with a MAC", func(c *Config) { c.Versions = VersionsOnChip; c.Freshness = FreshNone }},
+		{"k = 1", func(c *Config) { *c = SSMConfig(protected); c.SSMThreshold = 1 }},
+		{"k = n", func(c *Config) { *c = SSMConfig(protected); c.SSMShares = 2 }},
+		{"n > 8", func(c *Config) { *c = SSMConfig(protected); c.SSMShares = 9 }},
+		{"derived versions with value check", func(c *Config) {
+			*c = MGXConfig(protected)
+			c.Check = CheckValue
+		}},
+		{"stored versions without a check", func(c *Config) { c.Check = CheckNone }},
+		{"stored versions without a tree", func(c *Config) { c.Freshness = FreshNone }},
+		{"a check without versions", func(c *Config) { c.Versions = VersionsNone }},
+	}
+	for _, tc := range cases {
+		cfg := PSSM(protected)
+		tc.edit(&cfg)
+		if err := cfg.Normalize(); err == nil {
+			t.Errorf("%s: Normalize accepted %+v", tc.name, cfg)
+		}
+	}
+}
+
 // TestByNameUnknownError pins the exact shape of the unknown-scheme
 // error: operators hit it from the CLI and the daemon API, and it must
 // name the full valid set so a typo is self-correcting.

@@ -439,7 +439,7 @@ func TestWriteGuaranteeSkipsMACSafely(t *testing.T) {
 
 func TestConfigNormalizeRejectsValueVerifyWithCME(t *testing.T) {
 	cfg := PSSM(protected)
-	cfg.ValueVerify = true
+	cfg.Check = CheckValue
 	if err := cfg.Normalize(); err == nil {
 		t.Fatal("value verification over CME must be rejected (malleable)")
 	}
@@ -462,8 +462,8 @@ func TestFlushDirtyMetadataAccounts(t *testing.T) {
 func TestEagerTreeUpdateCostsMoreBMTTraffic(t *testing.T) {
 	run := func(eager bool) uint64 {
 		cfg := PSSM(protected)
-		cfg.EagerTreeUpdate = eager
 		if eager {
+			cfg.Freshness = FreshEagerBMT
 			cfg.Scheme = "pssm-eager"
 		}
 		r := newRig(t, cfg)
@@ -483,7 +483,7 @@ func TestEagerTreeUpdateCostsMoreBMTTraffic(t *testing.T) {
 // Round trips must still verify under eager updates.
 func TestEagerTreeUpdateRoundTrip(t *testing.T) {
 	cfg := PSSM(protected)
-	cfg.EagerTreeUpdate = true
+	cfg.Freshness = FreshEagerBMT
 	cfg.Scheme = "pssm-eager"
 	r := newRig(t, cfg)
 	data := sector(0xAB, 0xCD, 0xEF, 0x12)

@@ -2,18 +2,39 @@ package secmem
 
 import (
 	"fmt"
+	"reflect"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
 	"github.com/plutus-gpu/plutus/internal/dense"
 	"github.com/plutus-gpu/plutus/internal/geom"
 )
 
+// part is one snapshotted piece of the engine's composition.
+type part interface {
+	Snapshot(*checkpoint.Encoder) error
+	Restore(*checkpoint.Decoder) error
+}
+
+// present drops the parts the composition lacks (nil pointers), keeping
+// the rest in order.
+func present(ps ...part) []part {
+	out := ps[:0]
+	for _, p := range ps {
+		if !reflect.ValueOf(p).IsNil() {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Snapshot encodes the engine's complete mutable state: the functional
-// DRAM image (ciphertexts and MACs), the stale-MAC / tamper / region
-// write-tracking sets, the split and compact counter stores, both
-// Merkle trees, every metadata cache, and the value cache. Dense stores
-// are walked in ascending index order (and the one remaining map in
-// sorted key order) so identical state is identical bytes.
+// DRAM image (ciphertexts and MACs), the stale-MAC / tamper / replay /
+// region write-tracking sets, then every part the composition holds, in
+// one fixed order: share versions, derived versions, the split counters,
+// the original counter region with the MAC cache, the compact region,
+// and the value cache. Dense stores are walked in ascending index order
+// (and the one remaining map in sorted key order) so identical state is
+// identical bytes.
 //
 // The engine must be quiescent — no in-flight datapath requests and no
 // fetches parked on MSHR exhaustion — because those hold closures that
@@ -38,58 +59,13 @@ func (e *Engine) Snapshot(enc *checkpoint.Encoder) error {
 	snapshotBitmap(enc, &e.macStale)
 	snapshotBitmap(enc, &e.taintData)
 	snapshotBitmap(enc, &e.taintMeta)
-	snapshotBitmap(enc, &e.ctrReplayed)
-	snapshotBitmap(enc, &e.cctrReplayed)
+	snapshotBitmap(enc, &e.ctr.replayed)
+	snapshotBitmap(enc, &e.cctr.replayed)
 	snapshotAddrBoolMap(enc, e.bmtTampered)
 	snapshotBitmap(enc, &e.regionWritten)
-	if e.cfg.NoSecurity {
-		return nil
-	}
-	if e.cfg.SSM {
-		// The ssm scheme's only mutable state beyond the share image is
-		// the per-sector write version.
-		snapshotBitmap(enc, &e.ssmWritten)
-		e.ssmWritten.ForEach(func(i uint64) {
-			enc.U64(e.ssmVer.Get(i))
-		})
-		return nil
-	}
-	if e.cfg.MGX {
-		snapshotBitmap(enc, &e.mgxDerived)
-		snapshotBitmap(enc, &e.mgxIrregular)
-		e.mgxDerived.ForEach(func(i uint64) {
-			enc.U64(e.mgxVer.Get(i))
-		})
-	}
-	if err := e.split.Snapshot(enc); err != nil {
-		return err
-	}
-	if err := e.tree.Snapshot(enc); err != nil {
-		return err
-	}
-	for _, c := range []interface {
-		Snapshot(*checkpoint.Encoder) error
-	}{e.ctrCache, e.macCache, e.bmtCache} {
-		if err := c.Snapshot(enc); err != nil {
-			return err
-		}
-	}
-	if e.compact != nil {
-		if err := e.compact.Snapshot(enc); err != nil {
-			return err
-		}
-		if err := e.ctree.Snapshot(enc); err != nil {
-			return err
-		}
-		if err := e.cctrCache.Snapshot(enc); err != nil {
-			return err
-		}
-		if err := e.cbmtCache.Snapshot(enc); err != nil {
-			return err
-		}
-	}
-	if e.vcache != nil {
-		if err := e.vcache.Snapshot(enc); err != nil {
+	for _, p := range present(e.shares, e.derived, e.split, e.ctr.tree, e.ctr.cache, e.macCache, e.ctr.treeCache,
+		e.compact, e.cctr.tree, e.cctr.cache, e.cctr.treeCache, e.vcache) {
+		if err := p.Snapshot(enc); err != nil {
 			return err
 		}
 	}
@@ -141,69 +117,13 @@ func (e *Engine) Restore(dec *checkpoint.Decoder) error {
 	e.macStale = macStale
 	e.taintData = taintData
 	e.taintMeta = taintMeta
-	e.ctrReplayed = ctrReplayed
-	e.cctrReplayed = cctrReplayed
+	e.ctr.replayed = ctrReplayed
+	e.cctr.replayed = cctrReplayed
 	e.bmtTampered = bmtTampered
 	e.regionWritten = regionWritten
-	if e.cfg.NoSecurity {
-		return nil
-	}
-	if e.cfg.SSM {
-		ssmWritten := restoreBitmap(dec)
-		var ssmVer dense.U64
-		ssmWritten.ForEach(func(i uint64) {
-			ssmVer.Set(i, dec.U64())
-		})
-		if err := dec.Err(); err != nil {
-			return fmt.Errorf("secmem: %w", err)
-		}
-		e.ssmWritten = ssmWritten
-		e.ssmVer = ssmVer
-		return nil
-	}
-	if e.cfg.MGX {
-		mgxDerived := restoreBitmap(dec)
-		mgxIrregular := restoreBitmap(dec)
-		var mgxVer dense.U64
-		mgxDerived.ForEach(func(i uint64) {
-			mgxVer.Set(i, dec.U64())
-		})
-		if err := dec.Err(); err != nil {
-			return fmt.Errorf("secmem: %w", err)
-		}
-		e.mgxDerived = mgxDerived
-		e.mgxIrregular = mgxIrregular
-		e.mgxVer = mgxVer
-	}
-	if err := e.split.Restore(dec); err != nil {
-		return err
-	}
-	if err := e.tree.Restore(dec); err != nil {
-		return err
-	}
-	for _, c := range []interface {
-		Restore(*checkpoint.Decoder) error
-	}{e.ctrCache, e.macCache, e.bmtCache} {
-		if err := c.Restore(dec); err != nil {
-			return err
-		}
-	}
-	if e.compact != nil {
-		if err := e.compact.Restore(dec); err != nil {
-			return err
-		}
-		if err := e.ctree.Restore(dec); err != nil {
-			return err
-		}
-		if err := e.cctrCache.Restore(dec); err != nil {
-			return err
-		}
-		if err := e.cbmtCache.Restore(dec); err != nil {
-			return err
-		}
-	}
-	if e.vcache != nil {
-		if err := e.vcache.Restore(dec); err != nil {
+	for _, p := range present(e.shares, e.derived, e.split, e.ctr.tree, e.ctr.cache, e.macCache, e.ctr.treeCache,
+		e.compact, e.cctr.tree, e.cctr.cache, e.cctr.treeCache, e.vcache) {
+		if err := p.Restore(dec); err != nil {
 			return err
 		}
 	}

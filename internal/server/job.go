@@ -66,20 +66,33 @@ func (j *job) transitionLocked(state State, msg string) {
 	}
 }
 
-// complete settles the job successfully.
-func (j *job) complete(st *stats.Stats) {
+// settle moves the job to its terminal state: done with st, or failed
+// with err. record (nullable) receives the terminal record first, under
+// the job lock: once done closes, a client may restart or kill the
+// daemon, so the durable copy must already say finished — and holding
+// the lock keeps a concurrent persist from overwriting it with a stale
+// state.
+func (j *job) settle(st *stats.Stats, err error, record func(persistedJob)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.st = st
-	j.transitionLocked(StateDone, "simulation finished")
+	j.st, j.err = st, err
+	state, msg := StateDone, "simulation finished"
+	if err != nil {
+		state, msg = StateFailed, err.Error()
+	}
+	if record != nil {
+		record(j.recordLocked(state))
+	}
+	j.transitionLocked(state, msg)
 }
 
-// fail settles the job with an error.
-func (j *job) fail(err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.err = err
-	j.transitionLocked(StateFailed, err.Error())
+// recordLocked is the job's on-disk record in the given state.
+func (j *job) recordLocked(state State) persistedJob {
+	p := persistedJob{ID: j.id, Request: j.req, State: state, Stats: j.st}
+	if j.err != nil {
+		p.Error = j.err.Error()
+	}
+	return p
 }
 
 // snapshot returns the job's wire representation.

@@ -27,23 +27,27 @@ type persistedJob struct {
 	Stats   *stats.Stats `json:"stats,omitempty"`
 }
 
-// persist writes j's current state to the state dir (atomically, so a
-// kill mid-write never corrupts a record). No-op without a StateDir.
+// persist writes j's current state to the state dir. Terminal states
+// are written by job.settle before they become visible; this records
+// the rest.
 func (s *Server) persist(j *job) {
-	if s.cfg.StateDir == "" {
-		return
-	}
 	j.mu.Lock()
-	p := persistedJob{ID: j.id, Request: j.req, State: j.state, Stats: j.st}
-	if j.err != nil {
-		p.Error = j.err.Error()
-	}
-	j.mu.Unlock()
+	defer j.mu.Unlock()
 	// A job that has not settled is recorded as queued: if the daemon
 	// dies while it runs, the restarted daemon must run it again (the
 	// checkpointed backend resumes it from its last snapshot).
-	if !p.State.Terminal() {
-		p.State = StateQueued
+	state := j.state
+	if !state.Terminal() {
+		state = StateQueued
+	}
+	s.writeRecord(j.recordLocked(state))
+}
+
+// writeRecord stores p atomically, so a kill mid-write never corrupts a
+// record. No-op without a StateDir.
+func (s *Server) writeRecord(p persistedJob) {
+	if s.cfg.StateDir == "" {
+		return
 	}
 	blob, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
@@ -96,10 +100,10 @@ func recoverState(dir string, protectedBytes uint64) (settled, pending []*job, m
 		j := newJob(p.ID, p.Request, sc, p.Request.Key())
 		switch p.State {
 		case StateDone:
-			j.complete(p.Stats)
+			j.settle(p.Stats, nil, nil)
 			settled = append(settled, j)
 		case StateFailed:
-			j.fail(errors.New(p.Error))
+			j.settle(nil, errors.New(p.Error), nil)
 			settled = append(settled, j)
 		default:
 			pending = append(pending, j)

@@ -205,12 +205,7 @@ func (s *Server) worker() {
 				s.completedByScheme[j.sc.Scheme]++
 			}
 			s.mu.Unlock()
-			if err != nil {
-				j.fail(err)
-			} else {
-				j.complete(st)
-			}
-			s.persist(j)
+			j.settle(st, err, s.writeRecord)
 			break
 		}
 	}

@@ -53,7 +53,7 @@ func newOracleRig(t *testing.T, scheme string) *oracleRig {
 	r := &oracleRig{eng: &sim.Engine{}, st: &stats.Stats{}}
 	ch := dram.MustNew(dram.DefaultConfig(), r.eng, &r.st.Traffic)
 	r.sec = secmem.MustNew(cfg, r.eng, ch, r.st)
-	if cfg.MGX {
+	if cfg.Versions == secmem.VersionsDerived {
 		// The oracle's stand-in for the workload's stream declaration:
 		// the lower half of the working set ([0, 0x1000), sectors
 		// 0..127) is one regular stream, the upper half is off-stream —
