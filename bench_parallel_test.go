@@ -12,7 +12,8 @@ import (
 )
 
 // runPartitionMode executes one full bfs/Plutus simulation on the scaled
-// 8-partition GPU directly (no harness cache — every call simulates).
+// 8-partition GPU directly (no harness cache — every call simulates),
+// sequentially or with one worker per core.
 func runPartitionMode(tb testing.TB, parallel bool, insts uint64) stats.Stats {
 	tb.Helper()
 	wl, err := workload.Get("bfs")
@@ -22,7 +23,9 @@ func runPartitionMode(tb testing.TB, parallel bool, insts uint64) stats.Stats {
 	cfg := gpusim.ScaledConfig(secmem.Plutus(protected))
 	cfg.Sec.ProtectedBytes = protected
 	cfg.MaxInstructions = insts
-	cfg.ParallelPartitions = parallel
+	if parallel {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	g, err := gpusim.New(cfg, wl)
 	if err != nil {
 		tb.Fatal(err)
@@ -34,7 +37,7 @@ func runPartitionMode(tb testing.TB, parallel bool, insts uint64) stats.Stats {
 // execution on the 8-partition configuration. With GOMAXPROCS ≥ 4 the
 // parallel mode's wall-clock time per run should be well under 1/1.5 of
 // sequential (compare the two sub-benchmarks' ns/op); on a single CPU
-// the cluster falls back to sequential execution and the two match.
+// both sub-benchmarks run sequentially and match.
 func BenchmarkPartitionMode(b *testing.B) {
 	const insts = 8000
 	for _, mode := range []struct {

@@ -1,9 +1,10 @@
 // Command benchsmoke is the CI benchmark smoke-check: it sweeps a small
-// benchmark × scheme matrix at a tiny instruction budget in both
-// sequential and parallel-partition mode, verifies the two modes produce
-// bit-identical statistics, and writes a machine-readable summary
-// (wall-clock per mode, speedup, per-run stats) to a JSON file that the
-// CI pipeline uploads as an artifact.
+// benchmark × scheme matrix at a tiny instruction budget twice, once
+// sequentially (gpusim.Config.Workers = 1) and once with one worker per
+// core (Workers = GOMAXPROCS, capped at the shard count), verifies the
+// two modes produce bit-identical statistics, and writes a
+// machine-readable summary (wall-clock per mode, speedup, per-run stats)
+// to a JSON file that the CI pipeline uploads as an artifact.
 //
 // The summary also carries a checkpoint micro-benchmark: one run is
 // snapshotted mid-flight, resumed from its last snapshot, and required
@@ -39,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +48,6 @@ import (
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
-	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/prof"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/sim"
@@ -57,6 +58,33 @@ import (
 )
 
 const protected = 128 << 20
+
+// scaledConfig is the scaled GPU under sc at the given budget, as the
+// harness builds it; callers set the execution-mode fields.
+func scaledConfig(sc secmem.Config, insts uint64) gpusim.Config {
+	cfg := gpusim.ScaledConfig(sc)
+	cfg.Sec.ProtectedBytes = protected
+	cfg.MaxInstructions = insts
+	return cfg
+}
+
+// simulate runs bench under cfg with checkpoint sink (nullable) on a
+// fresh workload instance (workloads are stateful) and returns the
+// statistics and the wall time of building the workload and the GPU and
+// running it.
+func simulate(bench string, cfg gpusim.Config, sink gpusim.CheckpointSink) (*stats.Stats, int64, error) {
+	start := time.Now()
+	wl, err := workload.Get(bench)
+	if err != nil {
+		return nil, 0, err
+	}
+	g, err := gpusim.New(cfg, wl)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := g.RunWithCheckpoints(sink)
+	return st, time.Since(start).Nanoseconds(), err
+}
 
 // run is one (benchmark, scheme) comparison in the report.
 type run struct {
@@ -216,27 +244,14 @@ func checkBaseline(path string, cur *report, maxRegress float64) error {
 // resumed run must reproduce the checkpointed reference exactly.
 func measureCheckpoint(bench string, sc secmem.Config, insts uint64) (*checkpointReport, error) {
 	mkCfg := func(every uint64) gpusim.Config {
-		cfg := gpusim.ScaledConfig(sc)
-		cfg.Sec.ProtectedBytes = protected
-		cfg.MaxInstructions = insts
+		cfg := scaledConfig(sc, insts)
 		cfg.CheckpointEvery = every
 		return cfg
-	}
-	runOnce := func(cfg gpusim.Config, sink gpusim.CheckpointSink) (*stats.Stats, error) {
-		wl, err := workload.Get(bench)
-		if err != nil {
-			return nil, err
-		}
-		g, err := gpusim.New(cfg, wl)
-		if err != nil {
-			return nil, err
-		}
-		return g.RunWithCheckpoints(sink)
 	}
 
 	// Cadence: a third of the uncheckpointed run, so the checkpointed
 	// run takes a few snapshots at any instruction budget.
-	plain, err := runOnce(mkCfg(0), nil)
+	plain, _, err := simulate(bench, mkCfg(0), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +270,7 @@ func measureCheckpoint(bench string, sc secmem.Config, insts uint64) (*checkpoin
 	var last []byte
 	var saveTotal time.Duration
 	cfg := mkCfg(every)
-	ref, err := runOnce(cfg, func(cycle uint64, data []byte) error {
+	ref, _, err := simulate(bench, cfg, func(cycle uint64, data []byte) error {
 		start := time.Now()
 		if werr := checkpoint.WriteFileAtomic(path, data); werr != nil {
 			return werr
@@ -303,9 +318,7 @@ func measureCheckpoint(bench string, sc secmem.Config, insts uint64) (*checkpoin
 // bounded-memory property is tracked run over run, and records/sec of
 // the replay is the trajectory throughput number for the trace path.
 func measureTraceReplay(bench string, sc secmem.Config, insts uint64) (*traceReport, error) {
-	cfg := gpusim.ScaledConfig(sc)
-	cfg.Sec.ProtectedBytes = protected
-	cfg.MaxInstructions = insts
+	cfg := scaledConfig(sc, insts)
 
 	wl, err := workload.Get(bench)
 	if err != nil {
@@ -380,25 +393,23 @@ at cycle=1500 attack=bitflip range=0x0:0x100000 count=4
 at cycle=2000 attack=ctr-rollback range=0x0:0x100000 count=4
 `
 
-// measureTamper runs one attacked bench/sc simulation in sequential and
-// parallel partition mode and compares the outcomes: the attack must
-// land identically in both (ops apply at epoch boundaries), and the
-// scheme must never record a silent corruption.
-func measureTamper(bench string, sc secmem.Config, insts uint64) (*tamperReport, error) {
+// measureTamper runs one attacked bench/sc simulation sequentially and
+// on workers goroutines and compares the outcomes: the attack must land
+// identically in both (ops apply at epoch boundaries), and the scheme
+// must never record a silent corruption.
+func measureTamper(bench string, sc secmem.Config, insts uint64, workers int) (*tamperReport, error) {
 	plan, err := tamper.Parse(smokePlan)
 	if err != nil {
 		return nil, err
 	}
-	runOnce := func(parallel bool) (*stats.Stats, *tamperReport, error) {
+	runOnce := func(workers int) (*stats.Stats, *tamperReport, error) {
 		// A fresh workload instance per run: workloads are stateful.
 		wl, err := workload.Get(bench)
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg := gpusim.ScaledConfig(sc)
-		cfg.Sec.ProtectedBytes = protected
-		cfg.MaxInstructions = insts
-		cfg.ParallelPartitions = parallel
+		cfg := scaledConfig(sc, insts)
+		cfg.Workers = workers
 		il, err := geom.NewInterleaver(cfg.Partitions)
 		if err != nil {
 			return nil, nil, err
@@ -427,11 +438,11 @@ func measureTamper(bench string, sc secmem.Config, insts uint64) (*tamperReport,
 			SilentCorruption: st.Sec.Verdicts.Count(stats.VerdictSilentCorruption),
 		}, nil
 	}
-	seqSt, rep, err := runOnce(false)
+	seqSt, rep, err := runOnce(1)
 	if err != nil {
 		return nil, err
 	}
-	parSt, _, err := runOnce(true)
+	parSt, _, err := runOnce(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -484,33 +495,30 @@ func main() {
 	}
 	benchList := strings.Split(*benches, ",")
 
-	// Parallelism 1 isolates the variable under test: the only difference
-	// between the two sweeps is partition sharding inside each simulation.
-	mkRunner := func(parallel bool) *harness.Runner {
-		return harness.NewRunner(harness.Config{
-			ProtectedBytes:     protected,
-			MaxInstructions:    *insts,
-			Benchmarks:         benchList,
-			Parallelism:        1,
-			ParallelPartitions: parallel,
-		})
-	}
-	seqR, parR := mkRunner(false), mkRunner(true)
-
-	rep := report{Note: *note, GOMAXPROCS: runtime.GOMAXPROCS(0), MaxInstructions: *insts, AllMatch: true}
-	sweep := func(r *harness.Runner, bench string, sc secmem.Config) (*stats.Stats, int64) {
-		start := time.Now()
-		st, err := r.Run(bench, sc)
+	// The sweeps build gpusim.Config directly, one simulation at a time,
+	// so the worker count is the only difference between them. The GC
+	// target matches harness.NewRunner's, which the committed throughput
+	// baselines were measured under.
+	debug.SetGCPercent(600)
+	parWorkers := runtime.GOMAXPROCS(0)
+	rep := report{Note: *note, GOMAXPROCS: parWorkers, MaxInstructions: *insts, AllMatch: true}
+	sweep := func(bench string, sc secmem.Config, workers int) (*stats.Stats, int64) {
+		cfg := scaledConfig(sc, *insts)
+		cfg.Workers = workers
+		st, ns, err := simulate(bench, cfg, nil)
+		if err == nil && (st.Sec.TamperDetected != 0 || st.Sec.ReplayDetected != 0) {
+			err = fmt.Errorf("%s/%s: false security alarms: %+v", bench, sc.Scheme, st.Sec)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsmoke:", err)
 			os.Exit(1)
 		}
-		return st, time.Since(start).Nanoseconds()
+		return st, ns
 	}
 	for _, bench := range benchList {
 		for _, sc := range scs {
-			seq, seqNs := sweep(seqR, bench, sc)
-			par, parNs := sweep(parR, bench, sc)
+			seq, seqNs := sweep(bench, sc, 1)
+			par, parNs := sweep(bench, sc, parWorkers)
 			match := *seq == *par
 			rep.Runs = append(rep.Runs, run{
 				Benchmark: bench, Scheme: sc.Scheme, Match: match,
@@ -552,7 +560,7 @@ func main() {
 	// Tamper micro-benchmark on the same representative run: the attack
 	// must replay identically across execution modes and never corrupt
 	// silently.
-	tk, err := measureTamper(benchList[0], scs[len(scs)-1], *insts)
+	tk, err := measureTamper(benchList[0], scs[len(scs)-1], *insts, parWorkers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsmoke: tamper:", err)
 		os.Exit(1)

@@ -29,8 +29,7 @@ func main() {
 		outDir  = flag.String("out", "results", "output directory for per-figure reports")
 		benches = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
 		volta   = flag.Bool("volta", false, "full Volta configuration (much slower)")
-		par     = flag.Int("parallel", 0, "concurrent simulations (default GOMAXPROCS)")
-		parPart = flag.Bool("parallel-partitions", false, "shard each simulation's memory partitions across goroutines (bit-identical results)")
+		par     = flag.Int("parallel", 0, "concurrent simulations (default GOMAXPROCS); each uses its share of the cores")
 		csvOut  = flag.Bool("csv", false, "also write raw per-run measurements to <out>/runs.csv")
 	)
 	flag.Parse()
@@ -39,7 +38,6 @@ func main() {
 	cfg.MaxInstructions = *insts
 	cfg.FullVolta = *volta
 	cfg.Parallelism = *par
-	cfg.ParallelPartitions = *parPart
 	if *benches != "" {
 		cfg.Benchmarks = strings.Split(*benches, ",")
 	} else {

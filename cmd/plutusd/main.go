@@ -54,7 +54,6 @@ type options struct {
 	queue        int
 	insts        uint64
 	volta        bool
-	parallel     bool
 	linger       time.Duration
 	stateDir     string
 	ckptEvery    uint64
@@ -68,7 +67,6 @@ func main() {
 	flag.IntVar(&o.queue, "queue", 64, "queued-job bound; a full queue rejects submissions with 429")
 	flag.Uint64Var(&o.insts, "insts", 20000, "warp-instruction budget per run")
 	flag.BoolVar(&o.volta, "volta", false, "full 80-SM/32-partition Volta config (slow)")
-	flag.BoolVar(&o.parallel, "parallel", false, "run memory partitions on parallel goroutines (bit-identical results)")
 	flag.DurationVar(&o.linger, "linger", 2*time.Second, "how long to keep serving reads after the drain finishes")
 	flag.StringVar(&o.stateDir, "state-dir", "", "persist jobs and run snapshots here; a restarted daemon recovers them")
 	flag.Uint64Var(&o.ckptEvery, "checkpoint-every", 0, "snapshot running simulations every N cycles (requires -state-dir)")
@@ -91,11 +89,10 @@ func main() {
 func run(o options) error {
 	const protected = 128 << 20
 	hcfg := harness.Config{
-		ProtectedBytes:     protected,
-		MaxInstructions:    o.insts,
-		Parallelism:        o.workers,
-		FullVolta:          o.volta,
-		ParallelPartitions: o.parallel,
+		ProtectedBytes:  protected,
+		MaxInstructions: o.insts,
+		Parallelism:     o.workers,
+		FullVolta:       o.volta,
 	}
 	scfg := server.Config{
 		Workers:        o.workers,

@@ -49,21 +49,20 @@ import (
 
 func main() {
 	var (
-		bench    = flag.String("bench", "bfs", "benchmark name (see -list)")
-		scheme   = flag.String("scheme", "plutus", "security scheme (see -list)")
-		insts    = flag.Uint64("insts", 20000, "warp-instruction budget")
-		seed     = flag.Uint64("seed", 0, "workload seed perturbation (0 = canonical instantiation; distinct seeds are distinct runs)")
-		volta    = flag.Bool("volta", false, "full 80-SM/32-partition Volta config (slow)")
-		parallel = flag.Bool("parallel", false, "run memory partitions on parallel goroutines (bit-identical results)")
-		asJSON   = flag.Bool("json", false, "print the canonical JSON record instead of the text report")
-		remote   = flag.String("remote", "", "submit to a plutusd daemon at this base URL instead of simulating locally")
-		list     = flag.Bool("list", false, "list benchmarks and schemes, then exit")
-		ckptDir  = flag.String("checkpoint-dir", "", "directory for run snapshots (required with -checkpoint-every)")
-		ckptN    = flag.Uint64("checkpoint-every", 0, "snapshot the run every N cycles (0 = off; cadence affects timing, so compare runs at equal cadence)")
-		resume   = flag.Bool("resume", false, "resume from the snapshot in -checkpoint-dir if one exists")
-		tplan    = flag.String("tamper-plan", "", "tamper-injection plan file: mutate DRAM state mid-run and report detection verdicts (see internal/tamper)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
+		bench   = flag.String("bench", "bfs", "benchmark name (see -list)")
+		scheme  = flag.String("scheme", "plutus", "security scheme (see -list)")
+		insts   = flag.Uint64("insts", 20000, "warp-instruction budget")
+		seed    = flag.Uint64("seed", 0, "workload seed perturbation (0 = canonical instantiation; distinct seeds are distinct runs)")
+		volta   = flag.Bool("volta", false, "full 80-SM/32-partition Volta config (slow)")
+		asJSON  = flag.Bool("json", false, "print the canonical JSON record instead of the text report")
+		remote  = flag.String("remote", "", "submit to a plutusd daemon at this base URL instead of simulating locally")
+		list    = flag.Bool("list", false, "list benchmarks and schemes, then exit")
+		ckptDir = flag.String("checkpoint-dir", "", "directory for run snapshots (required with -checkpoint-every)")
+		ckptN   = flag.Uint64("checkpoint-every", 0, "snapshot the run every N cycles (0 = off; cadence affects timing, so compare runs at equal cadence)")
+		resume  = flag.Bool("resume", false, "resume from the snapshot in -checkpoint-dir if one exists")
+		tplan   = flag.String("tamper-plan", "", "tamper-injection plan file: mutate DRAM state mid-run and report detection verdicts (see internal/tamper)")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -125,16 +124,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "plutussim: -resume requires -checkpoint-every (the cadence is part of the run's identity)")
 		os.Exit(1)
 	}
+	// One cell: Parallelism 1 gives its simulation every core.
 	r := harness.NewRunner(harness.Config{
-		ProtectedBytes:     protected,
-		MaxInstructions:    *insts,
-		Benchmarks:         []string{*bench},
-		FullVolta:          *volta,
-		ParallelPartitions: *parallel,
-		CheckpointEvery:    *ckptN,
-		CheckpointDir:      *ckptDir,
-		Resume:             *resume,
-		TamperPlan:         plan,
+		ProtectedBytes:  protected,
+		MaxInstructions: *insts,
+		Benchmarks:      []string{*bench},
+		Parallelism:     1,
+		FullVolta:       *volta,
+		CheckpointEvery: *ckptN,
+		CheckpointDir:   *ckptDir,
+		Resume:          *resume,
+		TamperPlan:      plan,
 	})
 	st, err := r.RunSeeded(*bench, sc, *seed)
 	if err != nil {

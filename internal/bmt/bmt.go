@@ -20,6 +20,7 @@ package bmt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/plutus-gpu/plutus/internal/crypto/siphash"
 	"github.com/plutus-gpu/plutus/internal/geom"
@@ -66,6 +67,13 @@ type NodeRef struct {
 	Level int
 	Index uint64
 }
+
+// MaxHeight bounds Height for every valid Config: with arity ≥ 2 and
+// fewer than 2^64 units a tree has at most 64 levels.
+const MaxHeight = 64
+
+// PathBuf is caller-owned storage for one PathInto walk.
+type PathBuf [MaxHeight]NodeRef
 
 // Tree is one partition's Bonsai Merkle Tree.
 type Tree struct {
@@ -193,16 +201,24 @@ func (t *Tree) IsRoot(r NodeRef) bool { return r.Level == len(t.counts)-1 }
 // unit u up to and including the root. Fetching/verifying a counter unit
 // walks this path until a node hits in the (verified) metadata cache.
 func (t *Tree) Path(u uint64) []NodeRef {
+	var buf PathBuf
+	return slices.Clone(t.PathInto(u, &buf))
+}
+
+// PathInto is Path stored in buf, without allocating: the result aliases
+// buf. The engine's counter-miss walk uses it.
+//
+//simlint:hotpath
+func (t *Tree) PathInto(u uint64, buf *PathBuf) []NodeRef {
 	if u >= t.cfg.Units {
 		panic(fmt.Sprintf("bmt: unit %d out of range %d", u, t.cfg.Units))
 	}
-	path := make([]NodeRef, 0, len(t.counts))
 	idx := u / t.arity
-	for l := 0; l < len(t.counts); l++ {
-		path = append(path, NodeRef{Level: l, Index: idx})
+	for l := range t.counts {
+		buf[l] = NodeRef{Level: l, Index: idx}
 		idx /= t.arity
 	}
-	return path
+	return buf[:len(t.counts)]
 }
 
 // LeafForUnit returns the first DRAM-resident (non-root) node on unit
@@ -210,7 +226,8 @@ func (t *Tree) Path(u uint64) []NodeRef {
 // the unit's freshness chain. ok is false when the tree is a bare root
 // (nothing but on-chip state covers the unit).
 func (t *Tree) LeafForUnit(u uint64) (NodeRef, bool) {
-	for _, ref := range t.Path(u) {
+	var buf PathBuf
+	for _, ref := range t.PathInto(u, &buf) {
 		if !t.IsRoot(ref) {
 			return ref, true
 		}

@@ -204,3 +204,16 @@ func TestStorageGrowsWithFinerNodes(t *testing.T) {
 		t.Errorf("fine tree storage %d should exceed coarse %d", fine.StorageBytes(), coarse.StorageBytes())
 	}
 }
+
+// A binary tree over 2^63 units — arity 2 is the smallest a Config
+// allows — is 63 levels tall and fits a PathBuf.
+func TestMaxHeightBoundsBinaryTree(t *testing.T) {
+	tr := MustNew(Config{Units: 1 << 63, UnitBytes: 32, NodeBytes: 2 * HashBytes}, 0)
+	if tr.Height() != 63 || tr.Height() > MaxHeight {
+		t.Fatalf("binary tree over 2^63 units has height %d, want 63 (MaxHeight %d)", tr.Height(), MaxHeight)
+	}
+	var buf PathBuf
+	if p := tr.PathInto(1<<63-1, &buf); len(p) != tr.Height() || !tr.IsRoot(p[len(p)-1]) {
+		t.Fatalf("path of the last unit: %d nodes, ends at %+v", len(p), p[len(p)-1])
+	}
+}

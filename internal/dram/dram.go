@@ -174,12 +174,11 @@ func (c *Channel) Access(local geom.Addr, write bool, cl stats.Class, done func(
 	c.busFreeQ = busStartQ + uint64(c.cfg.BusQuarterCycles)
 
 	finish := sim.Cycle((c.busFreeQ + 3) / 4)
+	// The bank accepts its next column command tCCD after this one, for
+	// reads and writes alike: write recovery (tWR) and read/write bus
+	// turnaround are not modelled, so write only selects the traffic
+	// counter above.
 	b.freeAt = colReady + c.cfg.TCCD
-	if b.freeAt < finish {
-		// Writes hold the bank until data lands; keep a small gap for
-		// reads too so per-bank throughput is bounded.
-		b.freeAt = colReady + c.cfg.TCCD
-	}
 
 	if done != nil {
 		c.eng.Schedule(finish-now, done)

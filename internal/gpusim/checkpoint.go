@@ -40,12 +40,12 @@ type CheckpointSink func(cycle uint64, snapshot []byte) error
 // of identical simulator state are identical bytes.
 
 // configFingerprint identifies the (configuration, workload) pair a
-// snapshot belongs to. ParallelPartitions is excluded: sequential and
-// parallel execution are bit-identical by construction, so a snapshot
-// taken in one mode is valid to resume in the other.
+// snapshot belongs to. Workers is excluded: every worker count executes
+// bit-identically by construction, so a snapshot taken at one is valid
+// to resume at any other.
 func configFingerprint(cfg Config, wl Workload) string {
 	fp := cfg
-	fp.ParallelPartitions = false
+	fp.Workers = 0
 	return fmt.Sprintf("%+v|wl=%s|warps=%d", fp, wl.Name(), wl.Warps())
 }
 
@@ -105,7 +105,8 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 
 	// Final writeback accounting: flush dirty L2, then dirty metadata.
 	// Each flush runs on its partition's own shard (and hence in
-	// parallel when enabled), with a full drain between the phases.
+	// parallel when Config.Workers > 1), with a full drain between the
+	// phases.
 	for _, p := range g.parts {
 		p := p
 		p.eng.Schedule(0, func() { p.flushL2() })

@@ -134,13 +134,13 @@ func TestResumeDeterminism(t *testing.T) {
 
 // TestResumeCrossMode checks that snapshots are portable between
 // sequential and parallel execution: both modes produce byte-identical
-// snapshot streams, and a snapshot taken sequentially resumes under
-// ParallelPartitions (and vice versa) to the same final statistics.
+// snapshot streams, and a snapshot taken sequentially resumes on several
+// workers (and vice versa) to the same final statistics.
 func TestResumeCrossMode(t *testing.T) {
 	seqCfg := testCfg(secmem.Plutus(1 << 20))
 	seqCfg.CheckpointEvery = 1200
 	parCfg := seqCfg
-	parCfg.ParallelPartitions = true
+	parCfg.Workers = 4
 
 	seqSt, seqSnaps := runCheckpointed(t, seqCfg)
 	parSt, parSnaps := runCheckpointed(t, parCfg)

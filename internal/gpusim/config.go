@@ -70,15 +70,16 @@ type Config struct {
 	// disables checkpointing.
 	CheckpointEvery uint64
 
-	// ParallelPartitions executes each memory partition (and the SM
-	// front end) on its own goroutine, advancing them in lockstep
-	// windows of the interconnect latency (conservative PDES). Results
-	// are bit-identical to the sequential default: cross-shard messages
-	// are delivered in a canonical order that does not depend on
-	// goroutine scheduling, and no simulation state crosses partition
-	// boundaries. Speeds up single runs on multi-core hosts; sequential
-	// mode remains the reference.
-	ParallelPartitions bool
+	// Workers is how many goroutines execute each lockstep window of the
+	// sharded simulation: the SM front end and every memory partition are
+	// shards, advancing in windows of the interconnect latency
+	// (conservative PDES). ≤ 1 (the zero value) runs them sequentially,
+	// the reference; more are capped at the shard count. Results are
+	// bit-identical at any value: cross-shard messages are delivered in a
+	// canonical order that does not depend on goroutine scheduling, and no
+	// simulation state crosses partition boundaries. The harness sets it
+	// to each run's share of the host's cores.
+	Workers int
 }
 
 // DefaultVoltaConfig returns the paper's Table I configuration with the

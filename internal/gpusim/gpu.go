@@ -19,9 +19,10 @@ import (
 // Requests and responses cross the SM↔partition interconnect as
 // cycle-stamped mailbox messages, and the shards advance in lockstep
 // windows no wider than the interconnect latency (conservative PDES).
-// With Config.ParallelPartitions the shards execute on parallel
-// goroutines; either way the result is bit-identical, because message
-// delivery order is canonical and no state crosses shard boundaries.
+// With Config.Workers > 1 the shards of each window execute on that many
+// goroutines; any worker count gives a bit-identical result, because
+// message delivery order is canonical and no state crosses shard
+// boundaries.
 type GPU struct {
 	cfg     Config
 	cluster *sim.Cluster
@@ -145,7 +146,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		g.xbar = 1
 	}
 	// Shard 0 is the SM side; shards 1..Partitions are the partitions.
-	g.cluster = sim.NewCluster(1+cfg.Partitions, g.xbar, cfg.ParallelPartitions)
+	g.cluster = sim.NewCluster(1+cfg.Partitions, g.xbar, cfg.Workers)
 	g.smShard = g.cluster.Shard(0)
 	g.eng = g.smShard.Engine()
 
@@ -459,44 +460,4 @@ func (p *partition) flushL2() {
 		})
 		p.l2.CleanSectors(block, dirty)
 	})
-}
-
-// RunDebug is Run with a progress callback roughly every 2^20 events
-// (diagnostic aid; not part of the stable API).
-func (g *GPU) RunDebug(progress func(events, now, issued uint64, active int)) *stats.Stats {
-	defer g.cluster.Close()
-	for _, w := range g.warps {
-		w := w
-		g.eng.Schedule(0, func() { g.fetch(w) })
-	}
-	var n, lastReport uint64
-	for {
-		ran := g.cluster.RunWindow()
-		if ran == 0 {
-			break
-		}
-		n += ran
-		if n-lastReport >= 1<<20 && progress != nil {
-			lastReport = n
-			progress(n, uint64(g.cluster.LastEventAt()), g.issued, g.activeWarps)
-		}
-	}
-	return &stats.Stats{Cycles: uint64(g.cluster.LastEventAt()), Instructions: g.issued}
-}
-
-// DebugHungWarps reports warps still active with outstanding sectors
-// after the event queue drained (diagnostic aid).
-func (g *GPU) DebugHungWarps() (active, pendingSum int, mshrWait int, l2Inflight int, secPending int) {
-	for _, w := range g.warps {
-		if w.active {
-			active++
-			pendingSum += w.outstanding
-		}
-	}
-	for _, p := range g.parts {
-		mshrWait += p.mshrWait.Len()
-		l2Inflight += p.l2.InflightMisses()
-		secPending += p.sec.Pending()
-	}
-	return
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // runScriptMode runs one scripted workload under sc with the given
-// execution mode and returns the full statistics record by value —
-// stats.Stats contains only value fields, so runs compare with ==.
-func runScriptMode(t *testing.T, sc secmem.Config, parallel bool) stats.Stats {
+// worker count (1 = sequential) and returns the full statistics record
+// by value — stats.Stats contains only value fields, so runs compare
+// with ==.
+func runScriptMode(t *testing.T, sc secmem.Config, workers int) stats.Stats {
 	t.Helper()
 	wl := newScript(12, []Inst{
 		{Kind: Load, Addrs: []geom.Addr{0x100, 0x2100, 0x4100, 0x6100}},
@@ -24,7 +25,7 @@ func runScriptMode(t *testing.T, sc secmem.Config, parallel bool) stats.Stats {
 	cfg := testCfg(sc)
 	cfg.Partitions = 4
 	cfg.SMs = 4
-	cfg.ParallelPartitions = parallel
+	cfg.Workers = workers
 	g, err := New(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +49,8 @@ func TestParallelBitIdenticalToSequential(t *testing.T) {
 	for _, sc := range schemes {
 		sc := sc
 		t.Run(sc.Scheme, func(t *testing.T) {
-			seq := runScriptMode(t, sc, false)
-			par := runScriptMode(t, sc, true)
+			seq := runScriptMode(t, sc, 1)
+			par := runScriptMode(t, sc, 3)
 			if seq != par {
 				t.Fatalf("parallel run diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 			}
@@ -60,31 +61,30 @@ func TestParallelBitIdenticalToSequential(t *testing.T) {
 // A zero-latency crossbar still needs a positive lookahead window; the
 // simulator models it as one cycle, and both modes must agree.
 func TestParallelZeroXbarLatency(t *testing.T) {
-	run := func(parallel bool) stats.Stats {
+	run := func(workers int) stats.Stats {
 		wl := newScript(4, []Inst{
 			{Kind: Load, Addrs: []geom.Addr{0x0, 0x1000}},
 			{Kind: Store, Addrs: []geom.Addr{0x0}},
 		})
 		cfg := testCfg(secmem.Plutus(1 << 20))
 		cfg.XbarLatency = 0
-		cfg.ParallelPartitions = parallel
+		cfg.Workers = workers
 		g, err := New(cfg, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return *g.Run()
 	}
-	if seq, par := run(false), run(true); seq != par {
+	if seq, par := run(1), run(8); seq != par {
 		t.Fatalf("zero-xbar runs diverged:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
 
-// Sequential mode must itself be repeatable with parallelism enabled in
-// the config — two parallel runs must agree with each other, not just
-// with one sequential reference.
+// Parallel mode must itself be repeatable — two parallel runs must
+// agree with each other, not just with one sequential reference.
 func TestParallelRepeatable(t *testing.T) {
-	a := runScriptMode(t, secmem.Plutus(1<<22), true)
-	b := runScriptMode(t, secmem.Plutus(1<<22), true)
+	a := runScriptMode(t, secmem.Plutus(1<<22), 5)
+	b := runScriptMode(t, secmem.Plutus(1<<22), 5)
 	if a != b {
 		t.Fatalf("two parallel runs diverged:\n1st: %+v\n2nd: %+v", a, b)
 	}

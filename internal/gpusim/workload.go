@@ -33,8 +33,8 @@ type Inst struct {
 // Concurrency contract: Next and StoreValue are only ever called from
 // the SM shard and may keep per-warp state, but MemValue must be safe
 // for concurrent calls and depend only on its argument — with
-// Config.ParallelPartitions every partition shard lazily materializes
-// its memory image through MemValue from its own goroutine. All
+// Config.Workers > 1 partition shards lazily materialize their memory
+// images through MemValue from several goroutines at once. All
 // implementations in this repo derive MemValue from a pure hash.
 type Workload interface {
 	// Name identifies the benchmark in reports.

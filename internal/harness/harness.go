@@ -37,15 +37,13 @@ type Config struct {
 	// Benchmarks lists the workloads to run (default: the full suite).
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
+	// Each simulation runs its memory partitions on its share of the
+	// cores, max(1, GOMAXPROCS/Parallelism), so at the default every run
+	// is sequential. Results are bit-identical at any share.
 	Parallelism int
 	// FullVolta switches from the scaled 8-partition GPU to the paper's
 	// full 80-SM / 32-partition configuration (much slower).
 	FullVolta bool
-	// ParallelPartitions runs each simulation's memory partitions on
-	// their own goroutines (see gpusim.Config.ParallelPartitions).
-	// Results are bit-identical to sequential mode, so the run cache is
-	// shared between the two.
-	ParallelPartitions bool
 
 	// CheckpointEvery snapshots each simulation's full state every this
 	// many cycles (0 = no checkpointing). Checkpoint cadence perturbs
@@ -94,6 +92,13 @@ func (c *Config) normalize() {
 	if c.Parallelism <= 0 {
 		c.Parallelism = d.Parallelism
 	}
+}
+
+// coreShare is how many cores each of parallelism concurrent simulations
+// may use on procs processors: more than one only when the runner leaves
+// cores idle, so simulations never oversubscribe the host.
+func coreShare(procs, parallelism int) int {
+	return max(1, procs/parallelism)
 }
 
 // runEntry is a single-flight cache slot: the first goroutine to claim
@@ -308,7 +313,7 @@ func (r *Runner) simulate(ctx context.Context, bench string, sc secmem.Config, s
 	}
 	gcfg.Sec.ProtectedBytes = r.cfg.ProtectedBytes
 	gcfg.MaxInstructions = r.cfg.MaxInstructions
-	gcfg.ParallelPartitions = r.cfg.ParallelPartitions
+	gcfg.Workers = coreShare(runtime.GOMAXPROCS(0), r.cfg.Parallelism)
 	gcfg.CheckpointEvery = r.cfg.CheckpointEvery
 
 	var g *gpusim.GPU

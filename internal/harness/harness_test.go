@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,21 +66,48 @@ func TestRunnerCoalescesConcurrentRuns(t *testing.T) {
 	}
 }
 
-// A parallel-partition runner must produce the exact same numbers as a
-// sequential one — the cache key deliberately ignores the mode.
+// A cell renders the same WriteRunJSON bytes whatever core share its
+// runner gives it: Parallelism 1 hands the simulation every core, while
+// Parallelism GOMAXPROCS runs it sequentially.
 func TestRunnerParallelMatchesSequential(t *testing.T) {
-	seqCfg, parCfg := tinyConfig(), tinyConfig()
-	parCfg.ParallelPartitions = true
-	seq, err := NewRunner(seqCfg).Run("bfs", secmem.Plutus(128<<20))
-	if err != nil {
-		t.Fatal(err)
+	render := func(parallelism int) string {
+		cfg := tinyConfig()
+		cfg.Parallelism = parallelism
+		st, err := NewRunner(cfg).Run("bfs", secmem.Plutus(128<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js bytes.Buffer
+		if err := WriteRunJSON(&js, st); err != nil {
+			t.Fatal(err)
+		}
+		return js.String()
 	}
-	par, err := NewRunner(parCfg).Run("bfs", secmem.Plutus(128<<20))
-	if err != nil {
-		t.Fatal(err)
+	if seq, par := render(runtime.GOMAXPROCS(0)), render(1); seq != par {
+		t.Fatalf("harness run diverged between core shares:\nseq: %s\npar: %s", seq, par)
 	}
-	if *seq != *par {
-		t.Fatalf("parallel harness run diverged:\nseq: %+v\npar: %+v", *seq, *par)
+}
+
+// Each of Parallelism concurrent simulations gets an equal share of the
+// processors, and at least one: a runner that fills every core runs its
+// cells sequentially.
+func TestCoreShare(t *testing.T) {
+	for _, tc := range []struct{ procs, parallelism, want int }{
+		{1, 1, 1},
+		{1, 4, 1},
+		{2, 1, 2},
+		{2, 2, 1},
+		{2, 8, 1},
+		{4, 1, 4},
+		{4, 2, 2},
+		{4, 3, 1},
+		{4, 4, 1},
+		{8, 3, 2},
+		{16, 1, 16},
+	} {
+		if got := coreShare(tc.procs, tc.parallelism); got != tc.want {
+			t.Errorf("coreShare(%d procs, parallelism %d) = %d, want %d", tc.procs, tc.parallelism, got, tc.want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
@@ -93,19 +94,19 @@ func TestTamperRunDetects(t *testing.T) {
 }
 
 // TestTamperParallelMatchesSequential: tamper ops land at epoch
-// boundaries with every shard parked, so parallel-partition execution
-// must replay the attacked run bit-identically to sequential execution
-// — for each scheme family.
+// boundaries with every shard parked, so a run given every core must
+// replay the attacked run bit-identically to a sequential one (a runner
+// at Parallelism GOMAXPROCS) — for each scheme family.
 func TestTamperParallelMatchesSequential(t *testing.T) {
 	for _, sc := range frontierSchemes(t) {
 		t.Run(sc.Scheme, func(t *testing.T) {
 			plan, _ := planFor(t, sc)
-			run := func(parallel bool) string {
+			run := func(parallelism int) string {
 				r := NewRunner(Config{
-					MaxInstructions:    6000,
-					Benchmarks:         []string{"stream"},
-					ParallelPartitions: parallel,
-					TamperPlan:         plan,
+					MaxInstructions: 6000,
+					Benchmarks:      []string{"stream"},
+					Parallelism:     parallelism,
+					TamperPlan:      plan,
 				})
 				st, err := r.Run("stream", sc)
 				if err != nil {
@@ -117,7 +118,7 @@ func TestTamperParallelMatchesSequential(t *testing.T) {
 				}
 				return js.String()
 			}
-			if seq, par := run(false), run(true); seq != par {
+			if seq, par := run(runtime.GOMAXPROCS(0)), run(1); seq != par {
 				t.Errorf("attacked run diverges between sequential and parallel partitions:\nseq: %s\npar: %s", seq, par)
 			}
 		})

@@ -109,7 +109,8 @@ func (e *Engine) fetchUnit(r *counterRegion, i uint64, j *join, freshOK *bool) {
 // root is reached. Fetching a node whose DRAM copy an attacker corrupted
 // fails verification against its parent and clears freshOK.
 func (e *Engine) walkTree(r *counterRegion, u uint64, j *join, freshOK *bool) {
-	for _, ref := range r.tree.Path(u) {
+	var buf bmt.PathBuf
+	for _, ref := range r.tree.PathInto(u, &buf) {
 		if r.tree.IsRoot(ref) {
 			break // root is on-chip: free and always trusted
 		}
@@ -139,7 +140,8 @@ func (e *Engine) dirtyCounter(r *counterRegion, i uint64) {
 	r.replayed.Clear(u)
 	r.tree.SetUnitHash(u, r.unitHash(u))
 	if e.cfg.Freshness == FreshEagerBMT {
-		for _, ref := range r.tree.Path(u) {
+		var buf bmt.PathBuf
+		for _, ref := range r.tree.PathInto(u, &buf) {
 			if r.tree.IsRoot(ref) {
 				break
 			}
@@ -157,7 +159,8 @@ func (e *Engine) propagateDirty(r *counterRegion, u uint64) {
 		// no-traffic tree never writes it.
 		return
 	}
-	path := r.tree.Path(u)
+	var buf bmt.PathBuf
+	path := r.tree.PathInto(u, &buf)
 	if len(path) == 0 || r.tree.IsRoot(path[0]) {
 		return
 	}

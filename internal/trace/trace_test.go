@@ -17,11 +17,10 @@ import (
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
-func testConfig(insts uint64, parallel bool) gpusim.Config {
+func testConfig(insts uint64) gpusim.Config {
 	cfg := gpusim.ScaledConfig(secmem.Plutus(0))
 	cfg.Sec.ProtectedBytes = 128 << 20
 	cfg.MaxInstructions = insts
-	cfg.ParallelPartitions = parallel
 	return cfg
 }
 
@@ -55,16 +54,16 @@ func normalize(st *stats.Stats) stats.Stats {
 
 // TestCaptureReplayByteIdentical is the replay guarantee: replaying a
 // capture under the same configuration reproduces the run's statistics
-// exactly, in sequential and in parallel-partition mode, for a suite
+// exactly, sequentially and on four workers, for a suite
 // benchmark and for scenario-corpus workloads.
 func TestCaptureReplayByteIdentical(t *testing.T) {
 	for _, bench := range []string{"bfs", "scn-phase", "scn-attackload"} {
 		t.Run(bench, func(t *testing.T) {
-			cfg := testConfig(3000, false)
+			cfg := testConfig(3000)
 			path, ref := captureFile(t, bench, cfg)
-			for _, parallel := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
 				rcfg := cfg
-				rcfg.ParallelPartitions = parallel
+				rcfg.Workers = workers
 				wl, err := workload.Get("trace:" + path)
 				if err != nil {
 					t.Fatal(err)
@@ -75,8 +74,8 @@ func TestCaptureReplayByteIdentical(t *testing.T) {
 				}
 				st := g.Run()
 				if normalize(st) != normalize(ref) {
-					t.Errorf("parallel=%v: replay diverged from capture:\nref: %+v\ngot: %+v",
-						parallel, normalize(ref), normalize(st))
+					t.Errorf("workers=%d: replay diverged from capture:\nref: %+v\ngot: %+v",
+						workers, normalize(ref), normalize(st))
 				}
 			}
 		})
@@ -86,7 +85,7 @@ func TestCaptureReplayByteIdentical(t *testing.T) {
 // TestReplayIsRecapturable: capturing a replay reproduces the run and
 // the value model — second-generation traces are as good as first.
 func TestReplayIsRecapturable(t *testing.T) {
-	cfg := testConfig(2000, false)
+	cfg := testConfig(2000)
 	path, ref := captureFile(t, "scn-multitenant", cfg)
 	path2, ref2 := captureFile(t, "trace:"+path, cfg)
 	if normalize(ref2) != normalize(ref) {
@@ -253,7 +252,7 @@ func TestReplayCursorRoundTrip(t *testing.T) {
 // run at the same cadence — the trace workload's cursor is part of the
 // snapshot like any suite benchmark's.
 func TestTraceCheckpointResume(t *testing.T) {
-	cfg := testConfig(2500, false)
+	cfg := testConfig(2500)
 	path, _ := captureFile(t, "scn-dnn-infer", cfg)
 	cfg.CheckpointEvery = 400
 

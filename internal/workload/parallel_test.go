@@ -11,8 +11,8 @@ import (
 )
 
 // runSuiteMode executes one (benchmark, scheme, seed) run on the scaled
-// 8-partition GPU in the given execution mode.
-func runSuiteMode(t *testing.T, bench string, sc secmem.Config, seed uint64, parallel bool) stats.Stats {
+// 8-partition GPU with the given worker count (1 = sequential).
+func runSuiteMode(t *testing.T, bench string, sc secmem.Config, seed uint64, workers int) stats.Stats {
 	t.Helper()
 	wl, err := GetSeeded(bench, seed)
 	if err != nil {
@@ -21,7 +21,7 @@ func runSuiteMode(t *testing.T, bench string, sc secmem.Config, seed uint64, par
 	cfg := gpusim.ScaledConfig(sc)
 	cfg.Sec.ProtectedBytes = 128 << 20
 	cfg.MaxInstructions = 400
-	cfg.ParallelPartitions = parallel
+	cfg.Workers = workers
 	g, err := gpusim.New(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +44,8 @@ func TestParallelDeterminismSuite(t *testing.T) {
 		for _, sc := range schemes {
 			bench, sc := bench, sc
 			t.Run(bench+"/"+sc.Scheme, func(t *testing.T) {
-				seq := runSuiteMode(t, bench, sc, 1, false)
-				par := runSuiteMode(t, bench, sc, 1, true)
+				seq := runSuiteMode(t, bench, sc, 1, 1)
+				par := runSuiteMode(t, bench, sc, 1, 4)
 				if seq != par {
 					t.Fatalf("parallel diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 				}
@@ -71,8 +71,8 @@ func TestParallelDeterminismSeeds(t *testing.T) {
 		for _, seed := range seeds {
 			sc, seed := sc, seed
 			t.Run(fmt.Sprintf("%s/seed%d", sc.Scheme, seed), func(t *testing.T) {
-				seq := runSuiteMode(t, "bfs", sc, seed, false)
-				par := runSuiteMode(t, "bfs", sc, seed, true)
+				seq := runSuiteMode(t, "bfs", sc, seed, 1)
+				par := runSuiteMode(t, "bfs", sc, seed, 4)
 				if seq != par {
 					t.Fatalf("seed %d: parallel diverged from sequential:\nseq: %+v\npar: %+v", seed, seq, par)
 				}
@@ -84,8 +84,8 @@ func TestParallelDeterminismSeeds(t *testing.T) {
 // Distinct seeds must actually change the simulation — otherwise the
 // seed sweep above proves nothing.
 func TestSeedsProduceDistinctRuns(t *testing.T) {
-	a := runSuiteMode(t, "bfs", secmem.PSSM(0), 1, false)
-	b := runSuiteMode(t, "bfs", secmem.PSSM(0), 2, false)
+	a := runSuiteMode(t, "bfs", secmem.PSSM(0), 1, 1)
+	b := runSuiteMode(t, "bfs", secmem.PSSM(0), 2, 1)
 	if a == b {
 		t.Fatal("seeds 1 and 2 produced identical runs")
 	}
