@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Same-machine performance A/B of two checkouts of this repository:
+#
+#   bash .github/perf-ab.sh BASE_DIR HEAD_DIR OUT_DIR
+#
+# Runs perfbench's sweep-graph workload (seed 1, untraced) at both
+# checkouts in 5 pairs, alternating which side goes first, and appends
+# each run's result line to OUT_DIR/base.jsonl or OUT_DIR/head.jsonl.
+# The run length and the kinsts_per_s bound are read from
+# HEAD_DIR/BENCHMARK.json. It fails when any run exits non-zero (a
+# failed output check), or when the head loses every pair and its median
+# kinsts_per_s is below the base's by more than the bound. A base that
+# has no perfbench/run.sh is skipped with a notice.
+set -euo pipefail
+[ $# -eq 3 ] || { echo "usage: $0 BASE_DIR HEAD_DIR OUT_DIR" >&2; exit 2; }
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+mkdir -p "$3"
+out=$(cd "$3" && pwd)
+pairs=5
+
+if [ ! -f "$base/perfbench/run.sh" ]; then
+	echo "::notice::perf-ab skipped: the base has no perfbench/run.sh"
+	exit 0
+fi
+seconds=$(jq -er '.run_seconds' "$head/BENCHMARK.json")
+bound=$(jq -er '.end_to_end[] | select(.name == "kinsts_per_s") | .bound' "$head/BENCHMARK.json")
+echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound"
+
+: > "$out/base.jsonl"
+: > "$out/head.jsonl"
+
+# run SIDE DIR PAIR: one perfbench run; its last output line is the result.
+run() {
+	local log="$out/$1-$3.log"
+	if ! (cd "$2" && bash perfbench/run.sh --workload sweep-graph --seed 1 --seconds "$seconds" --trace 0) > "$log" 2>&1; then
+		tail -n 20 "$log" >&2
+		echo "::error::perf-ab: the $1 run of pair $3 failed"
+		exit 1
+	fi
+	tail -n 1 "$log" >> "$out/$1.jsonl"
+	echo "pair $3 $1: $(tail -n 1 "$log" | jq -r '.metrics.kinsts_per_s.value') kinst/s"
+}
+for i in $(seq 1 "$pairs"); do
+	if [ $((i % 2)) -eq 1 ]; then
+		run base "$base" "$i"
+		run head "$head" "$i"
+	else
+		run head "$head" "$i"
+		run base "$base" "$i"
+	fi
+done
+
+jq -n --argjson bound "$bound" --slurpfile b "$out/base.jsonl" --slurpfile h "$out/head.jsonl" '
+	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	($b | map(.metrics.kinsts_per_s.value)) as $base
+	| ($h | map(.metrics.kinsts_per_s.value)) as $head
+	| {base: $base, head: $head, base_median: ($base | median), head_median: ($head | median),
+	   head_wins: ([range($base | length) | select($head[.] >= $base[.])] | length), bound: $bound}
+	| .regressed = (.head_wins == 0 and .head_median < .base_median * (1 - $bound))' > "$out/summary.json"
+cat "$out/summary.json"
+if jq -e '.regressed' "$out/summary.json" > /dev/null; then
+	echo "::error::perf-ab: the head lost all $pairs pairs and its median kinsts_per_s is more than $bound below the base's"
+	exit 1
+fi

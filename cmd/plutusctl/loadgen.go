@@ -27,8 +27,7 @@ func openStore(dir string) (*castore.Store, error) {
 	return castore.Open(dir)
 }
 
-// LoadgenSummary is the JSON report loadgen emits; benchsmoke -loadgen
-// merges it into the benchmark report as cluster_loadgen.
+// LoadgenSummary is the JSON report loadgen emits.
 type LoadgenSummary struct {
 	Requests       int                `json:"requests"`
 	Clients        int                `json:"clients"`

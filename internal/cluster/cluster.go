@@ -55,6 +55,14 @@ func (e *OverQuotaError) Error() string {
 	return fmt.Sprintf("cluster: tenant %q over quota (%d pending, limit %d)", e.Tenant, e.Pending, e.Limit)
 }
 
+// BadRequestError reports a request refused before any work is
+// admitted: an empty sweep, or a benchmark or scheme name that does not
+// resolve. Upstream layers map it to 400.
+type BadRequestError struct{ Err error }
+
+func (e *BadRequestError) Error() string { return e.Err.Error() }
+func (e *BadRequestError) Unwrap() error { return e.Err }
+
 // Config configures a Coordinator.
 type Config struct {
 	// Workers seeds the registry with plutusd base URLs; more can join
@@ -324,14 +332,15 @@ func (co *Coordinator) tenant(name string) *tenant {
 }
 
 // resolve validates a cell's names against the local registries (the
-// same ones plutusd validates against) and returns its store key.
+// same ones plutusd validates against) and returns its store key. A name
+// that does not resolve is a *BadRequestError.
 func (co *Coordinator) resolve(bench, scheme string, seed uint64) (secmem.Config, string, error) {
 	if _, err := workload.Get(bench); err != nil {
-		return secmem.Config{}, "", err
+		return secmem.Config{}, "", &BadRequestError{err}
 	}
 	sc, err := secmem.ByName(scheme, co.cfg.Harness.ProtectedBytes)
 	if err != nil {
-		return secmem.Config{}, "", err
+		return secmem.Config{}, "", &BadRequestError{err}
 	}
 	return sc, co.keyer.CacheKey(bench, sc, seed), nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"github.com/plutus-gpu/plutus/internal/server"
 )
 
 // SweepRequest is the body of POST /v1/sweeps.
@@ -39,10 +41,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeClusterError maps coordinator errors onto the same status-code
-// vocabulary plutusd uses: shedding is 429 with Retry-After, bad names
-// are 400, everything else 500.
+// vocabulary plutusd uses: shedding is 429 with Retry-After, a
+// *BadRequestError is 400, everything else 500.
 func writeClusterError(w http.ResponseWriter, err error) {
 	var quota *OverQuotaError
+	var bad *BadRequestError
 	switch {
 	case errors.As(err, &quota):
 		w.Header().Set("Retry-After", "1")
@@ -51,7 +54,7 @@ func writeClusterError(w http.ResponseWriter, err error) {
 		})
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
-	case strings.Contains(err.Error(), "unknown"):
+	case errors.As(err, &bad):
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
@@ -83,7 +86,10 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		var req WorkerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+		if !server.DecodeJSON(w, r, &req) {
+			return
+		}
+		if req.URL == "" {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body must be {\"url\": \"http://...\"}"})
 			return
 		}
@@ -92,8 +98,7 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		var req SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if !server.DecodeJSON(w, r, &req) {
 			return
 		}
 		sw, err := co.SubmitSweep(req.Tenant, req.Benchmarks, req.Schemes, req.Seeds)
@@ -113,8 +118,7 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/cells", func(w http.ResponseWriter, r *http.Request) {
 		var req CellRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if !server.DecodeJSON(w, r, &req) {
 			return
 		}
 		content, digest, err := co.RunCell(r.Context(), req.Tenant, req.Benchmark, req.Scheme, req.Seed)

@@ -82,7 +82,7 @@ func (sw *Sweep) Wait(ctx context.Context) error {
 // the background. An empty seeds slice means the canonical seed 0.
 func (co *Coordinator) SubmitSweep(tenantName string, benches, schemes []string, seeds []uint64) (*Sweep, error) {
 	if len(benches) == 0 || len(schemes) == 0 {
-		return nil, fmt.Errorf("cluster: empty sweep (benchmarks %v, schemes %v)", benches, schemes)
+		return nil, &BadRequestError{fmt.Errorf("cluster: empty sweep (benchmarks %v, schemes %v)", benches, schemes)}
 	}
 	if len(seeds) == 0 {
 		seeds = []uint64{0}

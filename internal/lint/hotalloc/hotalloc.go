@@ -1,10 +1,10 @@
 // Package hotalloc statically enforces allocation-free hot paths.
 //
-// PR 6's zero-allocation event loop is guarded dynamically by the
-// bench-regression job's allocs-per-op gate — which only fires after a
-// bench run, reports a number rather than a line, and covers just the
-// paths the benchmarks drive. hotalloc turns the same invariant into a
-// compile-time, line-precise diagnostic: a function annotated
+// PR 6's zero-allocation event loop is guarded dynamically by
+// TestEventLoopSteadyStateZeroAllocs's allocs-per-op count — which
+// reports a number rather than a line, and covers just the event loop.
+// hotalloc turns the same invariant into a compile-time, line-precise
+// diagnostic: a function annotated
 //
 //	//simlint:hotpath
 //

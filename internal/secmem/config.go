@@ -444,7 +444,7 @@ func Names() []string {
 }
 
 // ByName resolves a command-line or API scheme name to its canonical
-// configuration (the names cmd/plutussim, cmd/benchsmoke and plutusd
+// configuration (the names cmd/plutussim, plutusd and the coordinator
 // accept). The error for an unknown name lists the full valid set.
 func ByName(name string, protected uint64) (Config, error) {
 	for _, s := range schemeTable {

@@ -297,11 +297,31 @@ func writeError(w http.ResponseWriter, code int, resp ErrorResponse) {
 	writeJSON(w, code, resp)
 }
 
+// MaxRequestBytes bounds a JSON request body, here and on the cluster
+// coordinator. The largest legitimate one, a sweep, is a few kilobytes.
+const MaxRequestBytes = 1 << 20
+
+// DecodeJSON decodes a request body of at most MaxRequestBytes into v.
+// On failure it has already answered: 413 for an oversize body, 400 for
+// one that does not decode.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, ErrorResponse{Error: "bad request body: " + err.Error()})
+	return false
+}
+
 // handleSubmit validates, dedups, and enqueues one run.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	// Validate before enqueue: a job that reaches the queue can only

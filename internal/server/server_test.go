@@ -409,6 +409,25 @@ func TestValidationRejectsBeforeEnqueue(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyIs413: a submit body over MaxRequestBytes is refused
+// with 413 before it is buffered, and nothing reaches the backend.
+func TestOversizeBodyIs413(t *testing.T) {
+	fb := newFakeBackend()
+	_, c := startServer(t, server.Config{Backend: fb, Workers: 1, QueueDepth: 2}, fb)
+	body := `{"benchmark":"` + strings.Repeat("a", server.MaxRequestBytes) + `","scheme":"pssm"}`
+	resp, err := http.Post(c.BaseURL()+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if got := fb.runCount(); got != 0 {
+		t.Errorf("backend ran %d times, want 0", got)
+	}
+}
+
 // TestStatszReportsCacheHitRate: with the real harness backend, two
 // sequential identical runs produce two accepted jobs but one execution,
 // visible through /debug/statsz's cache block.

@@ -201,9 +201,9 @@ func TestCalendarRescheduleDuringDispatch(t *testing.T) {
 
 // TestEventLoopSteadyStateZeroAllocs pins the pooled-event invariant: a
 // warmed engine's schedule+dispatch cycle performs no heap allocation.
-// This is the same accounting the benchsmoke CI gate applies; a failure
-// here means someone reintroduced a per-event allocation on the hot
-// path (see DESIGN.md §10).
+// It is the machine-independent allocation gate every `go test` run
+// applies; a failure here means someone reintroduced a per-event
+// allocation on the hot path (see DESIGN.md §10).
 func TestEventLoopSteadyStateZeroAllocs(t *testing.T) {
 	const ops = 4096
 	eng := &Engine{}

@@ -39,7 +39,7 @@ func TestParallelDeterminismSuite(t *testing.T) {
 	if testing.Short() {
 		benches = benches[:3]
 	}
-	schemes := []secmem.Config{secmem.PSSM(0), secmem.Plutus(0)}
+	schemes := []secmem.Config{secmem.Baseline(0), secmem.PSSM(0), secmem.Plutus(0)}
 	for _, bench := range benches {
 		for _, sc := range schemes {
 			bench, sc := bench, sc
