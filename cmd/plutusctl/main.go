@@ -1,6 +1,5 @@
 // Command plutusctl operates the distributed sweep fabric: it runs the
-// cluster coordinator, submits and watches sweeps, manages workers, and
-// load-tests a cluster.
+// cluster coordinator, submits and watches sweeps, and manages workers.
 //
 // Usage:
 //
@@ -8,13 +7,13 @@
 //	plutusctl sweep   -coord http://127.0.0.1:8095 -benches bfs,stream -schemes pssm,plutus -seeds 3
 //	plutusctl status  -coord http://127.0.0.1:8095 -id sweep-1
 //	plutusctl workers -coord http://127.0.0.1:8095 [-add http://w3:8091]
-//	plutusctl loadgen -requests 1000000 -out loadgen.json
 //
 // The coordinator shards each sweep's (benchmark × scheme × seed) grid
 // across registered plutusd workers, collects results into a
 // content-addressed store keyed by the harness run-cache key, steals
 // leases from stragglers (migrating their PLUTSNAP checkpoints), and
-// sheds over-quota tenants with 429 — see DESIGN.md §14.
+// sheds over-quota tenants with 429 — see DESIGN.md §14. Load testing
+// is perfbench's serve-cells workload (perfbench/README.md).
 package main
 
 import (
@@ -30,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/plutus-gpu/plutus/internal/castore"
 	"github.com/plutus-gpu/plutus/internal/cluster"
 	"github.com/plutus-gpu/plutus/internal/harness"
 )
@@ -49,8 +49,6 @@ func main() {
 		err = runStatus(os.Args[2:])
 	case "workers":
 		err = runWorkers(os.Args[2:])
-	case "loadgen":
-		err = runLoadgen(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -73,7 +71,6 @@ subcommands:
   sweep    submit a sweep and wait for it
   status   show one sweep's progress
   workers  list or register workers
-  loadgen  boot an in-process cluster and load-test it
 `)
 }
 
@@ -102,7 +99,7 @@ func runCoord(args []string) error {
 		cfg.Workers = strings.Split(*workers, ",")
 	}
 	if *storeDir != "" {
-		store, err := openStore(*storeDir)
+		store, err := castore.Open(*storeDir)
 		if err != nil {
 			return err
 		}
@@ -177,9 +174,7 @@ func runWorkers(args []string) error {
 	coord := fs.String("coord", "http://127.0.0.1:8095", "coordinator base URL")
 	add := fs.String("add", "", "register this plutusd base URL before listing")
 	fs.Parse(args)
-	var out struct {
-		Workers []cluster.WorkerStatus `json:"workers"`
-	}
+	var out cluster.WorkerList
 	if *add != "" {
 		if err := postJSON(*coord+"/v1/workers", cluster.WorkerRequest{URL: *add}, &out); err != nil {
 			return err

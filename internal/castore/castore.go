@@ -25,7 +25,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -45,7 +44,7 @@ func (e *DivergenceError) Error() string {
 	return fmt.Sprintf("castore: divergent result for key %q: have %s, got %s", e.Key, e.Have, e.Got)
 }
 
-// ErrNotFound is returned by Get/Object when nothing is bound.
+// ErrNotFound is returned by Get when nothing is bound.
 var ErrNotFound = errors.New("castore: not found")
 
 // Store is a content-addressed object store with a key index.
@@ -184,57 +183,9 @@ func (s *Store) Get(key string) (content []byte, digest string, err error) {
 	return append([]byte(nil), s.objects[digest]...), digest, nil
 }
 
-// Digest returns the digest bound to key without copying the content.
-func (s *Store) Digest(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.index[key]
-	return d, ok
-}
-
-// Object returns the content stored under digest.
-func (s *Store) Object(digest string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	content, ok := s.objects[digest]
-	if !ok {
-		return nil, fmt.Errorf("%w: object %s", ErrNotFound, digest)
-	}
-	return append([]byte(nil), content...), nil
-}
-
-// Keys returns every bound key in sorted order — deterministic
-// iteration for manifests and reports.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Len returns the number of key bindings.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
-}
-
-// Verify recomputes every stored object's digest and returns the
-// addresses that no longer match their content. An empty slice means
-// the store is internally consistent.
-func (s *Store) Verify() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var bad []string
-	for digest, content := range s.objects {
-		if DigestOf(content) != digest {
-			bad = append(bad, digest)
-		}
-	}
-	sort.Strings(bad)
-	return bad
 }

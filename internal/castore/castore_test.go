@@ -24,10 +24,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if d2 != d || string(content) != `{"cycles":42}` {
 		t.Fatalf("Get = %q/%s", content, d2)
 	}
-	obj, err := s.Object(d)
-	if err != nil || string(obj) != `{"cycles":42}` {
-		t.Fatalf("Object = %q, %v", obj, err)
-	}
 	if _, _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 	}
@@ -81,22 +77,6 @@ func TestSharedObject(t *testing.T) {
 	}
 }
 
-func TestKeysSorted(t *testing.T) {
-	s := New()
-	for _, k := range []string{"c", "a", "b"} {
-		if _, err := s.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Keys()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", got, want)
-		}
-	}
-}
-
 // A disk-backed store must reload its bindings and objects across
 // reopen, verify content hashes at load, and refuse corrupted objects.
 func TestPersistReopen(t *testing.T) {
@@ -124,8 +104,8 @@ func TestPersistReopen(t *testing.T) {
 	if err != nil || string(content) != "persisted" || d2 != d {
 		t.Fatalf("reopened Get = %q/%s, %v", content, d2, err)
 	}
-	if bad := r.Verify(); len(bad) != 0 {
-		t.Fatalf("Verify flagged %v", bad)
+	if content, d3, err := r.Get("other"); err != nil || string(content) != "persisted" || d3 != d {
+		t.Fatalf("reopened Get(other) = %q/%s, %v", content, d3, err)
 	}
 
 	// Corrupt the object on disk: reopen must fail loudly, not serve

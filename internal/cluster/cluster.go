@@ -13,11 +13,12 @@
 // (PUT /v1/snapshots), and the cell resubmitted there; the first
 // success wins and the loser's eventual result can only agree (the
 // store dedups identical bytes) or trip the divergence alarm. Worker
-// death is absorbed the same way: heartbeats pull in-flight cells'
-// snapshots each cycle, so a retry after a crash resumes from the last
-// checkpoint cadence instead of cycle zero. Failed attempts reschedule
-// with capped exponential backoff; per-tenant quotas bound both
-// admitted work (load shedding, surfaced as 429 upstream) and
+// death is absorbed the same way: when the sweep checkpoints, heartbeats
+// pull in-flight cells' snapshots each cycle, so a retry after a crash
+// resumes from the last checkpoint instead of cycle zero. (Without
+// checkpoints, the steal and the retry start over.) Failed attempts
+// reschedule with capped exponential backoff; per-tenant quotas bound
+// both admitted work (load shedding, surfaced as 429 upstream) and
 // concurrently leased cells, layered on plutusd's own queue
 // backpressure which the client rides out with jittered retry.
 package cluster
@@ -226,12 +227,6 @@ func New(cfg Config) *Coordinator {
 // Store returns the coordinator's result store.
 func (co *Coordinator) Store() *castore.Store { return co.store }
 
-// CacheKey exposes the store key of one grid cell under the sweep
-// config — what a local single-box verification run must be keyed by.
-func (co *Coordinator) CacheKey(bench string, sc secmem.Config, seed uint64) string {
-	return co.keyer.CacheKey(bench, sc, seed)
-}
-
 // AddWorker registers a plutusd instance by base URL. Registration is
 // idempotent; the worker starts dead and takes leases after its first
 // successful heartbeat.
@@ -334,15 +329,15 @@ func (co *Coordinator) tenant(name string) *tenant {
 // resolve validates a cell's names against the local registries (the
 // same ones plutusd validates against) and returns its store key. A name
 // that does not resolve is a *BadRequestError.
-func (co *Coordinator) resolve(bench, scheme string, seed uint64) (secmem.Config, string, error) {
+func (co *Coordinator) resolve(bench, scheme string, seed uint64) (string, error) {
 	if _, err := workload.Get(bench); err != nil {
-		return secmem.Config{}, "", &BadRequestError{err}
+		return "", &BadRequestError{err}
 	}
 	sc, err := secmem.ByName(scheme, co.cfg.Harness.ProtectedBytes)
 	if err != nil {
-		return secmem.Config{}, "", &BadRequestError{err}
+		return "", &BadRequestError{err}
 	}
-	return sc, co.keyer.CacheKey(bench, sc, seed), nil
+	return co.keyer.CacheKey(bench, sc, seed), nil
 }
 
 // startCell begins (or joins) the single-flight execution of one cell.
@@ -351,7 +346,9 @@ func (co *Coordinator) resolve(bench, scheme string, seed uint64) (secmem.Config
 func (co *Coordinator) startCell(tenantName, bench, scheme, key string, seed uint64) (*cell, []byte, string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if content, digest, err := co.storeGetLocked(key); err == nil {
+	// The store has its own mutex; taking it under co.mu is a benign
+	// nested lock, never taken in the other order.
+	if content, digest, err := co.store.Get(key); err == nil {
 		co.counters.StoreHits++
 		return nil, content, digest
 	}
@@ -367,20 +364,13 @@ func (co *Coordinator) startCell(tenantName, bench, scheme, key string, seed uin
 	return c, nil, ""
 }
 
-// storeGetLocked is castore.Get without re-locking pitfalls: the store
-// has its own mutex, so calling it under co.mu is a benign nested lock
-// (never taken in the other order).
-func (co *Coordinator) storeGetLocked(key string) ([]byte, string, error) {
-	return co.store.Get(key)
-}
-
 // RunCell runs one grid cell to completion on behalf of a tenant:
 // store hits return instantly, identical concurrent requests coalesce,
 // and everything else is leased out to a worker. The returned bytes are
 // the canonical JSON rendering — byte-identical to a local single-box
 // run of the same key.
 func (co *Coordinator) RunCell(ctx context.Context, tenantName, bench, scheme string, seed uint64) ([]byte, string, error) {
-	_, key, err := co.resolve(bench, scheme, seed)
+	key, err := co.resolve(bench, scheme, seed)
 	if err != nil {
 		return nil, "", err
 	}
@@ -404,10 +394,10 @@ func (co *Coordinator) RunCell(ctx context.Context, tenantName, bench, scheme st
 }
 
 // heartbeatLoop polls every worker's /healthz on a fixed cadence,
-// scrapes /debug/statsz for capacity, and pulls the latest PLUTSNAP of
-// every cell leased to the worker — the coordinator-side half of
-// checkpoint migration: when a worker dies, the retry resumes from the
-// last pulled snapshot instead of cycle zero.
+// scrapes /debug/statsz for capacity, and, when the sweep checkpoints,
+// pulls the latest PLUTSNAP of every cell leased to the worker — the
+// coordinator-side half of checkpoint migration: when a worker dies, the
+// retry resumes from the last pulled snapshot instead of cycle zero.
 func (co *Coordinator) heartbeatLoop() {
 	defer close(co.hbDone)
 	tick := time.NewTicker(co.cfg.HeartbeatEvery)
@@ -460,10 +450,12 @@ func (co *Coordinator) heartbeat(url string) {
 		if capacity > 0 {
 			w.capacity = capacity
 		}
-		for _, c := range w.leases {
-			leased = append(leased, c)
+		if co.checkpointing() {
+			for _, c := range w.leases {
+				leased = append(leased, c)
+			}
+			sort.Slice(leased, func(i, j int) bool { return leased[i].Key < leased[j].Key })
 		}
-		sort.Slice(leased, func(i, j int) bool { return leased[i].Key < leased[j].Key })
 	}
 	co.mu.Unlock()
 
@@ -478,6 +470,11 @@ func (co *Coordinator) heartbeat(url string) {
 		}
 	}
 }
+
+// checkpointing reports whether the sweep's runs checkpoint. Workers
+// run at the coordinator's cadence (§14.4 of DESIGN.md), so at cadence
+// 0 no worker holds a snapshot and none is pulled or installed.
+func (co *Coordinator) checkpointing() bool { return co.cfg.Harness.CheckpointEvery != 0 }
 
 // cachedSnapshot returns the latest pulled PLUTSNAP for a cell, nil if
 // none.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,9 +188,9 @@ func (c *cancelInFlight) Err() error {
 func (c *cancelInFlight) Done() <-chan struct{} { return nil }
 
 // strugglerWorker fakes a plutusd that accepts runs but never finishes
-// them, while serving a real parked PLUTSNAP on GET /v1/snapshots —
-// the observable surface of a worker that was SIGKILLed mid-run (the
-// coordinator's heartbeat pulled its snapshot while it still answered).
+// them — its event stream says running and then stays open — while
+// serving a real parked PLUTSNAP on GET /v1/snapshots: the observable
+// surface of a worker stuck mid-run.
 func strugglerWorker(t *testing.T, snapshot []byte) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -203,6 +205,12 @@ func strugglerWorker(t *testing.T, snapshot []byte) *httptest.Server {
 	})
 	mux.HandleFunc("GET /v1/runs/stuck", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(server.RunStatus{ID: "stuck", State: server.StateRunning})
+	})
+	mux.HandleFunc("GET /v1/runs/stuck/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Write([]byte("event: running\ndata: {\"seq\":1,\"state\":\"running\"}\n\n"))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
 	})
 	mux.HandleFunc("GET /v1/snapshots", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -367,11 +375,10 @@ func TestDivergenceFailsCell(t *testing.T) {
 	co := New(cfg)
 	defer co.Close()
 
-	sc, err := secmem.ByName("pssm", harness.NewRunner(hcfg).Config().ProtectedBytes)
+	key, err := co.resolve("bfs", "pssm", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := co.CacheKey("bfs", sc, 1)
 
 	// Start the cell while no worker is live, forge a conflicting
 	// binding for its key, then let a worker at it: its honest result
@@ -444,5 +451,71 @@ func TestDedupAndStoreHits(t *testing.T) {
 	}
 	if !strings.Contains(co.MetricsText(), "plutus_coord_store_hits_total") {
 		t.Error("coordinator metrics missing store-hit counter")
+	}
+}
+
+// countingWorker boots a plutusd like newWorker, behind a mux that
+// counts each request under the API route it takes.
+func countingWorker(t *testing.T, hcfg harness.Config) (string, func() map[string]int) {
+	t.Helper()
+	s := server.New(server.Config{
+		Backend:         harness.NewRunner(hcfg),
+		Workers:         2,
+		QueueDepth:      16,
+		MaxInstructions: hcfg.MaxInstructions,
+	})
+	h := s.Handler()
+	var mu sync.Mutex
+	counts := map[string]int{}
+	mux := http.NewServeMux()
+	for _, route := range []string{
+		"POST /v1/runs", "GET /v1/runs/{id}", "GET /v1/runs/{id}/events", "GET /v1/runs/{id}/result",
+		"/v1/snapshots", "/",
+	} {
+		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			counts[route]++
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		})
+	}
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Drain)
+	return ts.URL, func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(counts)
+	}
+}
+
+// TestNoSnapshotTrafficWithoutCheckpoints: at checkpoint cadence 0 no
+// worker holds a snapshot, so a sweep sends no /v1/snapshots request at
+// all, and each cell costs its worker exactly one submit, one event
+// stream, one status and one result request.
+func TestNoSnapshotTrafficWithoutCheckpoints(t *testing.T) {
+	hcfg := harness.Config{MaxInstructions: 400, Parallelism: 2}
+	u, counts := countingWorker(t, hcfg)
+	co := New(testConfig(hcfg, u))
+	defer co.Close()
+
+	sw, err := co.SubmitSweep("ci", []string{"bfs", "stream"}, []string{"pssm", "plutus"}, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sw.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cells := sw.Status().Total
+	got := counts()
+	if got["/v1/snapshots"] != 0 {
+		t.Errorf("%d /v1/snapshots requests at cadence 0, want 0", got["/v1/snapshots"])
+	}
+	for _, route := range []string{"POST /v1/runs", "GET /v1/runs/{id}/events", "GET /v1/runs/{id}", "GET /v1/runs/{id}/result"} {
+		if got[route] != cells {
+			t.Errorf("%s: %d requests for %d cells, want one per cell", route, got[route], cells)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -32,12 +31,9 @@ type WorkerRequest struct {
 	URL string `json:"url"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// WorkerList is the body GET and POST /v1/workers answer with.
+type WorkerList struct {
+	Workers []WorkerStatus `json:"workers"`
 }
 
 // writeClusterError maps coordinator errors onto the same status-code
@@ -46,19 +42,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeClusterError(w http.ResponseWriter, err error) {
 	var quota *OverQuotaError
 	var bad *BadRequestError
+	code, resp := http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()}
 	switch {
 	case errors.As(err, &quota):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error": err.Error(), "retry_after_seconds": 1,
-		})
+		code, resp.RetryAfterSeconds = http.StatusTooManyRequests, 1
 	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
+		code = http.StatusServiceUnavailable
 	case errors.As(err, &bad):
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		code = http.StatusBadRequest
 	}
+	server.WriteJSON(w, code, resp)
 }
 
 // Handler returns the coordinator's HTTP API:
@@ -75,14 +69,14 @@ func writeClusterError(w http.ResponseWriter, err error) {
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, co.MetricsText())
 	})
 	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"workers": co.Workers()})
+		server.WriteJSON(w, http.StatusOK, WorkerList{co.Workers()})
 	})
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		var req WorkerRequest
@@ -90,11 +84,11 @@ func (co *Coordinator) Handler() http.Handler {
 			return
 		}
 		if req.URL == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body must be {\"url\": \"http://...\"}"})
+			server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "body must be {\"url\": \"http://...\"}"})
 			return
 		}
 		co.AddWorker(req.URL)
-		writeJSON(w, http.StatusOK, map[string]any{"workers": co.Workers()})
+		server.WriteJSON(w, http.StatusOK, WorkerList{co.Workers()})
 	})
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		var req SweepRequest
@@ -106,15 +100,15 @@ func (co *Coordinator) Handler() http.Handler {
 			writeClusterError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, sw.Status())
+		server.WriteJSON(w, http.StatusAccepted, sw.Status())
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		sw, ok := co.SweepByID(r.PathValue("id"))
 		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown sweep"})
+			server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{Error: "unknown sweep"})
 			return
 		}
-		writeJSON(w, http.StatusOK, sw.Status())
+		server.WriteJSON(w, http.StatusOK, sw.Status())
 	})
 	mux.HandleFunc("POST /v1/cells", func(w http.ResponseWriter, r *http.Request) {
 		var req CellRequest

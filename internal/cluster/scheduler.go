@@ -24,7 +24,7 @@ func (co *Coordinator) drive(c *cell) {
 			}
 			time.Sleep(wait)
 		}
-		w := co.acquireWorker(c, nil)
+		w := co.acquireWorker(c, nil, true)
 		if w == nil {
 			lastErr = ErrClosed
 			break
@@ -66,17 +66,17 @@ func (co *Coordinator) settle(c *cell, content []byte, err error) {
 	close(c.done)
 }
 
-// acquireWorker blocks until a live worker with lease headroom and the
-// cell's tenant inflight quota are both available, then takes the
-// lease. exclude (may be nil) skips one worker — the straggler a steal
-// is escaping. Returns nil once the coordinator closes.
-func (co *Coordinator) acquireWorker(c *cell, exclude *worker) *worker {
+// acquireWorker takes a lease once a live worker with lease headroom and
+// the cell's tenant inflight quota are both available. exclude (may be
+// nil) skips one worker — the straggler a steal is escaping. With wait
+// it blocks until then; without, it returns nil at once — the steal
+// path's choice, so a saturated cluster keeps waiting on the straggler
+// instead of deadlocking on a second lease. Returns nil once the
+// coordinator closes.
+func (co *Coordinator) acquireWorker(c *cell, exclude *worker, wait bool) *worker {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for {
-		if co.closed {
-			return nil
-		}
+	for !co.closed {
 		t := co.tenant(c.Tenant)
 		if co.cfg.TenantMaxInflight == 0 || t.inflight < co.cfg.TenantMaxInflight {
 			if w := co.pickLocked(exclude); w != nil {
@@ -86,31 +86,12 @@ func (co *Coordinator) acquireWorker(c *cell, exclude *worker) *worker {
 				return w
 			}
 		}
+		if !wait {
+			return nil
+		}
 		co.cond.Wait()
 	}
-}
-
-// tryAcquireWorker is acquireWorker without blocking — the steal path
-// uses it so a saturated cluster keeps waiting on the straggler instead
-// of deadlocking on a second lease.
-func (co *Coordinator) tryAcquireWorker(c *cell, exclude *worker) *worker {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.closed {
-		return nil
-	}
-	t := co.tenant(c.Tenant)
-	if co.cfg.TenantMaxInflight > 0 && t.inflight >= co.cfg.TenantMaxInflight {
-		return nil
-	}
-	w := co.pickLocked(exclude)
-	if w == nil {
-		return nil
-	}
-	t.inflight++
-	w.inflight++
-	w.leases[c.Key] = c
-	return w
+	return nil
 }
 
 // pickLocked selects the least-loaded live worker with headroom,
@@ -182,7 +163,7 @@ func (co *Coordinator) attempt(c *cell, w *worker) ([]byte, error) {
 	// The lease expired: w is a straggler (or silently dead). Try to
 	// steal onto another worker; with no second worker available, keep
 	// waiting on the primary — there is nowhere better to be.
-	thief := co.tryAcquireWorker(c, w)
+	thief := co.acquireWorker(c, w, false)
 	if thief == nil {
 		r := <-primary
 		return r.content, r.err
@@ -246,7 +227,8 @@ func runOn(ctx context.Context, w *worker, c *cell) attemptResult {
 
 // installSnapshot best-effort installs the cell's cached PLUTSNAP on a
 // worker before submission, so the run resumes from the last pulled
-// checkpoint instead of cycle zero. No-op without a cached snapshot.
+// checkpoint instead of cycle zero. No-op without a cached snapshot, and
+// so always when the sweep does not checkpoint.
 func (co *Coordinator) installSnapshot(c *cell, w *worker) {
 	snap := co.cachedSnapshot(c.Key)
 	if snap == nil {
@@ -264,6 +246,9 @@ func (co *Coordinator) installSnapshot(c *cell, w *worker) {
 // pullSnapshot best-effort refreshes the cell's cached snapshot from a
 // specific worker (the straggler a steal is escaping).
 func (co *Coordinator) pullSnapshot(c *cell, w *worker) {
+	if !co.checkpointing() {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	snap, err := w.c.Snapshot(ctx, c.Benchmark, c.Scheme, c.Seed)

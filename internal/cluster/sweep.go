@@ -93,7 +93,7 @@ func (co *Coordinator) SubmitSweep(tenantName string, benches, schemes []string,
 	for _, bench := range benches {
 		for _, scheme := range schemes {
 			for _, seed := range seeds {
-				_, key, err := co.resolve(bench, scheme, seed)
+				key, err := co.resolve(bench, scheme, seed)
 				if err != nil {
 					return nil, err
 				}

@@ -57,8 +57,6 @@ type Config struct {
 	// MaxInstructions stops fetching new warp instructions after this
 	// many have issued (0 = unlimited).
 	MaxInstructions uint64
-	// MaxCycles hard-stops the simulation (0 = unlimited).
-	MaxCycles uint64
 
 	// CheckpointEvery, when nonzero, drains the simulation to a quiescent
 	// epoch boundary every time the clock passes another multiple of this

@@ -9,7 +9,8 @@
 // (XTestGoFiles, package foo_test). Type information comes from the
 // source importer, so no pre-built export data is required; the
 // external test unit is checked against the augmented package so that
-// export_test.go-style helpers resolve.
+// export_test.go-style helpers resolve, with the packages that import
+// it re-checked against the same unit, as `go test` rebuilds them.
 package loader
 
 import (
@@ -25,6 +26,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 )
 
@@ -47,6 +49,7 @@ type listed struct {
 	TestGoFiles  []string
 	XTestGoFiles []string
 	Standard     bool
+	DepOnly      bool
 	ForTest      string
 	Error        *listError
 }
@@ -106,6 +109,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	// Phase 2: external test units, against their augmented packages.
+	rebuilt, err := rebuiltForTest(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
 	xts := make([]*Package, len(lps))
 	eachIndex(len(lps), func(i int) {
 		lp := lps[i]
@@ -115,18 +122,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		// foo_test imports foo. Only when foo has in-package test
 		// files does that import resolve to the augmented unit (so
 		// export_test.go-style helpers are visible); otherwise the
-		// augmented unit is identical to the plain package, and
-		// resolving through the shared source importer keeps type
-		// identity consistent when foo_test also imports a
-		// dependency that itself imports foo (e.g. internal/server's
-		// external test importing internal/server/client).
+		// augmented unit is identical to the plain package, and the
+		// shared source importer serves it.
 		var imp types.Importer = src
 		if len(lp.TestGoFiles) > 0 {
-			var augTypes *types.Package
-			if augs[i] != nil {
-				augTypes = augs[i].Types
-			}
-			imp = &selfImporter{self: lp.ImportPath, pkg: augTypes, next: src}
+			imp = &testImporter{fset: fset, self: lp.ImportPath, pkg: augs[i].Types,
+				rebuilt: rebuilt[lp.ImportPath], next: src, done: map[string]*types.Package{}}
 		}
 		xts[i], errs[i] = check(fset, imp, lp, lp.ImportPath+"_test", lp.XTestGoFiles)
 	})
@@ -205,19 +206,63 @@ func check(fset *token.FileSet, imp types.Importer, lp listed, path string, file
 	return &Package{Path: path, Fset: fset, Files: asts, Types: tpkg, Info: info}, nil
 }
 
-// selfImporter resolves one import path to an already-checked package
-// and delegates everything else.
-type selfImporter struct {
-	self string
-	pkg  *types.Package
-	next types.Importer
+// rebuiltForTest asks `go list -deps -test` which packages `go test`
+// recompiles for each test: the external test's dependencies that
+// import the package under test (internal/server_test imports
+// internal/server/client, which imports internal/server). go list names
+// them "bar [foo.test]"; the result maps foo, then bar, to bar's
+// listing.
+func rebuiltForTest(dir string, patterns []string) (map[string]map[string]listed, error) {
+	pkgs, err := goList(dir, append([]string{"-deps", "-test"}, patterns...))
+	if err != nil {
+		return nil, err
+	}
+	rebuilt := map[string]map[string]listed{}
+	for _, lp := range pkgs {
+		if lp.ForTest == "" || !lp.DepOnly {
+			continue
+		}
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		if rebuilt[lp.ForTest] == nil {
+			rebuilt[lp.ForTest] = map[string]listed{}
+		}
+		rebuilt[lp.ForTest][path] = lp
+	}
+	return rebuilt, nil
 }
 
-func (s *selfImporter) Import(path string) (*types.Package, error) {
-	if path == s.self && s.pkg != nil {
-		return s.pkg, nil
+// testImporter resolves an external test unit's imports the way `go
+// test` builds them when the package under test has in-package test
+// files: the package itself is the augmented unit, and each package in
+// rebuilt is re-checked from source against that unit, so the test sees
+// one copy of each type. Everything else comes from the shared
+// importer. One testImporter serves one unit, on one goroutine.
+type testImporter struct {
+	fset    *token.FileSet
+	self    string
+	pkg     *types.Package
+	rebuilt map[string]listed
+	next    types.Importer
+	done    map[string]*types.Package
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	if path == t.self {
+		return t.pkg, nil
 	}
-	return s.next.Import(path)
+	if p, ok := t.done[path]; ok {
+		return p, nil
+	}
+	lp, ok := t.rebuilt[path]
+	if !ok {
+		return t.next.Import(path)
+	}
+	p, err := check(t.fset, t, lp, path, lp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	t.done[path] = p.Types
+	return p.Types, nil
 }
 
 func goList(dir string, patterns []string) ([]listed, error) {

@@ -96,7 +96,6 @@ var rawConcAllowed = []string{
 	"internal/server",  // covers internal/server/client
 	"internal/cluster", // coordinator: leases, steals and heartbeats are network orchestration, not simulation
 	"cmd/plutusd",
-	"cmd/plutusctl", // cluster CLI: loadgen fan-out and signal handling
 	"internal/lint/loader",
 	"internal/lint/simlint",
 }

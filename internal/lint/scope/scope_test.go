@@ -54,13 +54,14 @@ func TestScopes(t *testing.T) {
 		{mod("internal/server"), false, false, false, true},
 		{mod("internal/server/client"), false, false, false, true},
 		{mod("cmd/plutusd"), false, false, false, true},
-		// The sweep-fabric coordinator and its CLI are allowlisted for
-		// rawconc (leases, steals, heartbeats, loadgen fan-out are network
-		// orchestration), but the content-addressed store beside them is
-		// NOT — it arbitrates byte-identity and synchronizes with a mutex.
+		// The sweep-fabric coordinator is allowlisted for rawconc (leases,
+		// steals and heartbeats are network orchestration), but the
+		// content-addressed store beside it is NOT — it arbitrates
+		// byte-identity and synchronizes with a mutex — and neither is
+		// its CLI, which only makes HTTP calls and serves the coordinator.
 		{mod("internal/cluster"), false, false, false, true},
 		{mod("internal/castore"), false, false, true, true},
-		{mod("cmd/plutusctl"), false, false, false, true},
+		{mod("cmd/plutusctl"), false, false, true, true},
 		// The lint tree's rawconc allowlist is least-privilege: only the
 		// loader (parallel package loading) and the suite runner (parallel
 		// per-unit analysis) are concurrent; analyzers stay default-deny.

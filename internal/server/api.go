@@ -39,9 +39,7 @@ type RunRequest struct {
 	Scheme string `json:"scheme"`
 	// Seed perturbs the workload instantiation (zero = the canonical
 	// one; see workload.GetSeeded). Distinct seeds are distinct runs
-	// with their own dedup keys and snapshot files. Requires a
-	// seed-aware Backend; a daemon without one rejects nonzero seeds
-	// with 400.
+	// with their own dedup keys and snapshot files.
 	Seed uint64 `json:"seed,omitempty"`
 	// MaxInstructions, when nonzero, asserts the daemon's per-run
 	// budget; a mismatch is rejected with 400 so a client never

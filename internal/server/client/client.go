@@ -1,8 +1,8 @@
 // Package client is the thin Go client for plutusd's v1 API, used by
-// `plutussim -remote` and the CI smoke job. It speaks the wire types of
-// internal/server and adds the client-side conveniences the protocol
-// deliberately leaves out: 429 retry with Retry-After, SSE consumption
-// with a polling fallback, and a submit-wait-fetch one-shot.
+// `plutussim -remote` and the cluster coordinator. It speaks the wire
+// types of internal/server and adds the client-side conveniences the
+// protocol deliberately leaves out: 429 retry with Retry-After, waiting
+// on the SSE stream, and a submit-wait-fetch one-shot.
 package client
 
 import (
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -26,86 +25,49 @@ import (
 
 // Client talks to one plutusd instance.
 type Client struct {
-	base string
-	hc   *http.Client
-	// PollInterval paces the polling fallback of Wait (default 100 ms).
-	PollInterval time.Duration
-	// Backoff paces 429 retries in SubmitRetry/Run. The zero value uses
-	// DefaultBackoff.
-	Backoff Backoff
+	base  string
+	hc    *http.Client
+	retry backoff
 }
 
-// Backoff is the capped, jittered exponential retry policy the client
-// applies when the daemon answers 429. The server's Retry-After advice
-// is the floor of each wait; the exponential term takes over when the
-// advice stays optimistic under sustained saturation, and the cap keeps
-// a long-saturated queue from pushing waits beyond tail-latency budgets.
-type Backoff struct {
-	// Base is the first retry's wait before jitter (default 100 ms).
-	Base time.Duration
-	// Cap bounds every wait, advice included (default 5 s).
-	Cap time.Duration
-	// Factor multiplies the wait per attempt (default 2).
-	Factor float64
-	// MaxAttempts bounds the number of submissions; past it the last
-	// QueueFullError is returned. Zero means retry until the context
-	// cancels — the caller owns the deadline.
-	MaxAttempts int
-	// Jitter, when set, perturbs a computed wait (tests inject a fixed
-	// function). Nil uses the default ±25% spread, which decorrelates a
-	// thundering herd of clients all told to retry after the same advice.
-	Jitter func(time.Duration) time.Duration
-}
-
-// DefaultBackoff is the policy used when Client.Backoff is zero.
-var DefaultBackoff = Backoff{Base: 100 * time.Millisecond, Cap: 5 * time.Second, Factor: 2}
-
-func (b Backoff) normalize() Backoff {
-	d := DefaultBackoff
-	if b.Base <= 0 {
-		b.Base = d.Base
-	}
-	if b.Cap <= 0 {
-		b.Cap = d.Cap
-	}
-	if b.Factor < 1 {
-		b.Factor = d.Factor
-	}
-	return b
+// backoff is the capped, jittered exponential policy SubmitRetry applies
+// when the daemon answers 429 (New fixes it at 100 ms doubling to 5 s).
+// The server's Retry-After advice is the floor of each wait; the
+// exponential term takes over when the advice stays optimistic under
+// sustained saturation, and the cap keeps a long-saturated queue from
+// pushing waits beyond tail-latency budgets.
+type backoff struct {
+	base, cap time.Duration
+	// jitter perturbs a computed wait; nil spreads it ±25%, which
+	// decorrelates a herd of clients all told to retry after the same
+	// advice. Tests pin it.
+	jitter func(time.Duration) time.Duration
 }
 
 // wait computes attempt's sleep (0-based): the larger of the server's
 // advice and the exponential term, capped, then jittered.
-func (b Backoff) wait(attempt int, advice time.Duration) time.Duration {
-	w := time.Duration(float64(b.Base) * math.Pow(b.Factor, float64(attempt)))
-	if w <= 0 || w > b.Cap { // <= 0: float→int64 overflow of the exponential term
-		w = b.Cap
+func (b backoff) wait(attempt int, advice time.Duration) time.Duration {
+	w := b.base
+	for i := 0; i < attempt && w < b.cap; i++ {
+		w *= 2
 	}
-	if w < advice {
-		w = advice
-	}
-	if w > b.Cap {
-		w = b.Cap
-	}
-	if b.Jitter != nil {
-		w = b.Jitter(w)
+	w = min(max(w, advice), b.cap)
+	if b.jitter != nil {
+		w = b.jitter(w)
 	} else {
 		// ±25%, full-jitter style: rand here is load-spreading, not
 		// simulation state — the client is outside the determinism scope.
 		w = w/2 + w/4 + time.Duration(rand.Int64N(int64(w/2)+1))
 	}
-	if w > b.Cap {
-		w = b.Cap
-	}
-	return w
+	return min(w, b.cap)
 }
 
 // New returns a Client for the daemon at base (e.g. "http://127.0.0.1:8091").
 func New(base string) *Client {
 	return &Client{
-		base:         strings.TrimRight(base, "/"),
-		hc:           &http.Client{},
-		PollInterval: 100 * time.Millisecond,
+		base:  strings.TrimRight(base, "/"),
+		hc:    &http.Client{},
+		retry: backoff{base: 100 * time.Millisecond, cap: 5 * time.Second},
 	}
 }
 
@@ -282,53 +244,30 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.Event)) e
 	return io.ErrUnexpectedEOF
 }
 
-// Wait blocks until the run settles, preferring the SSE stream and
-// falling back to polling if streaming fails, then returns the final
-// status.
+// Wait blocks until the run settles and returns its final status. It
+// follows the SSE stream, which always ends with the terminal event; a
+// stream that breaks first is an error.
 func (c *Client) Wait(ctx context.Context, id string) (server.RunStatus, error) {
-	if err := c.Events(ctx, id, nil); err == nil {
-		return c.Status(ctx, id)
-	} else if ctx.Err() != nil {
-		return server.RunStatus{}, ctx.Err()
+	if err := c.Events(ctx, id, nil); err != nil {
+		return server.RunStatus{}, err
 	}
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
-	}
+	return c.Status(ctx, id)
 }
 
 // SubmitRetry submits one run, absorbing 429 backpressure: each
 // rejection waits out the larger of the daemon's Retry-After advice and
 // the policy's capped exponential term (jittered so herds decorrelate),
-// then resubmits. It returns on acceptance, on any non-429 error, when
-// ctx cancels, or after Backoff.MaxAttempts submissions.
+// then resubmits. It returns on acceptance, on any non-429 error, or
+// when ctx ends.
 func (c *Client) SubmitRetry(ctx context.Context, req server.RunRequest) (server.RunStatus, error) {
-	b := c.Backoff.normalize()
 	for attempt := 0; ; attempt++ {
 		st, err := c.Submit(ctx, req)
 		var full *QueueFullError
 		if err == nil || !errors.As(err, &full) {
 			return st, err
 		}
-		if b.MaxAttempts > 0 && attempt+1 >= b.MaxAttempts {
-			return st, err
-		}
 		select {
-		case <-time.After(b.wait(attempt, full.RetryAfter)):
+		case <-time.After(c.retry.wait(attempt, full.RetryAfter)):
 		case <-ctx.Done():
 			return st, ctx.Err()
 		}

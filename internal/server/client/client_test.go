@@ -15,11 +15,11 @@ import (
 )
 
 // TestBackoffWait pins the retry schedule's shape: exponential growth
-// from Base, the server's advice as a floor, the cap as a ceiling —
+// from base, the server's advice as a floor, the cap as a ceiling —
 // with jitter pinned to identity so the arithmetic is observable.
 func TestBackoffWait(t *testing.T) {
 	ident := func(d time.Duration) time.Duration { return d }
-	b := Backoff{Base: 100 * time.Millisecond, Cap: 2 * time.Second, Factor: 2, Jitter: ident}.normalize()
+	b := backoff{base: 100 * time.Millisecond, cap: 2 * time.Second, jitter: ident}
 	cases := []struct {
 		attempt int
 		advice  time.Duration
@@ -31,7 +31,7 @@ func TestBackoffWait(t *testing.T) {
 		{0, time.Second, time.Second},          // advice floors the small exponential term
 		{10, 0, 2 * time.Second},               // cap wins over 102.4 s
 		{0, 30 * time.Second, 2 * time.Second}, // cap wins over advice too
-		{200, time.Second, 2 * time.Second},    // overflow of the exponential term hits the cap
+		{200, time.Second, 2 * time.Second},    // a huge attempt count hits the cap without overflowing
 	}
 	for _, c := range cases {
 		if got := b.wait(c.attempt, c.advice); got != c.want {
@@ -43,12 +43,12 @@ func TestBackoffWait(t *testing.T) {
 // TestBackoffJitterBounded: the default jitter keeps every wait inside
 // (0, cap], never zero and never above the cap.
 func TestBackoffJitterBounded(t *testing.T) {
-	b := Backoff{}.normalize()
+	b := New("").retry
 	for attempt := 0; attempt < 12; attempt++ {
 		for i := 0; i < 50; i++ {
 			w := b.wait(attempt, 700*time.Millisecond)
-			if w <= 0 || w > b.Cap {
-				t.Fatalf("wait(%d) = %s, outside (0, %s]", attempt, w, b.Cap)
+			if w <= 0 || w > b.cap {
+				t.Fatalf("wait(%d) = %s, outside (0, %s]", attempt, w, b.cap)
 			}
 		}
 	}
@@ -63,7 +63,7 @@ type drainBackend struct {
 	runs int
 }
 
-func (d *drainBackend) RunContext(_ context.Context, bench string, sc secmem.Config) (*stats.Stats, error) {
+func (d *drainBackend) RunSeededContext(_ context.Context, bench string, sc secmem.Config, _ uint64) (*stats.Stats, error) {
 	time.Sleep(d.hold)
 	d.mu.Lock()
 	d.runs++
@@ -95,7 +95,7 @@ func TestSaturatedQueueDrainsThroughClient(t *testing.T) {
 		go func(bench string) {
 			defer wg.Done()
 			c := New(ts.URL)
-			c.Backoff = Backoff{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond, Factor: 2}
+			c.retry = backoff{base: 5 * time.Millisecond, cap: 50 * time.Millisecond}
 			// Prove the raw path still fails fast under saturation.
 			if _, err := c.Submit(ctx, server.RunRequest{Benchmark: bench, Scheme: "pssm"}); err != nil {
 				var full *QueueFullError
@@ -127,29 +127,5 @@ func TestSaturatedQueueDrainsThroughClient(t *testing.T) {
 	defer fb.mu.Unlock()
 	if fb.runs != len(benches) {
 		t.Errorf("backend ran %d of %d distinct submissions", fb.runs, len(benches))
-	}
-}
-
-// TestSubmitRetryMaxAttempts: a bounded policy gives up with the last
-// QueueFullError instead of spinning forever.
-func TestSubmitRetryMaxAttempts(t *testing.T) {
-	fb := &drainBackend{hold: 500 * time.Millisecond} // holds the worker past every retry below
-	s := server.New(server.Config{Backend: fb, Workers: 1, QueueDepth: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	ctx := context.Background()
-	c := New(ts.URL)
-	c.Backoff = Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond, Factor: 2, MaxAttempts: 3}
-	if _, err := c.Submit(ctx, server.RunRequest{Benchmark: "bfs", Scheme: "pssm"}); err != nil {
-		t.Fatal(err) // occupies the worker
-	}
-	if _, err := c.SubmitRetry(ctx, server.RunRequest{Benchmark: "hotspot", Scheme: "pssm"}); err != nil {
-		t.Fatal(err) // fills the depth-1 queue
-	}
-	_, err := c.SubmitRetry(ctx, server.RunRequest{Benchmark: "kmeans", Scheme: "pssm"})
-	var full *QueueFullError
-	if !errors.As(err, &full) {
-		t.Fatalf("err = %v, want *QueueFullError after MaxAttempts", err)
 	}
 }

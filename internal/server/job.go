@@ -7,11 +7,11 @@ import (
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
 
-// maxEventsPerJob bounds a subscriber channel so transition can always
-// send without blocking: an unpreempted job emits at most one event per
-// state plus its creation event, far below this. Preemption adds two
-// events per requeue; a slow subscriber on a many-times-preempted job
-// loses intermediate events, never the terminal one it waits for.
+// maxEventsPerJob bounds a subscriber channel so transition never
+// blocks: an unpreempted job emits at most one event per state plus its
+// creation event, far below this. Preemption adds two events per
+// requeue; a slow subscriber on a many-times-preempted job loses
+// intermediate events, never the terminal one it waits for.
 const maxEventsPerJob = 8
 
 // job is one accepted run moving through the queue. All mutable state
@@ -54,7 +54,19 @@ func (j *job) transitionLocked(state State, msg string) {
 	for _, ch := range j.subs {
 		select {
 		case ch <- ev:
-		default: // subscriber channel full — only a many-times-preempted job gets here; drop
+		default:
+			// Subscriber channel full: only a many-times-preempted job gets
+			// here. Drop ev, unless it is the terminal event; then drop the
+			// oldest buffered event instead. The receive must not block:
+			// the subscriber may have drained the channel meanwhile. j.mu
+			// makes this the only sender, so the send then has room.
+			if state.Terminal() {
+				select {
+				case <-ch:
+				default:
+				}
+				ch <- ev
+			}
 		}
 	}
 	if state.Terminal() {

@@ -134,18 +134,6 @@ func TestSeededRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestSeedRejectedWithoutSeedBackend: a daemon whose backend cannot run
-// seeded workloads refuses nonzero seeds up front instead of silently
-// running the canonical instantiation.
-func TestSeedRejectedWithoutSeedBackend(t *testing.T) {
-	fb := newFakeBackend()
-	_, c := startServer(t, server.Config{Backend: fb, Workers: 1, QueueDepth: 2}, fb)
-	_, err := c.Submit(context.Background(), server.RunRequest{Benchmark: "bfs", Scheme: "pssm", Seed: 9})
-	if err == nil || !strings.Contains(err.Error(), "not seed-aware") {
-		t.Fatalf("err = %v, want seed rejection", err)
-	}
-}
-
 // TestSnapshotEndpoints: the migration surface — GET 404s while no
 // PLUTSNAP exists, PUT installs one at the cell's snapshot path (after
 // container validation), GET returns those very bytes, and garbage is

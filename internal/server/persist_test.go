@@ -169,7 +169,7 @@ type preemptBackend struct {
 	gate  chan struct{}
 }
 
-func (p *preemptBackend) RunContext(_ context.Context, bench string, sc secmem.Config) (*stats.Stats, error) {
+func (p *preemptBackend) RunSeededContext(_ context.Context, bench string, sc secmem.Config, _ uint64) (*stats.Stats, error) {
 	p.mu.Lock()
 	if p.calls == nil {
 		p.calls = make(map[string]int)

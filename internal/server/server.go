@@ -19,11 +19,12 @@ import (
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
-// Backend executes one simulation run. *harness.Runner implements it;
-// tests substitute gated fakes to exercise queue mechanics without
-// simulating.
+// Backend executes one simulation run of a seed-perturbed workload
+// instantiation (seed 0 is the canonical one). *harness.Runner
+// implements it; tests substitute gated fakes to exercise queue
+// mechanics without simulating.
 type Backend interface {
-	RunContext(ctx context.Context, bench string, sc secmem.Config) (*stats.Stats, error)
+	RunSeededContext(ctx context.Context, bench string, sc secmem.Config, seed uint64) (*stats.Stats, error)
 }
 
 // metricsBackend is the optional cache-introspection side of a Backend
@@ -31,14 +32,6 @@ type Backend interface {
 // single-flight hit rates.
 type metricsBackend interface {
 	Metrics() harness.Metrics
-}
-
-// SeedBackend is the seed-aware side of a Backend (implemented by
-// *harness.Runner): it runs a seed-perturbed workload instantiation.
-// A daemon whose Backend lacks it rejects nonzero RunRequest.Seed
-// values at submit time.
-type SeedBackend interface {
-	RunSeededContext(ctx context.Context, bench string, sc secmem.Config, seed uint64) (*stats.Stats, error)
 }
 
 // snapshotBackend is the checkpoint-introspection side of a Backend
@@ -221,12 +214,7 @@ func (s *Server) runSlice(j *job) (*stats.Stats, error) {
 		defer cancel()
 	}
 	j.transition(StateRunning, "simulation started")
-	if j.req.Seed != 0 {
-		// Submit-time validation guarantees the assertion: a nonzero
-		// seed is only ever accepted when the backend is seed-aware.
-		return s.cfg.Backend.(SeedBackend).RunSeededContext(ctx, j.req.Benchmark, j.sc, j.req.Seed)
-	}
-	return s.cfg.Backend.RunContext(ctx, j.req.Benchmark, j.sc)
+	return s.cfg.Backend.RunSeededContext(ctx, j.req.Benchmark, j.sc, j.req.Seed)
 }
 
 // requeue puts a preempted job at the back of the queue, behind the
@@ -272,10 +260,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/runs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/schemes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, NameList{Schemes: secmem.Names()})
+		WriteJSON(w, http.StatusOK, NameList{Schemes: secmem.Names()})
 	})
 	mux.HandleFunc("GET /v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, NameList{Benchmarks: workload.Names()})
+		WriteJSON(w, http.StatusOK, NameList{Benchmarks: workload.Names()})
 	})
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/statsz", s.handleStatsz)
@@ -285,16 +273,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as indented JSON. plutusd and the
+// cluster coordinator send every JSON body but a run's result through
+// it, errors as an ErrorResponse.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, resp ErrorResponse) {
-	writeJSON(w, code, resp)
 }
 
 // MaxRequestBytes bounds a JSON request body, here and on the cluster
@@ -314,7 +301,7 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	writeError(w, code, ErrorResponse{Error: "bad request body: " + err.Error()})
+	WriteJSON(w, code, ErrorResponse{Error: "bad request body: " + err.Error()})
 	return false
 }
 
@@ -327,7 +314,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Validate before enqueue: a job that reaches the queue can only
 	// fail in simulation, never on name resolution.
 	if _, err := workload.Get(req.Benchmark); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error:           err.Error(),
 			ValidBenchmarks: workload.Names(),
 		})
@@ -335,31 +322,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc, err := secmem.ByName(req.Scheme, s.cfg.ProtectedBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error:        err.Error(),
 			ValidSchemes: secmem.Names(),
 		})
 		return
 	}
 	if req.MaxInstructions != 0 && req.MaxInstructions != s.cfg.MaxInstructions {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf(
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf(
 			"budget mismatch: request asserts %d instructions/run, daemon runs %d",
 			req.MaxInstructions, s.cfg.MaxInstructions)})
 		return
-	}
-	if req.Seed != 0 {
-		if _, ok := s.cfg.Backend.(SeedBackend); !ok {
-			writeError(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf(
-				"seed %d rejected: this daemon's backend is not seed-aware", req.Seed)})
-			return
-		}
 	}
 	key := req.Key()
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining; not accepting new runs"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining; not accepting new runs"})
 		return
 	}
 	if dup, ok := s.pending[key]; ok {
@@ -367,7 +347,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		status := dup.snapshot()
 		status.Deduped = true
-		writeJSON(w, http.StatusOK, status)
+		WriteJSON(w, http.StatusOK, status)
 		return
 	}
 	s.nextID++
@@ -380,13 +360,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.accepted++
 		s.mu.Unlock()
 		s.persist(j)
-		writeJSON(w, http.StatusAccepted, j.snapshot())
+		WriteJSON(w, http.StatusAccepted, j.snapshot())
 	default:
 		s.rejected++
 		retry := s.retryAfterLocked()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests, ErrorResponse{
+		WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:             fmt.Sprintf("queue full (%d jobs waiting)", cap(s.queue)),
 			RetryAfterSeconds: retry,
 		})
@@ -415,10 +395,10 @@ func (s *Server) lookup(r *http.Request) (*job, bool) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: "unknown run id"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown run id"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 // handleResult serves a finished run through the canonical harness
@@ -426,16 +406,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: "unknown run id"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown run id"})
 		return
 	}
 	st, err, done := j.result()
 	if !done {
-		writeError(w, http.StatusConflict, ErrorResponse{Error: "run not finished; poll /v1/runs/{id} or stream /v1/runs/{id}/events"})
+		WriteJSON(w, http.StatusConflict, ErrorResponse{Error: "run not finished; poll /v1/runs/{id} or stream /v1/runs/{id}/events"})
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
@@ -449,7 +429,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, harness.Report(st, j.sc))
 	default:
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown format %q (json, csv, text)", format)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown format %q (json, csv, text)", format)})
 	}
 }
 
@@ -459,12 +439,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: "unknown run id"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown run id"})
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, ErrorResponse{Error: "streaming unsupported by connection"})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "streaming unsupported by connection"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -498,7 +478,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "draining": draining})
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "draining": draining})
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -527,5 +507,5 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		m := mb.Metrics()
 		sz.Cache = &CacheStatsz{Lookups: m.Lookups, Executions: m.Executions, HitRate: m.HitRate()}
 	}
-	writeJSON(w, http.StatusOK, sz)
+	WriteJSON(w, http.StatusOK, sz)
 }

@@ -39,7 +39,7 @@ func newFakeBackend() *fakeBackend {
 	return &fakeBackend{started: make(chan string, 16), release: make(chan struct{})}
 }
 
-func (f *fakeBackend) RunContext(_ context.Context, bench string, sc secmem.Config) (*stats.Stats, error) {
+func (f *fakeBackend) RunSeededContext(_ context.Context, bench string, sc secmem.Config, _ uint64) (*stats.Stats, error) {
 	f.mu.Lock()
 	f.runs++
 	f.mu.Unlock()

@@ -54,16 +54,16 @@ func (s *Server) snapshotQuery(r *http.Request) (path string, err error) {
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	path, err := s.snapshotQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: "no snapshot for this cell (run never checkpointed, or completed)"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no snapshot for this cell (run never checkpointed, or completed)"})
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -80,28 +80,28 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	path, err := s.snapshotQuery(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxSnapshotBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	if len(data) > maxSnapshotBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "snapshot exceeds size bound"})
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "snapshot exceeds size bound"})
 		return
 	}
 	// Reject garbage before it can shadow a real resume: the container
 	// must decode (section table, CRCs, version) even though the
 	// engine-level restore happens later, inside the run.
 	if _, err := checkpoint.Decode(data); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("not a valid PLUTSNAP: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("not a valid PLUTSNAP: %v", err)})
 		return
 	}
 	if err := checkpoint.WriteFileAtomic(path, data); err != nil {
-		writeError(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"installed": true, "bytes": len(data)})
+	WriteJSON(w, http.StatusOK, map[string]any{"installed": true, "bytes": len(data)})
 }
