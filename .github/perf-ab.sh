@@ -6,11 +6,13 @@
 # Runs perfbench's sweep-graph workload (seed 1, untraced) at both
 # checkouts in 5 pairs, alternating which side goes first, and appends
 # each run's result line to OUT_DIR/base.jsonl or OUT_DIR/head.jsonl.
-# The run length and the kinsts_per_s bound are read from
+# The run length and the kinsts_per_s and alloc_mb bounds are read from
 # HEAD_DIR/BENCHMARK.json. It fails when any run exits non-zero (a
-# failed output check), or when the head loses every pair and its median
-# kinsts_per_s is below the base's by more than the bound. A base that
-# has no perfbench/run.sh is skipped with a notice.
+# failed output check), when the head loses every pair and its median
+# kinsts_per_s is below the base's by more than its bound, or when the
+# head's median alloc_mb is above the base's by more than its bound
+# (alloc_mb is deterministic, so one comparison of medians decides). A
+# base that has no perfbench/run.sh is skipped with a notice.
 set -euo pipefail
 [ $# -eq 3 ] || { echo "usage: $0 BASE_DIR HEAD_DIR OUT_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -25,7 +27,8 @@ if [ ! -f "$base/perfbench/run.sh" ]; then
 fi
 seconds=$(jq -er '.run_seconds' "$head/BENCHMARK.json")
 bound=$(jq -er '.end_to_end[] | select(.name == "kinsts_per_s") | .bound' "$head/BENCHMARK.json")
-echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound"
+alloc_bound=$(jq -er '.end_to_end[] | select(.name == "alloc_mb") | .bound' "$head/BENCHMARK.json")
+echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound, alloc_mb bound $alloc_bound"
 
 : > "$out/base.jsonl"
 : > "$out/head.jsonl"
@@ -51,15 +54,25 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-jq -n --argjson bound "$bound" --slurpfile b "$out/base.jsonl" --slurpfile h "$out/head.jsonl" '
+jq -n --argjson bound "$bound" --argjson alloc_bound "$alloc_bound" \
+	--slurpfile b "$out/base.jsonl" --slurpfile h "$out/head.jsonl" '
 	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
 	($b | map(.metrics.kinsts_per_s.value)) as $base
 	| ($h | map(.metrics.kinsts_per_s.value)) as $head
 	| {base: $base, head: $head, base_median: ($base | median), head_median: ($head | median),
-	   head_wins: ([range($base | length) | select($head[.] >= $base[.])] | length), bound: $bound}
-	| .regressed = (.head_wins == 0 and .head_median < .base_median * (1 - $bound))' > "$out/summary.json"
+	   head_wins: ([range($base | length) | select($head[.] >= $base[.])] | length), bound: $bound,
+	   base_alloc_mb_median: ($b | map(.metrics.alloc_mb.value) | median),
+	   head_alloc_mb_median: ($h | map(.metrics.alloc_mb.value) | median), alloc_bound: $alloc_bound}
+	| .regressed = (.head_wins == 0 and .head_median < .base_median * (1 - $bound))
+	| .alloc_regressed = (.head_alloc_mb_median > .base_alloc_mb_median * (1 + $alloc_bound))' > "$out/summary.json"
 cat "$out/summary.json"
+status=0
 if jq -e '.regressed' "$out/summary.json" > /dev/null; then
 	echo "::error::perf-ab: the head lost all $pairs pairs and its median kinsts_per_s is more than $bound below the base's"
-	exit 1
+	status=1
 fi
+if jq -e '.alloc_regressed' "$out/summary.json" > /dev/null; then
+	echo "::error::perf-ab: the head's median alloc_mb is more than $alloc_bound above the base's"
+	status=1
+fi
+exit "$status"

@@ -27,60 +27,33 @@
 //
 // Usage:
 //
-//	simlint [-json|-sarif] [packages]    # standalone; defaults to ./...
-//	go vet -vettool=$(which simlint) ./...
+//	simlint [-sarif] [packages]    # defaults to ./...
 //
-// -json emits one object per finding; -sarif emits a SARIF 2.1.0 log
-// for CI code-scanning upload. Both carry a stable ID per finding
-// (hash of analyzer, root-relative path, and message) so annotations
-// keep their identity across unrelated edits.
+// Each finding carries a stable ID (hash of analyzer, root-relative
+// path, and message) so annotations keep their identity across
+// unrelated edits. -sarif emits a SARIF 2.1.0 log for CI code-scanning
+// upload instead of one text line per finding.
 //
 // Exit status: 0 clean, 1 tool error, 2 findings reported.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"github.com/plutus-gpu/plutus/internal/lint/loader"
 	"github.com/plutus-gpu/plutus/internal/lint/simlint"
-	"github.com/plutus-gpu/plutus/internal/lint/unitchecker"
 )
 
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
+	var sarifOut bool
+	var patterns []string
+	for _, a := range os.Args[1:] {
 		switch a {
-		case "-V=full", "--V=full":
-			// cmd/go version handshake: the build ID keys vet's
-			// result cache, so hash the executable itself.
-			printVersion()
-			return
-		case "-flags", "--flags":
-			// cmd/go flag handshake; this tool defines no flags.
-			fmt.Println("[]")
-			return
 		case "-h", "-help", "--help":
 			usage()
 			return
-		}
-	}
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Invoked by `go vet -vettool=` with a unit config.
-		unitchecker.Run(args[0], simlint.Analyzers(), simlint.Names())
-		return
-	}
-
-	var jsonOut, sarifOut bool
-	var patterns []string
-	for _, a := range args {
-		switch a {
-		case "-json", "--json":
-			jsonOut = true
 		case "-sarif", "--sarif":
 			sarifOut = true
 		default:
@@ -90,13 +63,6 @@ func main() {
 			}
 			patterns = append(patterns, a)
 		}
-	}
-	if jsonOut && sarifOut {
-		fmt.Fprintln(os.Stderr, "simlint: -json and -sarif are mutually exclusive")
-		os.Exit(1)
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
 	}
 	pkgs, err := loader.Load("", patterns...)
 	if err != nil {
@@ -114,17 +80,13 @@ func main() {
 	} else {
 		fs = []finding{}
 	}
-	switch {
-	case jsonOut:
-		err = emitJSON(fs)
-	case sarifOut:
-		err = emitSARIF(fs)
-	default:
+	if sarifOut {
+		if err := emitSARIF(fs); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	} else {
 		emitText(fs)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 	if len(fs) > 0 {
 		os.Exit(2)
@@ -135,11 +97,9 @@ func usage() {
 	fmt.Print(`simlint enforces the simulator's determinism invariants.
 
 Usage:
-  simlint [-json|-sarif] [packages]         standalone; defaults to ./...
-  go vet -vettool=/path/to/simlint ./...    as a vet tool
+  simlint [-sarif] [packages]    defaults to ./...
 
-Flags (standalone mode only):
-  -json    emit findings as JSON with stable per-finding IDs
+Flags:
   -sarif   emit a SARIF 2.1.0 log for CI code-scanning upload
 
 Analyzers:
@@ -155,17 +115,4 @@ In full-suite runs a directive that suppresses nothing is itself an
 error (unusedignore): remove directives when the code they excused is
 fixed.
 `)
-}
-
-// printVersion implements the `-V=full` handshake cmd/go uses to key
-// the vet result cache: program name plus a content hash of the
-// binary.
-func printVersion() {
-	progname := os.Args[0]
-	h := sha256.New()
-	if f, err := os.Open(progname); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
 }

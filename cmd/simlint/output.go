@@ -14,15 +14,15 @@ import (
 	"github.com/plutus-gpu/plutus/internal/lint/simlint"
 )
 
-// finding is one rendered diagnostic, shared by the -json and -sarif
+// finding is one rendered diagnostic, shared by the text and SARIF
 // emitters.
 type finding struct {
-	ID       string `json:"id"`
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
+	ID       string
+	Analyzer string
+	File     string
+	Line     int
+	Column   int
+	Message  string
 }
 
 // stableID fingerprints a diagnostic for cross-run identity (CI
@@ -61,12 +61,6 @@ func render(fset *token.FileSet, diags []analysis.Diagnostic) []finding {
 		})
 	}
 	return out
-}
-
-func emitJSON(fs []finding) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(fs)
 }
 
 // sarifRules describes every analyzer in the suite plus the two

@@ -171,7 +171,6 @@ type Counters struct {
 // Close.
 type Coordinator struct {
 	cfg   Config
-	keyer *harness.Runner
 	store *castore.Store
 
 	mu        sync.Mutex
@@ -199,7 +198,6 @@ func New(cfg Config) *Coordinator {
 	}
 	co := &Coordinator{
 		cfg:       cfg,
-		keyer:     harness.NewRunner(cfg.Harness),
 		store:     store,
 		workers:   map[string]*worker{},
 		cells:     map[string]*cell{},
@@ -337,7 +335,7 @@ func (co *Coordinator) resolve(bench, scheme string, seed uint64) (string, error
 	if err != nil {
 		return "", &BadRequestError{err}
 	}
-	return co.keyer.CacheKey(bench, sc, seed), nil
+	return harness.CacheKey(co.cfg.Harness, bench, sc, seed), nil
 }
 
 // startCell begins (or joins) the single-flight execution of one cell.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -517,5 +518,18 @@ func TestNoSnapshotTrafficWithoutCheckpoints(t *testing.T) {
 		if got[route] != cells {
 			t.Errorf("%s: %d requests for %d cells, want one per cell", route, got[route], cells)
 		}
+	}
+}
+
+// TestNewKeepsGCPercent: the coordinator only computes store keys and
+// never simulates, so building one must leave the process's GC target
+// alone (a simulating harness.Runner raises it).
+func TestNewKeepsGCPercent(t *testing.T) {
+	prev := debug.SetGCPercent(100)
+	defer debug.SetGCPercent(prev)
+	co := New(Config{})
+	defer co.Close()
+	if got := debug.SetGCPercent(100); got != 100 {
+		t.Fatalf("cluster.New set the GC percent to %d, want it left at 100", got)
 	}
 }

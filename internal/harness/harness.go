@@ -70,27 +70,25 @@ type Config struct {
 
 // DefaultConfig returns the sweep configuration used by cmd/experiments.
 func DefaultConfig() Config {
-	return Config{
-		ProtectedBytes:  128 << 20,
-		MaxInstructions: 20000,
-		Benchmarks:      workload.SuiteNames(),
-		Parallelism:     runtime.GOMAXPROCS(0),
-	}
+	var c Config
+	c.normalize()
+	return c
 }
 
+// normalize fills c's zero fields with the defaults. Only a missing
+// benchmark list allocates, so CacheKey can run it per key.
 func (c *Config) normalize() {
-	d := DefaultConfig()
 	if c.ProtectedBytes == 0 {
-		c.ProtectedBytes = d.ProtectedBytes
+		c.ProtectedBytes = 128 << 20
 	}
 	if c.MaxInstructions == 0 {
-		c.MaxInstructions = d.MaxInstructions
+		c.MaxInstructions = 20000
 	}
 	if len(c.Benchmarks) == 0 {
-		c.Benchmarks = d.Benchmarks
+		c.Benchmarks = workload.SuiteNames()
 	}
 	if c.Parallelism <= 0 {
-		c.Parallelism = d.Parallelism
+		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -167,33 +165,40 @@ func NewRunner(cfg Config) *Runner {
 func (r *Runner) Config() Config { return r.cfg }
 
 func (r *Runner) key(bench string, sc secmem.Config, seed uint64) string {
-	k := fmt.Sprintf("%s|%s|%d|%d", bench, sc.Scheme, r.cfg.MaxInstructions, sc.ProtectedBytes)
+	return CacheKey(r.cfg, bench, sc, seed)
+}
+
+// CacheKey returns the run-cache key of one grid cell under this
+// runner's configuration.
+func (r *Runner) CacheKey(bench string, sc secmem.Config, seed uint64) string {
+	return CacheKey(r.cfg, bench, sc, seed)
+}
+
+// CacheKey returns the run-cache key of one grid cell under cfg — the
+// string the cluster's content-addressed result store indexes by, so a
+// worker's bytes and a local single-box run of the same cell land on
+// the same address. It builds no Runner, so a process that only
+// computes keys (the cluster coordinator) keeps its own GC target.
+func CacheKey(cfg Config, bench string, sc secmem.Config, seed uint64) string {
+	cfg.normalize()
+	k := fmt.Sprintf("%s|%s|%d|%d", bench, sc.Scheme, cfg.MaxInstructions, cfg.ProtectedBytes)
 	if seed != 0 {
 		// Seed zero is the canonical workload instantiation (workload.Get);
 		// omitting it keeps every pre-seed cache key, snapshot filename,
 		// and golden fixture stable.
 		k += fmt.Sprintf("|seed=%d", seed)
 	}
-	if r.cfg.CheckpointEvery > 0 {
+	if cfg.CheckpointEvery > 0 {
 		// Checkpoint drains perturb timing; keep cadenced runs in their
 		// own cache lineage (and their own snapshot files).
-		k += fmt.Sprintf("|ckpt=%d", r.cfg.CheckpointEvery)
+		k += fmt.Sprintf("|ckpt=%d", cfg.CheckpointEvery)
 	}
-	if r.cfg.TamperPlan != nil {
+	if cfg.TamperPlan != nil {
 		// Two runs share a cache entry only under identical attack
 		// schedules.
-		k += "|tamper=" + r.cfg.TamperPlan.Fingerprint()
+		k += "|tamper=" + cfg.TamperPlan.Fingerprint()
 	}
 	return k
-}
-
-// CacheKey returns the run-cache key of one grid cell under this
-// runner's configuration — the string the cluster's content-addressed
-// result store indexes by, so a worker's bytes and a local single-box
-// run of the same cell land on the same address.
-func (r *Runner) CacheKey(bench string, sc secmem.Config, seed uint64) string {
-	sc.ProtectedBytes = r.cfg.ProtectedBytes
-	return r.key(bench, sc, seed)
 }
 
 // SnapshotPath returns the snapshot file a given run reads and writes:
@@ -207,7 +212,6 @@ func (r *Runner) SnapshotPath(bench string, sc secmem.Config) string {
 // coordinator migrate one grid cell's PLUTSNAP between workers without
 // colliding with the canonical seed-zero lineage.
 func (r *Runner) SnapshotPathSeeded(bench string, sc secmem.Config, seed uint64) string {
-	sc.ProtectedBytes = r.cfg.ProtectedBytes
 	name := strings.NewReplacer("|", "_", "/", "_").Replace(r.key(bench, sc, seed))
 	return filepath.Join(r.cfg.CheckpointDir, name+".ckpt")
 }

@@ -108,9 +108,9 @@ func Suppress(fset *token.FileSet, files []*ast.File, valid map[string]bool, dia
 // SuppressChecked is Suppress plus staleness enforcement: a directive
 // that suppresses no diagnostic of the run is itself reported, under
 // the pseudo-analyzer "unusedignore" (unsuppressable, like malformed
-// directives). Only full-suite drivers use this variant — a
-// single-analyzer run (analysistest, go vet with one -vettool check
-// selected) would see every other analyzer's directives as stale.
+// directives). Only full-suite runs use this variant — a
+// single-analyzer run (analysistest) would see every other analyzer's
+// directives as stale.
 func SuppressChecked(fset *token.FileSet, files []*ast.File, valid map[string]bool, diags []Diagnostic) []Diagnostic {
 	return suppress(fset, files, valid, diags, true)
 }

@@ -183,10 +183,9 @@ func posFor(tf *token.File, rec Record) token.Pos {
 	return p + token.Pos(rec.Col-1)
 }
 
-// escapeCache memoizes compiler output per package directory; the
-// drivers analyze the augmented and external-test units of a package
-// back to back, and parallel unit analysis may request the same
-// directory concurrently.
+// escapeCache memoizes compiler output per package directory: simlint
+// analyzes the test variant and the external test unit of a package
+// back to back, and both read the same directory.
 var escapeCache = struct {
 	sync.Mutex
 	m map[string]cacheEntry

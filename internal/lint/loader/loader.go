@@ -1,16 +1,15 @@
-// Package loader discovers and type-checks packages for the standalone
-// simlint driver.
+// Package loader discovers and type-checks packages for simlint.
 //
-// Discovery shells out to `go list -json`, the single source of truth
-// for which files belong to a package under the active build
-// configuration. Each listed package yields up to two analysis units:
-// the augmented unit (GoFiles + TestGoFiles, compiled together exactly
-// as `go test` compiles them) and the external test unit
-// (XTestGoFiles, package foo_test). Type information comes from the
-// source importer, so no pre-built export data is required; the
-// external test unit is checked against the augmented package so that
-// export_test.go-style helpers resolve, with the packages that import
-// it re-checked against the same unit, as `go test` rebuilds them.
+// One `go list -e -json -export -deps -test` call is the single source
+// of truth: it names the files of every analysis unit under the active
+// build configuration, and it compiles every dependency's export data
+// into the build cache, exactly as `go test` builds them. Each package
+// yields up to two units: the test variant (GoFiles + TestGoFiles,
+// compiled together) and the external test (XTestGoFiles, package
+// foo_test). Every unit type-checks only its own files; its imports
+// resolve through its ImportMap to the export data of the listing `go
+// test` would link, so an external test sees the augmented package
+// under test, and so do the packages `go test` recompiles against it.
 package loader
 
 import (
@@ -23,11 +22,13 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
+	"sort"
 	"strings"
-	"sync"
+
+	"github.com/plutus-gpu/plutus/internal/lint/analysis"
 )
 
 // Package is one type-checked analysis unit.
@@ -43,32 +44,35 @@ type Package struct {
 
 // listed mirrors the subset of `go list -json` output we consume.
 type listed struct {
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Standard     bool
-	DepOnly      bool
-	ForTest      string
-	Error        *listError
+	Dir        string
+	ImportPath string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	ForTest    string
+	Error      *listError
 }
 
 type listError struct {
 	Err string
 }
 
+// path is the listing's import path without the " [foo.test]" suffix
+// `go list -test` gives a package built for a test.
+func (lp *listed) path() string {
+	p, _, _ := strings.Cut(lp.ImportPath, " ")
+	return p
+}
+
 // Load lists patterns in dir (the module root; "" means the current
-// directory) and returns one Package per analysis unit, in `go list`
-// order with the augmented unit before its external test unit.
+// directory) and returns one Package per analysis unit, ordered by
+// import path with each external test unit right after its package.
 //
-// Units are type-checked in parallel in two phases: first every
-// augmented unit, then every external test unit (which must see its
-// augmented package). token.FileSet is internally synchronized; the
-// shared source importer is serialized by lockedImporter, so the
-// concurrency win is in parsing and in checking the unit bodies
-// themselves. The returned order is the deterministic sequential order
-// regardless of goroutine scheduling.
+// The units are the listings the patterns matched: a package's test
+// variant stands in for the package itself, and the generated test
+// mains are left out. They are checked one after another.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -78,196 +82,86 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 
-	fset := token.NewFileSet()
-	// One shared source importer so dependency packages are
-	// type-checked at most once across all units.
-	src := &lockedImporter{next: importer.ForCompiler(fset, "source", nil)}
-
-	var lps []listed
+	exports := map[string]string{}
+	tested := map[string]bool{}  // foo, when anything is built for foo.test
+	variant := map[string]bool{} // foo, when "foo [foo.test]" is listed
 	for _, lp := range pkgs {
-		if lp.Standard || lp.ForTest != "" {
+		exports[lp.ImportPath] = lp.Export
+		if lp.ForTest != "" {
+			tested[lp.ForTest] = true
+			variant[lp.ForTest] = variant[lp.ForTest] || lp.path() == lp.ForTest
+		}
+	}
+	var units []listed
+	for _, lp := range pkgs {
+		if lp.DepOnly || lp.Standard {
 			continue
+		}
+		if variant[lp.ImportPath] {
+			continue // its test variant stands in for it
+		}
+		if p, ok := strings.CutSuffix(lp.ImportPath, ".test"); ok && tested[p] {
+			continue // the generated test main
 		}
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		lps = append(lps, lp)
+		units = append(units, lp)
 	}
+	// Import-path order, each external test right after its package: a
+	// space sorts before every character an import path can hold.
+	key := func(lp listed) string {
+		if lp.ForTest != "" && lp.path() != lp.ForTest {
+			return lp.ForTest + " "
+		}
+		return lp.path()
+	}
+	sort.Slice(units, func(i, j int) bool { return key(units[i]) < key(units[j]) })
 
-	// Phase 1: augmented units (GoFiles + TestGoFiles).
-	augs := make([]*Package, len(lps))
-	errs := make([]error, len(lps))
-	eachIndex(len(lps), func(i int) {
-		lp := lps[i]
-		augs[i], errs[i] = check(fset, src, lp, lp.ImportPath,
-			append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...))
-	})
-	for _, err := range errs {
+	fset := token.NewFileSet()
+	out := make([]*Package, 0, len(units))
+	for _, lp := range units {
+		p, err := check(fset, lp, exports)
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, p)
 	}
-
-	// Phase 2: external test units, against their augmented packages.
-	rebuilt, err := rebuiltForTest(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	xts := make([]*Package, len(lps))
-	eachIndex(len(lps), func(i int) {
-		lp := lps[i]
-		if len(lp.XTestGoFiles) == 0 {
-			return
-		}
-		// foo_test imports foo. Only when foo has in-package test
-		// files does that import resolve to the augmented unit (so
-		// export_test.go-style helpers are visible); otherwise the
-		// augmented unit is identical to the plain package, and the
-		// shared source importer serves it.
-		var imp types.Importer = src
-		if len(lp.TestGoFiles) > 0 {
-			imp = &testImporter{fset: fset, self: lp.ImportPath, pkg: augs[i].Types,
-				rebuilt: rebuilt[lp.ImportPath], next: src, done: map[string]*types.Package{}}
-		}
-		xts[i], errs[i] = check(fset, imp, lp, lp.ImportPath+"_test", lp.XTestGoFiles)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var units []*Package
-	for i := range lps {
-		if augs[i] != nil {
-			units = append(units, augs[i])
-		}
-		if xts[i] != nil {
-			units = append(units, xts[i])
-		}
-	}
-	return units, nil
+	return out, nil
 }
 
-// eachIndex runs fn(0..n-1) on up to NumCPU goroutines and waits.
-func eachIndex(n int, fn func(i int)) {
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// lockedImporter serializes access to a non-concurrency-safe importer
-// so parallel unit type-checks can share one dependency cache.
-type lockedImporter struct {
-	mu   sync.Mutex
-	next types.Importer
-}
-
-func (l *lockedImporter) Import(path string) (*types.Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next.Import(path)
-}
-
-func check(fset *token.FileSet, imp types.Importer, lp listed, path string, files []string) (*Package, error) {
-	if len(files) == 0 {
-		return nil, nil
-	}
-	var asts []*ast.File
-	for _, f := range files {
+// check parses one unit's files and type-checks them against the export
+// data its ImportMap selects.
+func check(fset *token.FileSet, lp listed, exports map[string]string) (*Package, error) {
+	var files []*ast.File
+	for _, f := range lp.GoFiles {
 		af, err := parser.ParseFile(fset, filepath.Join(lp.Dir, f), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		asts = append(asts, af)
+		files = append(files, af)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, asts, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %v", path, err)
-	}
-
-	return &Package{Path: path, Fset: fset, Files: asts, Types: tpkg, Info: info}, nil
-}
-
-// rebuiltForTest asks `go list -deps -test` which packages `go test`
-// recompiles for each test: the external test's dependencies that
-// import the package under test (internal/server_test imports
-// internal/server/client, which imports internal/server). go list names
-// them "bar [foo.test]"; the result maps foo, then bar, to bar's
-// listing.
-func rebuiltForTest(dir string, patterns []string) (map[string]map[string]listed, error) {
-	pkgs, err := goList(dir, append([]string{"-deps", "-test"}, patterns...))
-	if err != nil {
-		return nil, err
-	}
-	rebuilt := map[string]map[string]listed{}
-	for _, lp := range pkgs {
-		if lp.ForTest == "" || !lp.DepOnly {
-			continue
+	lookup := func(path string) (io.ReadCloser, error) {
+		if canon, ok := lp.ImportMap[path]; ok {
+			path = canon
 		}
-		path, _, _ := strings.Cut(lp.ImportPath, " ")
-		if rebuilt[lp.ForTest] == nil {
-			rebuilt[lp.ForTest] = map[string]listed{}
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		rebuilt[lp.ForTest][path] = lp
+		return os.Open(file)
 	}
-	return rebuilt, nil
-}
-
-// testImporter resolves an external test unit's imports the way `go
-// test` builds them when the package under test has in-package test
-// files: the package itself is the augmented unit, and each package in
-// rebuilt is re-checked from source against that unit, so the test sees
-// one copy of each type. Everything else comes from the shared
-// importer. One testImporter serves one unit, on one goroutine.
-type testImporter struct {
-	fset    *token.FileSet
-	self    string
-	pkg     *types.Package
-	rebuilt map[string]listed
-	next    types.Importer
-	done    map[string]*types.Package
-}
-
-func (t *testImporter) Import(path string) (*types.Package, error) {
-	if path == t.self {
-		return t.pkg, nil
-	}
-	if p, ok := t.done[path]; ok {
-		return p, nil
-	}
-	lp, ok := t.rebuilt[path]
-	if !ok {
-		return t.next.Import(path)
-	}
-	p, err := check(t.fset, t, lp, path, lp.GoFiles)
+	info := analysis.Info()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+	tpkg, err := conf.Check(lp.path(), fset, files, info)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("typecheck %s: %v", lp.path(), err)
 	}
-	t.done[path] = p.Types
-	return p.Types, nil
+	return &Package{Path: lp.path(), Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 func goList(dir string, patterns []string) ([]listed, error) {
-	args := append([]string{"list", "-json", "-e"}, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-export", "-deps", "-test"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

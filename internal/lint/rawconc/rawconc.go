@@ -1,13 +1,10 @@
 // Package rawconc forbids raw concurrency — go statements and channel
 // operations — everywhere in the module except an explicit allowlist
 // (see scope.RawConc): internal/sim's mailbox machinery, the harness's
-// run fan-out, the plutusd serving tree, the cluster coordinator and
-// its CLI (leases, steals and heartbeats are network orchestration
-// over finished, content-addressed results — note the result store
-// itself, internal/castore, stays denied), and — least-privilege
-// within the lint tree itself — only the package loader and the suite
-// runner, whose fan-out is embarrassingly parallel over independent
-// packages.
+// run fan-out, the plutusd serving tree, and the cluster coordinator
+// (leases, steals and heartbeats are network orchestration over
+// finished, content-addressed results — note the result store itself,
+// internal/castore, stays denied).
 //
 // PR 1's determinism proof rests on a single discipline: every
 // cross-shard interaction is a cycle-stamped message delivered through
@@ -33,8 +30,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "rawconc",
 	Doc: "forbid go statements and raw channel operations outside the allowlisted packages " +
-		"(internal/sim, internal/harness, internal/server, internal/cluster, cmd/plutusd, cmd/plutusctl, " +
-		"internal/lint/loader, internal/lint/simlint); cross-shard traffic must use the cycle-stamped mailbox path (sim.Shard.Send)",
+		"(internal/sim, internal/harness, internal/server, internal/cluster, cmd/plutusd); " +
+		"cross-shard traffic must use the cycle-stamped mailbox path (sim.Shard.Send)",
 	Run: run,
 }
 

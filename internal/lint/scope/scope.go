@@ -12,15 +12,10 @@ import "strings"
 const ModulePath = "github.com/plutus-gpu/plutus"
 
 // Norm reduces an import path to its module-relative form: the module
-// prefix is stripped, as are the " [pkg.test]" suffix `go vet` appends
-// to test variants and the "_test" suffix of external test packages.
-// The module root itself normalizes to ".".
+// prefix is stripped, as is the "_test" suffix of external test
+// packages. The module root itself normalizes to ".".
 func Norm(pkgPath string) string {
-	p := pkgPath
-	if i := strings.Index(p, " ["); i >= 0 {
-		p = p[:i]
-	}
-	p = strings.TrimSuffix(p, "_test")
+	p := strings.TrimSuffix(pkgPath, "_test")
 	if p == ModulePath {
 		return "."
 	}
@@ -84,11 +79,8 @@ func DetRand(pkgPath string) bool {
 // mechanism (cycle-stamped shard mailboxes); the harness fans out
 // independent, internally-deterministic runs; internal/server (with its
 // client) and cmd/plutusd are a network service — a worker pool and
-// bounded queue are their job, and no simulation state lives there. In
-// the lint tree only the loader (parallel package loading) and the
-// suite runner (parallel per-unit analysis) are concurrent; the
-// analyzers themselves, the framework, and the fixture harness are
-// sequential by construction and stay under the default deny so a
+// bounded queue are their job, and no simulation state lives there. The
+// lint tree is sequential and stays under the default deny, so a
 // goroutine can never sneak into result aggregation.
 var rawConcAllowed = []string{
 	"internal/sim",
@@ -96,8 +88,6 @@ var rawConcAllowed = []string{
 	"internal/server",  // covers internal/server/client
 	"internal/cluster", // coordinator: leases, steals and heartbeats are network orchestration, not simulation
 	"cmd/plutusd",
-	"internal/lint/loader",
-	"internal/lint/simlint",
 }
 
 // RawConc reports whether the rawconc analyzer applies: the whole

@@ -4,12 +4,11 @@ import "testing"
 
 func TestNorm(t *testing.T) {
 	cases := map[string]string{
-		ModulePath:                   ".",
-		ModulePath + "/internal/sim": "internal/sim",
-		ModulePath + "/internal/valcache [" + ModulePath + "/internal/valcache.test]": "internal/valcache",
-		ModulePath + "/internal/valcache_test":                                        "internal/valcache",
-		"internal/gpusim":                                                             "internal/gpusim",
-		"example.com/other/pkg":                                                       "example.com/other/pkg",
+		ModulePath:                             ".",
+		ModulePath + "/internal/sim":           "internal/sim",
+		ModulePath + "/internal/valcache_test": "internal/valcache",
+		"internal/gpusim":                      "internal/gpusim",
+		"example.com/other/pkg":                "example.com/other/pkg",
 	}
 	for in, want := range cases {
 		if got := Norm(in); got != want {
@@ -62,12 +61,11 @@ func TestScopes(t *testing.T) {
 		{mod("internal/cluster"), false, false, false, true},
 		{mod("internal/castore"), false, false, true, true},
 		{mod("cmd/plutusctl"), false, false, true, true},
-		// The lint tree's rawconc allowlist is least-privilege: only the
-		// loader (parallel package loading) and the suite runner (parallel
-		// per-unit analysis) are concurrent; analyzers stay default-deny.
+		// The lint tree is sequential: every package in it, the loader and
+		// the suite runner included, stays default-deny.
 		{mod("internal/lint/detrand"), false, false, true, false},
-		{mod("internal/lint/loader"), false, false, false, false},
-		{mod("internal/lint/simlint"), false, false, false, false},
+		{mod("internal/lint/loader"), false, false, true, false},
+		{mod("internal/lint/simlint"), false, false, true, false},
 	}
 	for _, r := range rows {
 		if got := SimCritical(r.path); got != r.simCrit {

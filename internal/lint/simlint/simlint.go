@@ -1,17 +1,13 @@
 // Package simlint bundles the simulator's determinism analyzers into
 // one suite and runs them over loaded packages.
 //
-// The suite is the single registry consulted by both drivers (the
-// standalone cmd/simlint walk and the `go vet -vettool` unitchecker
-// protocol) and by the //simlint:ignore directive parser, so an
-// analyzer added here is automatically runnable, suppressible, and
-// documented by `simlint -help`.
+// The suite is the single registry consulted by cmd/simlint and by the
+// //simlint:ignore directive parser, so an analyzer added here is
+// automatically runnable, suppressible, and documented by
+// `simlint -help`.
 package simlint
 
 import (
-	"runtime"
-	"sync"
-
 	"github.com/plutus-gpu/plutus/internal/lint/analysis"
 	"github.com/plutus-gpu/plutus/internal/lint/detrand"
 	"github.com/plutus-gpu/plutus/internal/lint/hotalloc"
@@ -72,33 +68,16 @@ func RunPackage(pkg *loader.Package) ([]analysis.Diagnostic, error) {
 	return analysis.SuppressChecked(pkg.Fset, pkg.Files, Names(), diags), nil
 }
 
-// RunPackages runs the suite over every unit, concatenating surviving
-// diagnostics in unit order. Units are analyzed in parallel — every
-// analyzer in the suite is a pure function of its unit (the one shared
-// mutable resource, hotalloc's compiler-output cache, serializes
-// internally) — and the output order is the deterministic sequential
-// order regardless of scheduling.
+// RunPackages runs the suite over every unit in order, concatenating
+// surviving diagnostics in unit order.
 func RunPackages(pkgs []*loader.Package) ([]analysis.Diagnostic, error) {
-	perUnit := make([][]analysis.Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func(i int, pkg *loader.Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			perUnit[i], errs[i] = RunPackage(pkg)
-		}(i, pkg)
-	}
-	wg.Wait()
 	var all []analysis.Diagnostic
-	for i := range pkgs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, pkg := range pkgs {
+		diags, err := RunPackage(pkg)
+		if err != nil {
+			return nil, err
 		}
-		all = append(all, perUnit[i]...)
+		all = append(all, diags...)
 	}
 	return all, nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // handleMetrics renders the /debug/statsz counters in the Prometheus
-// text exposition format (version 0.0.4). The cluster coordinator's
-// scheduler scrapes this to weigh worker placement; any Prometheus
-// agent can too. The output is deterministic: families in fixed order,
+// text exposition format (version 0.0.4), for any Prometheus agent
+// (the cluster coordinator weighs worker placement by /debug/statsz
+// instead). The output is deterministic: families in fixed order,
 // per-scheme series sorted by label value.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
