@@ -9,8 +9,8 @@
 //	            (collect keys, sort, then iterate)
 //	rawconc   — no raw goroutines or channel operations outside the
 //	            allowlist; concurrency goes through the engine
-//	snapsym   — Snapshot/Restore method pairs must write and read the
-//	            same receiver fields in the same order
+//	snapsym   — a Codec(*checkpoint.Codec) walk must visit every
+//	            receiver field or the field must say why not
 //	statskey  — stats table and CSV column keys must be compile-time
 //	            constants so output schemas never drift at runtime
 //	stickyerr — codec functions must not drop, shadow, overwrite, or

@@ -1,68 +1,17 @@
 package bmt
 
-import (
-	"fmt"
+import "github.com/plutus-gpu/plutus/internal/checkpoint"
 
-	"github.com/plutus-gpu/plutus/internal/checkpoint"
-)
-
-// Snapshot encodes the tree's materialized hashes — non-default unit
-// hashes, per-level non-default node hashes (both in ascending index
-// order), and the root. Geometry and defaults are derived from Config
-// on the restoring side; unit count and height are encoded as a
-// cross-check.
-func (t *Tree) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U64(t.cfg.Units)
-	enc.U32(uint32(len(t.counts)))
-	enc.U64(uint64(len(t.unitHashes)))
-	for _, u := range checkpoint.SortedKeys(t.unitHashes) {
-		enc.U64(u)
-		enc.U64(t.unitHashes[u])
-	}
+// Codec walks the tree's materialized hashes — non-default unit hashes,
+// per-level non-default node hashes (both in ascending index order), and
+// the root — behind a unit-count and height cross-check. Geometry and
+// defaults are derived from Config on the restoring side.
+func (t *Tree) Codec(c *checkpoint.Codec) {
+	c.Want64("bmt units", t.cfg.Units)
+	c.Want32("bmt height", uint32(len(t.counts)))
+	checkpoint.Map(c, &t.unitHashes, t.cfg.Units, 8, (*checkpoint.Codec).U64)
 	for l := range t.nodeHashes {
-		m := t.nodeHashes[l]
-		enc.U64(uint64(len(m)))
-		for _, i := range checkpoint.SortedKeys(m) {
-			enc.U64(i)
-			enc.U64(m[i])
-		}
+		checkpoint.Map(c, &t.nodeHashes[l], t.counts[l], 8, (*checkpoint.Codec).U64)
 	}
-	enc.U64(t.root)
-	return nil
-}
-
-// Restore decodes state written by Snapshot into a tree built from the
-// same configuration.
-func (t *Tree) Restore(dec *checkpoint.Decoder) error {
-	units, height := dec.U64(), dec.U32()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("bmt: %w", err)
-	}
-	if units != t.cfg.Units || int(height) != len(t.counts) {
-		return fmt.Errorf("bmt: snapshot geometry (units %d, height %d) vs tree (units %d, height %d): %w",
-			units, height, t.cfg.Units, len(t.counts), checkpoint.ErrMismatch)
-	}
-	nu := dec.U64()
-	unitHashes := make(map[uint64]uint64, nu)
-	for i := uint64(0); i < nu && dec.Err() == nil; i++ {
-		u := dec.U64()
-		unitHashes[u] = dec.U64()
-	}
-	nodeHashes := make([]map[uint64]uint64, len(t.counts))
-	for l := range nodeHashes {
-		nn := dec.U64()
-		nodeHashes[l] = make(map[uint64]uint64, nn)
-		for i := uint64(0); i < nn && dec.Err() == nil; i++ {
-			idx := dec.U64()
-			nodeHashes[l][idx] = dec.U64()
-		}
-	}
-	root := dec.U64()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("bmt: %w", err)
-	}
-	t.unitHashes = unitHashes
-	t.nodeHashes = nodeHashes
-	t.root = root
-	return nil
+	c.U64(&t.root)
 }

@@ -366,15 +366,6 @@ func (c *Cache) Invalidate(addr geom.Addr) geom.SectorMask {
 	return 0
 }
 
-// MSHRFor returns the in-flight MSHR for addr's block, if any.
-func (c *Cache) MSHRFor(addr geom.Addr) *MSHR {
-	m, ok := c.mshrs[c.blockAddr(addr)]
-	if !ok {
-		return nil
-	}
-	return m
-}
-
 // InflightMisses returns the number of allocated MSHRs.
 func (c *Cache) InflightMisses() int { return len(c.mshrs) }
 

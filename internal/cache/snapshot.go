@@ -4,71 +4,30 @@ import (
 	"fmt"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
-	"github.com/plutus-gpu/plutus/internal/geom"
 )
 
-// Snapshot encodes the cache's dynamic state — every line's tag,
+// Codec walks the cache's dynamic state — every line's tag,
 // sector-valid/dirty masks and LRU stamp, the LRU clock, and the stats
-// counters — in fixed set/way order. Configuration is not encoded; the
-// restoring side rebuilds the cache from the same Config and Restore
-// cross-checks the geometry. The cache must be quiescent: outstanding
-// MSHRs hold closures that cannot be serialized, so snapshotting with
-// in-flight misses returns ErrNotQuiescent.
-func (c *Cache) Snapshot(enc *checkpoint.Encoder) error {
+// counters — in fixed set/way order, behind a set/way cross-check.
+// Configuration is not walked; the restoring side rebuilds the cache from
+// the same Config. The cache must be quiescent: outstanding MSHRs hold
+// closures that cannot be serialized, so a walk with in-flight misses
+// fails with ErrNotQuiescent.
+func (c *Cache) Codec(cc *checkpoint.Codec) {
 	if len(c.mshrs) != 0 {
-		return fmt.Errorf("cache %q: %d in-flight MSHRs: %w",
-			c.cfg.Name, len(c.mshrs), checkpoint.ErrNotQuiescent)
+		cc.Fail(fmt.Errorf("cache %q: %d in-flight MSHRs: %w",
+			c.cfg.Name, len(c.mshrs), checkpoint.ErrNotQuiescent))
 	}
-	enc.U32(uint32(len(c.sets)))
-	enc.U32(uint32(c.cfg.Ways))
-	enc.U64(c.lruClock)
+	cc.Want32("cache "+c.cfg.Name+" sets", uint32(len(c.sets)))
+	cc.Want32("cache "+c.cfg.Name+" ways", uint32(c.cfg.Ways))
+	cc.U64(&c.lruClock)
 	for _, set := range c.sets {
 		for i := range set {
-			enc.U64(uint64(set[i].tag))
-			enc.U8(uint8(set[i].valid))
-			enc.U8(uint8(set[i].dirty))
-			enc.U64(set[i].lru)
+			checkpoint.Uint64(cc, &set[i].tag)
+			checkpoint.Uint8(cc, &set[i].valid)
+			checkpoint.Uint8(cc, &set[i].dirty)
+			cc.U64(&set[i].lru)
 		}
 	}
-	enc.U64(c.Stats.Hits)
-	enc.U64(c.Stats.Misses)
-	enc.U64(c.Stats.MSHRMerges)
-	enc.U64(c.Stats.Evictions)
-	enc.U64(c.Stats.DirtyEvictions)
-	return nil
-}
-
-// Restore decodes state written by Snapshot into a freshly built cache
-// of the same configuration.
-func (c *Cache) Restore(dec *checkpoint.Decoder) error {
-	if len(c.mshrs) != 0 {
-		return fmt.Errorf("cache %q: restore into a cache with in-flight MSHRs: %w",
-			c.cfg.Name, checkpoint.ErrNotQuiescent)
-	}
-	nSets, ways := dec.U32(), dec.U32()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("cache %q: %w", c.cfg.Name, err)
-	}
-	if int(nSets) != len(c.sets) || int(ways) != c.cfg.Ways {
-		return fmt.Errorf("cache %q: snapshot geometry %dx%d, cache is %dx%d: %w",
-			c.cfg.Name, nSets, ways, len(c.sets), c.cfg.Ways, checkpoint.ErrMismatch)
-	}
-	c.lruClock = dec.U64()
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].tag = geom.Addr(dec.U64())
-			set[i].valid = geom.SectorMask(dec.U8())
-			set[i].dirty = geom.SectorMask(dec.U8())
-			set[i].lru = dec.U64()
-		}
-	}
-	c.Stats.Hits = dec.U64()
-	c.Stats.Misses = dec.U64()
-	c.Stats.MSHRMerges = dec.U64()
-	c.Stats.Evictions = dec.U64()
-	c.Stats.DirtyEvictions = dec.U64()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("cache %q: %w", c.cfg.Name, err)
-	}
-	return nil
+	c.Stats.Codec(cc)
 }

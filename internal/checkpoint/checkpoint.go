@@ -1,16 +1,19 @@
 // Package checkpoint defines the deterministic snapshot container used
 // to park and resume simulations: a versioned, self-describing binary
-// file of named, length-prefixed, CRC-guarded sections, plus the
-// little-endian encoder/decoder every state-bearing package serializes
-// itself with.
+// file of named, length-prefixed, CRC-guarded sections, plus the Codec
+// every state-bearing type walks itself with, over little-endian
+// Encoder/Decoder primitives.
 //
 // The format exists to make one guarantee cheap to audit: a snapshot of
-// the same simulator state is always the same bytes. Encoding is
-// explicit field-by-field (no reflection, no map iteration — see the
-// maporder analyzer, which covers this package), every section carries
+// the same simulator state is always the same bytes. Each type's one
+// Codec walk visits its fields explicitly, in wire order, and the same
+// body encodes and decodes (no reflection, no map iteration — see the
+// maporder analyzer, which covers this package). Every section carries
 // its own CRC32 so a torn write is detected before any state is
 // restored, and a whole-file trailer CRC rejects bit flips anywhere,
-// including in the header itself.
+// including in the header itself. Snapshot bytes are untrusted input —
+// plutusd accepts them over HTTP — so the walker bounds every count and
+// index it decodes before anything is allocated from it.
 //
 // Error taxonomy on load — callers branch with errors.Is:
 //

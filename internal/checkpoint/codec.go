@@ -9,9 +9,10 @@ import (
 )
 
 // Encoder serializes checkpoint state as fixed-width little-endian
-// fields. There is no reflection and no schema: each package writes its
-// fields in a fixed documented order and reads them back in the same
-// order, so identical state always encodes to identical bytes.
+// fields. There is no reflection and no schema: identical writes always
+// encode to identical bytes. Snapshot sections are written through a
+// Codec walk; the trace format and the value model use Encoder and
+// Decoder directly.
 type Encoder struct {
 	buf bytes.Buffer
 }

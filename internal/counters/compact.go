@@ -158,13 +158,6 @@ func (v *CompactView) saturation() uint32 { return 1<<uint(v.kind.Width()) - 1 }
 // Saturation exposes the overflow marker value (2^width − 1).
 func (v *CompactView) Saturation() uint32 { return v.saturation() }
 
-// SectorOf returns the compact-sector index covering data sector i.
-//
-//simlint:hotpath
-func (v *CompactView) SectorOf(i uint64) uint64 {
-	return i / uint64(v.kind.CountersPerSector())
-}
-
 // BlockOf returns the compact-block index (4 compact sectors = 128 B)
 // covering data sector i — the granularity of the enable-bit layer.
 //

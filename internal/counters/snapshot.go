@@ -1,133 +1,72 @@
 package counters
 
-import (
-	"fmt"
+import "github.com/plutus-gpu/plutus/internal/checkpoint"
 
-	"github.com/plutus-gpu/plutus/internal/checkpoint"
-	"github.com/plutus-gpu/plutus/internal/dense"
-)
-
-// Snapshot encodes the split store's materialized groups in ascending
+// Codec walks the split store's materialized groups in ascending
 // group-index order: index, major counter, then every minor in slot
-// order. Geometry is not encoded (the restoring side rebuilds from the
-// same SplitConfig); the group width is cross-checked on restore. The
-// OnOverflow hook is runtime wiring, not state, and is never touched.
-func (s *SplitStore) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U32(uint32(s.cfg.GroupSize))
-	enc.U64(uint64(s.present.Count()))
-	s.present.ForEach(func(gi uint64) {
-		enc.U64(gi)
-		enc.U64(s.majors.Get(gi))
-		base := gi * uint64(s.cfg.GroupSize)
-		for k := 0; k < s.cfg.GroupSize; k++ {
-			enc.U32(s.minors.Get(base + uint64(k)))
+// order, behind a group-width cross-check. sectors is the owner's
+// data-sector count, which bounds the group indices a walk decodes.
+// Geometry is not walked (the restoring side rebuilds from the same
+// SplitConfig). The OnOverflow hook is runtime wiring, not state, and is
+// never touched.
+func (s *SplitStore) Codec(c *checkpoint.Codec, sectors uint64) {
+	g := uint64(s.cfg.GroupSize)
+	c.Want32("counters group size", uint32(g))
+	s.present.Walk(c, (sectors+g-1)/g, 8+4*int(g), func(gi uint64) {
+		major := s.majors.Get(gi)
+		c.U64(&major)
+		s.majors.Set(gi, major)
+		for i := gi * g; i < (gi+1)*g; i++ {
+			minor := s.minors.Get(i)
+			c.U32(&minor)
+			s.minors.Set(i, minor)
 		}
 	})
-	return nil
 }
 
-// Restore decodes state written by Snapshot into a store of the same
-// geometry, replacing any existing groups.
-func (s *SplitStore) Restore(dec *checkpoint.Decoder) error {
-	groupSize := dec.U32()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("counters: split store: %w", err)
+// Codec walks the compact view's sticky adaptive state: disabled blocks,
+// then the saturated sectors grouped by block, both in ascending index
+// order, behind a compact-kind cross-check. sectors is the owner's
+// data-sector count, which bounds the block and sector indices a walk
+// decodes. Counter values themselves are derived from the split store
+// and are not duplicated here.
+func (v *CompactView) Codec(c *checkpoint.Codec, sectors uint64) {
+	c.Want8("compact kind", uint8(v.kind))
+	per := uint64(4 * v.kind.CountersPerSector()) // sectors per block
+	blocks := (sectors + per - 1) / per
+	v.disabled.WalkSet(c, blocks)
+	// The wire groups saturated sectors by block: (block, count, sector
+	// indices) for each block with a nonzero tally.
+	n := v.satBlocks
+	c.Len(&n, blocks, 16)
+	if !c.Decoding() {
+		// Walking the bitmap visits sectors in ascending order, so blocks
+		// come out ascending with their sectors grouped.
+		cur := ^uint64(0)
+		v.satSector.ForEach(func(i uint64) {
+			if b := v.BlockOf(i); b != cur {
+				cur = b
+				cnt := int(v.satCount.Get(b))
+				c.U64(&b)
+				c.Len(&cnt, per, 8)
+			}
+			c.U64(&i)
+		})
+		return
 	}
-	if int(groupSize) != s.cfg.GroupSize {
-		return fmt.Errorf("counters: snapshot group size %d, store has %d: %w",
-			groupSize, s.cfg.GroupSize, checkpoint.ErrMismatch)
-	}
-	var majors dense.U64
-	var minors dense.U32
-	var present dense.Bitmap
-	n := dec.U64()
-	for i := uint64(0); i < n && dec.Err() == nil; i++ {
-		gi := dec.U64()
-		present.Set(gi)
-		majors.Set(gi, dec.U64())
-		base := gi * uint64(s.cfg.GroupSize)
-		for k := 0; k < s.cfg.GroupSize; k++ {
-			minors.Set(base+uint64(k), dec.U32())
-		}
-	}
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("counters: split store: %w", err)
-	}
-	// Install in the encoder's field order (present, majors, minors) so
-	// the walk stays symmetric with Snapshot.
-	s.present = present
-	s.majors = majors
-	s.minors = minors
-	return nil
-}
-
-// Snapshot encodes the compact view's sticky adaptive state: disabled
-// blocks and per-block saturated-sector sets, both in ascending index
-// order. Counter values themselves are derived from the split store and
-// are not duplicated here.
-func (v *CompactView) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U8(uint8(v.kind))
-	enc.U64(uint64(v.disabled.Count()))
-	v.disabled.ForEach(func(b uint64) {
-		enc.U64(b)
-		enc.Bool(true)
-	})
-	enc.U64(uint64(v.satBlocks))
-	// Walking the saturated-sector bitmap visits sectors in ascending
-	// order, so blocks appear ascending with their sectors grouped —
-	// the same (block, sorted sector list) layout as before.
-	cur := ^uint64(0)
-	v.satSector.ForEach(func(i uint64) {
-		if b := v.BlockOf(i); b != cur {
-			cur = b
-			enc.U64(b)
-			enc.U64(uint64(v.satCount.Get(b)))
-		}
-		enc.U64(i)
-	})
-	return nil
-}
-
-// Restore decodes state written by Snapshot into a view of the same kind.
-func (v *CompactView) Restore(dec *checkpoint.Decoder) error {
-	kind := CompactKind(dec.U8())
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("counters: compact view: %w", err)
-	}
-	if kind != v.kind {
-		return fmt.Errorf("counters: snapshot compact kind %s, view is %s: %w",
-			kind, v.kind, checkpoint.ErrMismatch)
-	}
-	var disabled, satSector dense.Bitmap
-	var satCount dense.U32
-	satBlocks := 0
-	nd := dec.U64()
-	for i := uint64(0); i < nd && dec.Err() == nil; i++ {
-		b := dec.U64()
-		if dec.Bool() {
-			disabled.Set(b)
-		}
-	}
-	ns := dec.U64()
-	for i := uint64(0); i < ns && dec.Err() == nil; i++ {
-		b := dec.U64()
-		cnt := dec.U64()
+	for ; n > 0 && c.Err() == nil; n-- {
+		var b uint64
+		var cnt int
+		c.Index(&b, blocks)
+		c.Len(&cnt, per, 8)
 		if cnt > 0 {
-			satBlocks++
+			v.satBlocks++
 		}
-		satCount.Set(b, uint32(cnt))
-		for k := uint64(0); k < cnt && dec.Err() == nil; k++ {
-			satSector.Set(dec.U64())
+		v.satCount.Set(b, uint32(cnt))
+		for ; cnt > 0 && c.Err() == nil; cnt-- {
+			var i uint64
+			c.Index(&i, sectors)
+			v.satSector.Set(i)
 		}
 	}
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("counters: compact view: %w", err)
-	}
-	// Install in the encoder's field order (disabled, satBlocks,
-	// satSector, satCount) so the walk stays symmetric with Snapshot.
-	v.disabled = disabled
-	v.satBlocks = satBlocks
-	v.satSector = satSector
-	v.satCount = satCount
-	return nil
 }

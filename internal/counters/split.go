@@ -101,16 +101,6 @@ func (s *SplitStore) Config() SplitConfig { return s.cfg }
 //simlint:hotpath
 func (s *SplitStore) GroupOf(i uint64) uint64 { return i / uint64(s.cfg.GroupSize) }
 
-// GroupSectors returns the data-sector index range [lo, hi) sharing group
-// gi's major counter — the blast radius of rolling back that counter
-// sector (tamper tests pick sibling sectors from it).
-//
-//simlint:hotpath
-func (s *SplitStore) GroupSectors(gi uint64) (lo, hi uint64) {
-	lo = gi * uint64(s.cfg.GroupSize)
-	return lo, lo + uint64(s.cfg.GroupSize)
-}
-
 // Value returns the effective encryption counter of data sector i.
 //
 //simlint:hotpath

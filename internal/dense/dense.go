@@ -13,7 +13,11 @@
 // an accompanying bitmap rather than by map membership.
 package dense
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"github.com/plutus-gpu/plutus/internal/checkpoint"
+)
 
 // pageBits sizes one page at 4096 entries: large enough that page-table
 // indirection is negligible, small enough that sparse touch patterns do
@@ -241,4 +245,70 @@ func (s *Sectors) ForEach(fn func(i uint64, rec []byte)) {
 		o := (i & pageMask) * SectorBytes
 		fn(i, pg[o:o+SectorBytes:o+SectorBytes])
 	})
+}
+
+// Walk walks the set as a count, then each member's index in ascending
+// order, each followed by whatever member walks for it. Decoding
+// rebuilds the set, and fails with ErrCorrupt on an index at or past
+// limit or on a count the bytes left cannot hold at 8+elem bytes a
+// member.
+func (b *Bitmap) Walk(c *checkpoint.Codec, limit uint64, elem int, member func(i uint64)) {
+	n := b.Count()
+	c.Len(&n, limit, 8+elem)
+	if !c.Decoding() {
+		b.ForEach(func(i uint64) {
+			c.Index(&i, limit)
+			member(i)
+		})
+		return
+	}
+	*b = Bitmap{}
+	for ; n > 0 && c.Err() == nil; n-- {
+		var i uint64
+		c.Index(&i, limit)
+		if c.Err() != nil {
+			return
+		}
+		b.Set(i)
+		member(i)
+	}
+}
+
+// WalkSet walks the set in the layout of the bool maps it replaced: a
+// count, then (index, true) pairs.
+func (b *Bitmap) WalkSet(c *checkpoint.Codec, limit uint64) {
+	b.Walk(c, limit, 1, func(i uint64) {
+		in := true
+		c.Bool(&in)
+		if !in {
+			b.Clear(i)
+		}
+	})
+}
+
+// Walk walks the store as a count, then (byte address, 32 B record)
+// pairs in ascending order: the layout of the address-keyed maps it
+// replaced. Decoding rebuilds the store, and fails with ErrCorrupt on a
+// record index at or past limit.
+func (s *Sectors) Walk(c *checkpoint.Codec, limit uint64) {
+	n := s.Count()
+	c.Len(&n, limit, 8+4+SectorBytes)
+	if !c.Decoding() {
+		s.ForEach(func(i uint64, rec []byte) {
+			a := i * SectorBytes
+			c.U64(&a)
+			c.Bytes(rec)
+		})
+		return
+	}
+	*s = Sectors{}
+	for ; n > 0 && c.Err() == nil; n-- {
+		var a uint64
+		var rec [SectorBytes]byte
+		c.Index(&a, limit*SectorBytes)
+		c.Bytes(rec[:])
+		if c.Err() == nil {
+			copy(s.Put(a/SectorBytes), rec[:])
+		}
+	}
 }

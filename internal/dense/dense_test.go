@@ -1,8 +1,11 @@
 package dense
 
 import (
+	"errors"
 	"sort"
 	"testing"
+
+	"github.com/plutus-gpu/plutus/internal/checkpoint"
 )
 
 // xorshift is the package-test PRNG (math/rand is banned in
@@ -168,6 +171,90 @@ func TestSectors(t *testing.T) {
 	for j, b := range s.Put(i) {
 		if b != 0 {
 			t.Fatalf("Put(%d) after Delete: byte %d = %#x, want 0", i, j, b)
+		}
+	}
+}
+
+// walkAll walks a bitmap, a payload-carrying bitmap and a sector store
+// under one limit.
+func walkAll(b, m *Bitmap, vals *U64, s *Sectors, limit uint64) func(*checkpoint.Codec) {
+	return func(c *checkpoint.Codec) {
+		b.WalkSet(c, limit)
+		m.Walk(c, limit, 8, func(i uint64) {
+			v := vals.Get(i)
+			c.U64(&v)
+			vals.Set(i, v)
+		})
+		s.Walk(c, limit)
+	}
+}
+
+// TestWalkRoundTrip: walked out and back into fresh stores, every store
+// re-encodes to the same bytes.
+func TestWalkRoundTrip(t *testing.T) {
+	var b, m Bitmap
+	var vals U64
+	var s Sectors
+	for i := uint64(0); i < 20000; i += 7 {
+		b.Set(i)
+		m.Set(i * 3)
+		vals.Set(i*3, i)
+		copy(s.Put(i*5), []byte{byte(i), byte(i >> 8)})
+	}
+	want, err := checkpoint.Marshal(walkAll(&b, &m, &vals, &s, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b2, m2 Bitmap
+	var vals2 U64
+	var s2 Sectors
+	if err := checkpoint.Unmarshal(want, walkAll(&b2, &m2, &vals2, &s2, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := checkpoint.Marshal(walkAll(&b2, &m2, &vals2, &s2, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("re-encoded stores differ: %d vs %d bytes", len(got), len(want))
+	}
+}
+
+// TestWalkRejectsHostileInput: an index at the limit, a count past the
+// limit, and a count the bytes left cannot hold all fail with
+// ErrCorrupt before a page is allocated for them.
+func TestWalkRejectsHostileInput(t *testing.T) {
+	const limit = 1 << 20
+	cases := map[string]func(e *checkpoint.Encoder){
+		"bitmap index": func(e *checkpoint.Encoder) { e.U64(1); e.U64(limit); e.Bool(true) },
+		"bitmap count": func(e *checkpoint.Encoder) { e.U64(limit + 1) },
+		"short count":  func(e *checkpoint.Encoder) { e.U64(1000); e.U64(0); e.Bool(true) },
+		"sector index": func(e *checkpoint.Encoder) {
+			e.U64(0)
+			e.U64(0)
+			e.U64(1)
+			e.U64(1 << 62)
+			e.Bytes(make([]byte, SectorBytes))
+		},
+		"sector size": func(e *checkpoint.Encoder) {
+			e.U64(0)
+			e.U64(0)
+			e.U64(1)
+			e.U64(0)
+			e.Bytes(make([]byte, SectorBytes+1))
+		},
+	}
+	for name, enc := range cases {
+		e := checkpoint.NewEncoder()
+		enc(e)
+		var b, m Bitmap
+		var vals U64
+		var s Sectors
+		if err := checkpoint.Unmarshal(e.Data(), walkAll(&b, &m, &vals, &s, limit)); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if len(b.pages) > 0 || len(s.pages) > 0 {
+			t.Errorf("%s: pages allocated from a rejected input", name)
 		}
 	}
 }

@@ -122,13 +122,6 @@ func (c *Channel) rowOf(local geom.Addr) uint64 {
 	return uint64(local) / uint64(c.cfg.RowBytes) / uint64(c.cfg.Banks)
 }
 
-// BankRow exposes the address mapping: the bank and in-bank row that
-// local falls in. The tamper subsystem logs it per injected fault so
-// attack placement over the physical layout is auditable in tests.
-func (c *Channel) BankRow(local geom.Addr) (bank int, row uint64) {
-	return c.bankOf(local), c.rowOf(local)
-}
-
 // Access issues one 32 B transaction at partition-local address local and
 // schedules done (nullable) at its completion. It returns the completion
 // cycle. Transactions are accounted to class cl.

@@ -1,51 +1,21 @@
 package dram
 
-import (
-	"fmt"
+import "github.com/plutus-gpu/plutus/internal/checkpoint"
 
-	"github.com/plutus-gpu/plutus/internal/checkpoint"
-	"github.com/plutus-gpu/plutus/internal/sim"
-)
-
-// Snapshot encodes the channel's dynamic state: per-bank timing and open
-// rows (in bank-index order), the shared bus horizon, and the
-// row-locality counters. Traffic is not encoded here — the *stats.Traffic
-// the channel accounts into belongs to the partition's stats block, which
-// is serialized by its owner; restoring must keep the existing pointer.
-func (c *Channel) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U32(uint32(len(c.banks)))
+// Codec walks the channel's dynamic state: per-bank timing and open rows
+// (in bank-index order, behind a bank-count cross-check), the shared bus
+// horizon, and the row-locality counters. Traffic is not walked here —
+// the *stats.Traffic the channel accounts into belongs to the
+// partition's stats block, which is walked by its owner; restoring must
+// keep the existing pointer.
+func (c *Channel) Codec(cc *checkpoint.Codec) {
+	cc.Want32("dram banks", uint32(len(c.banks)))
 	for i := range c.banks {
-		enc.U64(uint64(c.banks[i].freeAt))
-		enc.U64(c.banks[i].openRow)
-		enc.Bool(c.banks[i].hasRow)
+		checkpoint.Uint64(cc, &c.banks[i].freeAt)
+		cc.U64(&c.banks[i].openRow)
+		cc.Bool(&c.banks[i].hasRow)
 	}
-	enc.U64(c.busFreeQ)
-	enc.U64(c.RowHits)
-	enc.U64(c.RowMisses)
-	return nil
-}
-
-// Restore decodes state written by Snapshot into a channel built from
-// the same configuration.
-func (c *Channel) Restore(dec *checkpoint.Decoder) error {
-	n := dec.U32()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("dram: %w", err)
-	}
-	if int(n) != len(c.banks) {
-		return fmt.Errorf("dram: snapshot has %d banks, channel has %d: %w",
-			n, len(c.banks), checkpoint.ErrMismatch)
-	}
-	for i := range c.banks {
-		c.banks[i].freeAt = sim.Cycle(dec.U64())
-		c.banks[i].openRow = dec.U64()
-		c.banks[i].hasRow = dec.Bool()
-	}
-	c.busFreeQ = dec.U64()
-	c.RowHits = dec.U64()
-	c.RowMisses = dec.U64()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("dram: %w", err)
-	}
-	return nil
+	cc.U64(&c.busFreeQ)
+	cc.U64(&c.RowHits)
+	cc.U64(&c.RowMisses)
 }

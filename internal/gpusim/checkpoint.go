@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
-	"github.com/plutus-gpu/plutus/internal/dense"
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/stats"
@@ -234,121 +233,18 @@ func (g *GPU) quiescenceError() error {
 // self-describing snapshot file. The GPU must be quiescent (drained epoch
 // boundary); RunWithCheckpoints arranges that before calling it.
 func (g *GPU) WriteSnapshot() ([]byte, error) {
-	cw, ok := g.wl.(CheckpointableWorkload)
-	if !ok {
+	if _, ok := g.wl.(CheckpointableWorkload); !ok {
 		return nil, fmt.Errorf("gpusim: workload %s does not support checkpointing", g.wl.Name())
 	}
 	f := &checkpoint.File{}
-
-	me := checkpoint.NewEncoder()
-	me.String(configFingerprint(g.cfg, g.wl))
-	me.U64(uint64(g.cluster.LastEventAt()))
-	me.U64(g.nextCkpt)
-	me.U32(uint32(len(g.parts)))
-	f.Add("meta", me.Data())
-
-	ge := checkpoint.NewEncoder()
-	now, lastEv := g.eng.Clock()
-	ge.U64(uint64(now))
-	ge.U64(uint64(lastEv))
-	ge.U64(g.issued)
-	ge.U64(g.loads)
-	ge.U64(g.stores)
-	ge.U64(uint64(g.activeWarps))
-	ge.Bool(g.budgetDone)
-	ge.U32(uint32(len(g.sms)))
-	for _, sm := range g.sms {
-		ge.U64(sm.slotFree)
-	}
-	ge.U32(uint32(len(g.warps)))
-	for _, w := range g.warps {
-		ge.Bool(w.active)
-	}
-	ge.U32(uint32(len(g.parked)))
-	for _, w := range g.parked {
-		ge.U32(uint32(w.id))
-	}
-	ge.U32(uint32(g.tamperApplied))
-	f.Add("gpu", ge.Data())
-
-	we := checkpoint.NewEncoder()
-	cur := cw.Cursor()
-	we.U32(uint32(len(cur)))
-	for _, c := range cur {
-		we.U64(c)
-	}
-	f.Add("workload", we.Data())
-
-	for _, p := range g.parts {
-		pe := checkpoint.NewEncoder()
-		if err := p.Snapshot(pe); err != nil {
+	for _, s := range g.sections() {
+		data, err := checkpoint.Marshal(s.walk)
+		if err != nil {
 			return nil, err
 		}
-		f.Add(fmt.Sprintf("part%d", p.id), pe.Data())
+		f.Add(s.name, data)
 	}
 	return f.Encode(), nil
-}
-
-// Snapshot encodes one partition's complete mutable state: engine
-// clock, L2 issue ladder, L2 tags and data, secure-memory engine, DRAM
-// channel, and statistics shard.
-func (p *partition) Snapshot(pe *checkpoint.Encoder) error {
-	pnow, plast := p.eng.Clock()
-	pe.U64(uint64(pnow))
-	pe.U64(uint64(plast))
-	pe.U64(uint64(p.l2Free))
-	if err := p.l2.Snapshot(pe); err != nil {
-		return err
-	}
-	pe.U64(uint64(p.l2data.Count()))
-	p.l2data.ForEach(func(si uint64, rec []byte) {
-		pe.U64(si * geom.SectorSize)
-		pe.Bytes(rec)
-	})
-	if err := p.sec.Snapshot(pe); err != nil {
-		return err
-	}
-	if err := p.ch.Snapshot(pe); err != nil {
-		return err
-	}
-	p.st.Snapshot(pe)
-	return nil
-}
-
-// Restore decodes state written by Snapshot, walking the same fields in
-// the same order. The caller discards the GPU wholesale on error, so
-// partially restored partition state never escapes.
-func (p *partition) Restore(pd *checkpoint.Decoder) error {
-	pnow, plast := sim.Cycle(pd.U64()), sim.Cycle(pd.U64())
-	p.eng.RestoreClock(pnow, plast)
-	p.l2Free = sim.Cycle(pd.U64())
-	if err := p.l2.Restore(pd); err != nil {
-		return err
-	}
-	nd := pd.U64()
-	var l2data dense.Sectors
-	for i := uint64(0); i < nd && pd.Err() == nil; i++ {
-		a := geom.Addr(pd.U64())
-		rec := pd.Bytes()
-		if len(rec) != geom.SectorSize && pd.Err() == nil {
-			return fmt.Errorf("gpusim: L2 sector %#x has %d bytes, want %d: %w",
-				uint64(a), len(rec), geom.SectorSize, checkpoint.ErrCorrupt)
-		}
-		if pd.Err() == nil {
-			copy(l2data.Put(uint64(a)/geom.SectorSize), rec)
-		}
-	}
-	p.l2data = l2data
-	if err := p.sec.Restore(pd); err != nil {
-		return err
-	}
-	if err := p.ch.Restore(pd); err != nil {
-		return err
-	}
-	if err := p.st.Restore(pd); err != nil {
-		return err
-	}
-	return nil
 }
 
 // ResumeSnapshot builds a GPU from cfg and wl and restores the state in
@@ -357,10 +253,10 @@ func (p *partition) Restore(pd *checkpoint.Decoder) error {
 // configFingerprint). The returned GPU continues from the snapshot's
 // cycle when run; by the deterministic-replay guarantee its remaining
 // execution, statistics, and later snapshots are byte-identical to the
-// run the snapshot was taken from.
+// run the snapshot was taken from. On any error the half-restored GPU is
+// discarded.
 func ResumeSnapshot(cfg Config, wl Workload, data []byte) (*GPU, error) {
-	cw, ok := wl.(CheckpointableWorkload)
-	if !ok {
+	if _, ok := wl.(CheckpointableWorkload); !ok {
 		return nil, fmt.Errorf("gpusim: workload %s does not support checkpointing", wl.Name())
 	}
 	f, err := checkpoint.Decode(data)
@@ -371,108 +267,120 @@ func ResumeSnapshot(cfg Config, wl Workload, data []byte) (*GPU, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	md, err := sectionDecoder(f, "meta")
-	if err != nil {
-		return nil, err
-	}
-	fp := md.String()
-	cycle := md.U64()
-	nextCkpt := md.U64()
-	nParts := md.U32()
-	if err := md.Finish(); err != nil {
-		return nil, fmt.Errorf("gpusim: meta section: %w", err)
-	}
-	if want := configFingerprint(cfg, wl); fp != want {
-		return nil, fmt.Errorf("gpusim: snapshot is for a different configuration or workload:\n  snapshot: %s\n  current:  %s\n%w",
-			fp, want, checkpoint.ErrMismatch)
-	}
-	if int(nParts) != len(g.parts) {
-		return nil, fmt.Errorf("gpusim: snapshot has %d partitions, config %d: %w",
-			nParts, len(g.parts), checkpoint.ErrMismatch)
-	}
-	g.nextCkpt = nextCkpt
-	_ = cycle // recorded for readers; the engine clocks carry the time
-
-	gd, err := sectionDecoder(f, "gpu")
-	if err != nil {
-		return nil, err
-	}
-	smNow, smLast := sim.Cycle(gd.U64()), sim.Cycle(gd.U64())
-	g.issued = gd.U64()
-	g.loads = gd.U64()
-	g.stores = gd.U64()
-	g.activeWarps = int(gd.U64())
-	g.budgetDone = gd.Bool()
-	if n := gd.U32(); int(n) != len(g.sms) {
-		if gd.Err() == nil {
-			return nil, fmt.Errorf("gpusim: snapshot has %d SMs, config %d: %w", n, len(g.sms), checkpoint.ErrMismatch)
+	for _, s := range g.sections() {
+		payload, ok := f.Section(s.name)
+		if !ok {
+			return nil, fmt.Errorf("gpusim: snapshot missing section %q: %w", s.name, checkpoint.ErrCorrupt)
 		}
-	}
-	for _, sm := range g.sms {
-		sm.slotFree = gd.U64()
-	}
-	if n := gd.U32(); int(n) != len(g.warps) {
-		if gd.Err() == nil {
-			return nil, fmt.Errorf("gpusim: snapshot has %d warps, workload %d: %w", n, len(g.warps), checkpoint.ErrMismatch)
-		}
-	}
-	for _, w := range g.warps {
-		w.active = gd.Bool()
-		w.outstanding = 0
-		w.blocked = false
-	}
-	nParked := gd.U32()
-	parked := make([]int, 0, nParked)
-	for i := uint32(0); i < nParked && gd.Err() == nil; i++ {
-		id := int(gd.U32())
-		if id < 0 || id >= len(g.warps) {
-			return nil, fmt.Errorf("gpusim: parked warp id %d out of range: %w", id, checkpoint.ErrCorrupt)
-		}
-		parked = append(parked, id)
-	}
-	g.tamperApplied = int(gd.U32())
-	if err := gd.Finish(); err != nil {
-		return nil, fmt.Errorf("gpusim: gpu section: %w", err)
-	}
-	g.restoredParked = parked
-	g.eng.RestoreClock(smNow, smLast)
-
-	wd, err := sectionDecoder(f, "workload")
-	if err != nil {
-		return nil, err
-	}
-	cur := make([]uint64, wd.U32())
-	for i := range cur {
-		cur[i] = wd.U64()
-	}
-	if err := wd.Finish(); err != nil {
-		return nil, fmt.Errorf("gpusim: workload section: %w", err)
-	}
-	if err := cw.RestoreCursor(cur); err != nil {
-		return nil, fmt.Errorf("gpusim: %v: %w", err, checkpoint.ErrMismatch)
-	}
-
-	for _, p := range g.parts {
-		pd, err := sectionDecoder(f, fmt.Sprintf("part%d", p.id))
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Restore(pd); err != nil {
-			return nil, err
-		}
-		if err := pd.Finish(); err != nil {
-			return nil, fmt.Errorf("gpusim: part%d section: %w", p.id, err)
+		if err := checkpoint.Unmarshal(payload, s.walk); err != nil {
+			return nil, fmt.Errorf("gpusim: %s section: %w", s.name, err)
 		}
 	}
 	return g, nil
 }
 
-// sectionDecoder returns a decoder over the named section's payload.
-func sectionDecoder(f *checkpoint.File, name string) (*checkpoint.Decoder, error) {
-	payload, ok := f.Section(name)
-	if !ok {
-		return nil, fmt.Errorf("gpusim: snapshot missing section %q: %w", name, checkpoint.ErrCorrupt)
+// section is one named walk of the snapshot file.
+type section struct {
+	name string
+	walk func(*checkpoint.Codec)
+}
+
+// sections lists the snapshot's sections in file order.
+func (g *GPU) sections() []section {
+	out := []section{{"meta", g.metaCodec}, {"gpu", g.gpuCodec}, {"workload", g.workloadCodec}}
+	for _, p := range g.parts {
+		out = append(out, section{fmt.Sprintf("part%d", p.id), p.Codec})
 	}
-	return checkpoint.NewDecoder(payload), nil
+	return out
+}
+
+// metaCodec walks the "meta" section. A snapshot taken under another
+// configuration or workload fails with ErrMismatch.
+func (g *GPU) metaCodec(c *checkpoint.Codec) {
+	want := configFingerprint(g.cfg, g.wl)
+	fp := want
+	c.String(&fp)
+	if fp != want {
+		c.Fail(fmt.Errorf("gpusim: snapshot is for a different configuration or workload:\n  snapshot: %s\n  current:  %s\n%w",
+			fp, want, checkpoint.ErrMismatch))
+	}
+	cycle := uint64(g.cluster.LastEventAt())
+	c.U64(&cycle) // recorded for readers; the engine clocks carry the time
+	c.U64(&g.nextCkpt)
+	c.Want32("gpusim partitions", uint32(len(g.parts)))
+}
+
+// gpuCodec walks the "gpu" section. Decoding fills restoredParked, the
+// order seedWork unparks in.
+func (g *GPU) gpuCodec(c *checkpoint.Codec) {
+	walkClock(c, g.eng)
+	c.U64(&g.issued)
+	c.U64(&g.loads)
+	c.U64(&g.stores)
+	checkpoint.Uint64(c, &g.activeWarps)
+	c.Bool(&g.budgetDone)
+	c.Want32("gpusim SMs", uint32(len(g.sms)))
+	for _, sm := range g.sms {
+		c.U64(&sm.slotFree)
+	}
+	c.Want32("gpusim warps", uint32(len(g.warps)))
+	for _, w := range g.warps {
+		c.Bool(&w.active)
+	}
+	parked := make([]int, len(g.parked))
+	for i, w := range g.parked {
+		parked[i] = w.id
+	}
+	n := len(parked)
+	c.Len32(&n, uint64(len(g.warps)), 4)
+	if c.Decoding() {
+		parked = make([]int, n)
+		g.restoredParked = parked
+	}
+	for i := range parked {
+		c.Index32(&parked[i], len(g.warps))
+	}
+	checkpoint.Uint32(c, &g.tamperApplied)
+}
+
+// workloadCodec walks the "workload" section, the per-warp stream
+// cursor. Decoding rewinds the workload to it.
+func (g *GPU) workloadCodec(c *checkpoint.Codec) {
+	cw := g.wl.(CheckpointableWorkload)
+	cur := cw.Cursor()
+	n := len(cur)
+	c.Len32(&n, uint64(len(cur)), 8)
+	cur = cur[:n]
+	for i := range cur {
+		c.U64(&cur[i])
+	}
+	if c.Decoding() && c.Err() == nil {
+		if err := cw.RestoreCursor(cur); err != nil {
+			c.Fail(fmt.Errorf("gpusim: %v: %w", err, checkpoint.ErrMismatch))
+		}
+	}
+}
+
+// Codec walks one partition's complete mutable state: engine clock, L2
+// issue ladder, L2 tags and data, secure-memory engine, DRAM channel,
+// and statistics shard. L2 data indices are bounded by the partition's
+// protected sectors.
+func (p *partition) Codec(c *checkpoint.Codec) {
+	walkClock(c, p.eng)
+	checkpoint.Uint64(c, &p.l2Free)
+	p.l2.Codec(c)
+	p.l2data.Walk(c, p.sec.Config().ProtectedBytes/geom.SectorSize)
+	p.sec.Codec(c)
+	p.ch.Codec(c)
+	p.st.Codec(c)
+}
+
+// walkClock walks an engine's clock; decoding restores it.
+func walkClock(c *checkpoint.Codec, eng *sim.Engine) {
+	now, last := eng.Clock()
+	checkpoint.Uint64(c, &now)
+	checkpoint.Uint64(c, &last)
+	if c.Decoding() {
+		eng.RestoreClock(now, last)
+	}
 }

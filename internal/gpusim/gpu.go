@@ -60,7 +60,6 @@ type GPU struct {
 	// resumed run does not re-apply ops its snapshot already contains.
 	tamperOps     []TamperOp
 	tamperApplied int
-	tamperLog     []TamperRecord
 
 	// issueTap, when set, observes every instruction the moment it is
 	// issued (after the workload hands it out, before any scheduling) —

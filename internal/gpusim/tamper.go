@@ -24,7 +24,7 @@ type TamperOp struct {
 	// run if the budget expires first, so the injected-op ground truth
 	// never depends on how far the workload got).
 	Cycle uint64
-	// Kind names the attack class, for the log.
+	// Kind names the attack class.
 	Kind string
 	// Global is the attacked global sector address.
 	Global geom.Addr
@@ -37,17 +37,6 @@ type TamperOp struct {
 	// the secmem attack primitives; both addresses arrive pre-translated
 	// to partition-local. srcLocal is zero unless HasSrc.
 	Apply func(sec *secmem.Engine, local, srcLocal geom.Addr)
-}
-
-// TamperRecord logs one applied injection, with its placement in the
-// physical layout (partition, DRAM bank and row) for audit in tests.
-type TamperRecord struct {
-	Cycle     uint64 // the epoch-boundary cycle it was applied at
-	Kind      string
-	Partition int
-	Local     geom.Addr
-	Bank      int
-	Row       uint64
 }
 
 // ArmTamper installs the fault-injection schedule. Ops must be sorted
@@ -64,11 +53,6 @@ func (g *GPU) ArmTamper(ops []TamperOp) {
 		g.tamperApplied = len(ops)
 	}
 }
-
-// TamperLog returns the applied injections in application order. On a
-// resumed run the log covers only ops applied since resume (it is
-// diagnostic state, deliberately outside the snapshot).
-func (g *GPU) TamperLog() []TamperRecord { return g.tamperLog }
 
 // applyDueTamper applies every unapplied op due at or before the
 // current epoch boundary; force applies the whole remainder (end of
@@ -94,10 +78,6 @@ func (g *GPU) applyDueTamper(force bool) {
 		if op.Apply != nil {
 			op.Apply(p.sec, local, srcLocal)
 		}
-		bank, row := p.ch.BankRow(local)
-		g.tamperLog = append(g.tamperLog, TamperRecord{
-			Cycle: now, Kind: op.Kind, Partition: pi, Local: local, Bank: bank, Row: row,
-		})
 		g.tamperApplied++
 	}
 }

@@ -1,47 +1,30 @@
-// Package snapsym checks that checkpoint encoders and decoders agree.
+// Package snapsym checks that checkpoint walks cover their state.
 //
-// The PLUTSNAP codec has no schema: each type writes its fields in a
-// fixed documented order and reads them back in the same order
-// (DESIGN.md §8). Nothing ties the two method bodies together, so the
-// classic checkpoint-drift bug — a field added to Snapshot but not
-// Restore, or the two walking fields in different orders — only
-// surfaces at runtime as ErrCorrupt, a trailing-bytes Finish failure,
-// or a byte-diff in the SIGKILL-resume CI job, far from the offending
-// line. snapsym closes that gap statically.
+// Each snapshotted type has one Codec method that walks its fields in
+// wire order; the same body encodes and decodes (DESIGN.md §8), so the
+// two directions cannot drift apart. What one walk cannot show is a
+// field it never visits: state that silently never reaches the snapshot
+// and resets to its constructed value on every resume, surfacing only
+// as a byte-diff in the SIGKILL-resume CI job far from the offending
+// declaration.
 //
-// For every struct type in a sim-critical package with a paired
-// encoder/decoder method (Snapshot/Restore or Encode/Decode, detected
-// by a *checkpoint.Encoder or *checkpoint.Decoder parameter), the
-// analyzer extracts the sequence of receiver fields each body touches,
-// in first-reference source order, and enforces:
+// For every struct type in a sim-critical package with a method named
+// Codec that takes a *checkpoint.Codec, the analyzer reports each field
+// of the struct that the method body never references (directly on the
+// receiver, closures included). Derived or transient fields that are
+// deliberately not captured carry a `//simlint:ignore snapsym <reason>`
+// directive on their declaration line, which doubles as in-source
+// documentation of the exemption.
 //
-//   - the fields referenced by both methods must appear in the same
-//     relative order (a divergence is reported at the decoder's
-//     out-of-order reference);
-//   - a field the encoder references but the decoder never does is
-//     reported at the field's declaration (encoded state that a restore
-//     silently discards);
-//   - a field referenced by neither method is reported at the field's
-//     declaration (state that silently never reaches the snapshot).
-//
-// Fields only the decoder references are legal: restores may read
-// configuration for cross-checks and rebuild derived state. Derived or
-// transient fields that are deliberately not captured carry a
-// `//simlint:ignore snapsym <reason>` directive on their declaration
-// line, which doubles as in-source documentation of the exemption.
-//
-// The check is intraprocedural by design: helpers that serialize a
-// whole sub-object (e.g. split.Snapshot called from the engine's
-// Snapshot) appear as a reference to the corresponding field in both
-// bodies, which is exactly the symmetry that matters at this level;
-// each helper's own body is checked against its own receiver type.
+// The check is intraprocedural by design: a call that walks a whole
+// sub-object (e.sec.Codec(c)) counts as a reference to that field, and
+// the sub-object's own Codec is checked against its own type. Helpers
+// not named Codec are not checked.
 package snapsym
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 
 	"github.com/plutus-gpu/plutus/internal/lint/analysis"
 	"github.com/plutus-gpu/plutus/internal/lint/scope"
@@ -50,92 +33,45 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapsym",
-	Doc: "checkpoint encode/decode method pairs must reference the same receiver fields " +
-		"in the same order; uncaptured fields need a //simlint:ignore snapsym reason",
+	Doc: "a Codec(*checkpoint.Codec) method must walk every receiver field; " +
+		"uncaptured fields need a //simlint:ignore snapsym reason",
 	Run: run,
-}
-
-// verbPairs maps an encoder method name to its decoder counterpart.
-var verbPairs = map[string]string{
-	"Snapshot": "Restore",
-	"snapshot": "restore",
-	"Encode":   "Decode",
-	"encode":   "decode",
-}
-
-// fieldRef is one receiver-field reference inside a method body.
-type fieldRef struct {
-	obj *types.Var
-	pos token.Pos
-}
-
-// codecMethod is one method that takes a codec handle.
-type codecMethod struct {
-	decl *ast.FuncDecl
-	recv *types.Named // receiver's named type (pointer stripped)
 }
 
 func run(pass *analysis.Pass) error {
 	if !scope.SnapSym(pass.Pkg.Path()) {
 		return nil
 	}
-
-	// Collect encoder and decoder methods, grouped by receiver type.
-	encoders := map[*types.Named][]codecMethod{}
-	decoders := map[*types.Named][]codecMethod{}
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != "Codec" || !takesCodec(pass, fd) {
 				continue
 			}
-			named := receiverNamed(pass, fd)
-			if named == nil {
-				continue
+			if named := receiverNamed(pass, fd); named != nil {
+				checkCoverage(pass, named, fd)
 			}
-			switch codecKind(pass, fd) {
-			case "Encoder":
-				encoders[named] = append(encoders[named], codecMethod{fd, named})
-			case "Decoder":
-				decoders[named] = append(decoders[named], codecMethod{fd, named})
-			}
-		}
-	}
-
-	// Pair and check, in stable (type name) order.
-	var names []*types.Named
-	for n := range encoders {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return names[i].Obj().Name() < names[j].Obj().Name()
-	})
-	for _, named := range names {
-		for _, enc := range encoders[named] {
-			dec := pairOf(enc, decoders[named])
-			if dec == nil {
-				continue
-			}
-			checkPair(pass, named, enc, *dec)
 		}
 	}
 	return nil
 }
 
-// pairOf finds the decoder method paired with enc: the verb counterpart
-// by name, or — when the type has exactly one of each — the sole
-// decoder regardless of names.
-func pairOf(enc codecMethod, decs []codecMethod) *codecMethod {
-	want := verbPairs[enc.decl.Name.Name]
-	for i := range decs {
-		if decs[i].decl.Name.Name == want {
-			return &decs[i]
+// takesCodec reports whether one of fd's parameters is a
+// *checkpoint.Codec.
+func takesCodec(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+	for _, p := range fd.Type.Params.List {
+		ptr, ok := pass.TypesInfo.TypeOf(p.Type).(*types.Pointer)
+		if !ok {
+			continue
+		}
+		if named, ok := ptr.Elem().(*types.Named); ok {
+			obj := named.Obj()
+			if obj.Pkg() != nil && scope.Norm(obj.Pkg().Path()) == "internal/checkpoint" && obj.Name() == "Codec" {
+				return true
+			}
 		}
 	}
-	if want == "" && len(decs) == 1 {
-		return &decs[0]
-	}
-	return nil
+	return false
 }
 
 // receiverNamed resolves fd's receiver to its named struct type, or nil.
@@ -143,11 +79,7 @@ func receiverNamed(pass *analysis.Pass, fd *ast.FuncDecl) *types.Named {
 	if len(fd.Recv.List) != 1 {
 		return nil
 	}
-	tv, ok := pass.TypesInfo.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return nil
-	}
-	t := tv.Type
+	t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -161,144 +93,44 @@ func receiverNamed(pass *analysis.Pass, fd *ast.FuncDecl) *types.Named {
 	return named
 }
 
-// codecKind reports whether fd takes a *checkpoint.Encoder ("Encoder"),
-// a *checkpoint.Decoder ("Decoder"), or neither ("").
-func codecKind(pass *analysis.Pass, fd *ast.FuncDecl) string {
-	if fd.Type.Params == nil {
-		return ""
-	}
-	for _, p := range fd.Type.Params.List {
-		tv, ok := pass.TypesInfo.Types[p.Type]
-		if !ok {
-			continue
-		}
-		if k := CodecTypeName(tv.Type); k != "" {
-			return k
-		}
-	}
-	return ""
-}
-
-// CodecTypeName reports whether t is (a pointer to) the checkpoint
-// package's Encoder or Decoder, returning that name or "".
-func CodecTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || scope.Norm(obj.Pkg().Path()) != "internal/checkpoint" {
-		return ""
-	}
-	if n := obj.Name(); n == "Encoder" || n == "Decoder" {
-		return n
-	}
-	return ""
-}
-
-// fieldSeq extracts the receiver fields referenced in fd's body, in
-// first-reference source order. Only direct selections on the receiver
-// identifier count (x.field, including inside closures); method values
-// and promoted fields of embedded structs do not.
-func fieldSeq(pass *analysis.Pass, fd *ast.FuncDecl) []fieldRef {
-	recvIdent := receiverIdent(fd)
-	if recvIdent == nil {
-		return nil
-	}
-	recvObj := pass.TypesInfo.Defs[recvIdent]
-	if recvObj == nil {
-		return nil
-	}
+// walked returns the receiver fields fd's body references. Only direct
+// selections on the receiver identifier count (x.field, including
+// inside closures); method values and promoted fields of embedded
+// structs do not.
+func walked(pass *analysis.Pass, fd *ast.FuncDecl) map[*types.Var]bool {
 	seen := map[*types.Var]bool{}
-	var seq []fieldRef
+	names := fd.Recv.List[0].Names
+	if len(names) != 1 || names[0].Name == "_" {
+		return seen
+	}
+	recvObj := pass.TypesInfo.Defs[names[0]]
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[id] != recvObj {
+		if id, ok := sel.X.(*ast.Ident); !ok || pass.TypesInfo.Uses[id] != recvObj {
 			return true
 		}
-		s := pass.TypesInfo.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal || len(s.Index()) != 1 {
-			return true
-		}
-		f := s.Obj().(*types.Var)
-		if !seen[f] {
-			seen[f] = true
-			seq = append(seq, fieldRef{obj: f, pos: sel.Sel.Pos()})
+		if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.FieldVal && len(s.Index()) == 1 {
+			seen[s.Obj().(*types.Var)] = true
 		}
 		return true
 	})
-	return seq
+	return seen
 }
 
-func receiverIdent(fd *ast.FuncDecl) *ast.Ident {
-	names := fd.Recv.List[0].Names
-	if len(names) != 1 || names[0].Name == "_" {
-		return nil
-	}
-	return names[0]
-}
-
-func checkPair(pass *analysis.Pass, named *types.Named, enc, dec codecMethod) {
-	encSeq := fieldSeq(pass, enc.decl)
-	decSeq := fieldSeq(pass, dec.decl)
-	inEnc := map[*types.Var]bool{}
-	for _, r := range encSeq {
-		inEnc[r.obj] = true
-	}
-	inDec := map[*types.Var]bool{}
-	for _, r := range decSeq {
-		inDec[r.obj] = true
-	}
-	tname := named.Obj().Name()
-	encName := enc.decl.Name.Name
-	decName := dec.decl.Name.Name
-
-	// Order: the subsequences of fields common to both methods must
-	// match; report the first divergence at the decoder's reference.
-	var encCommon, decCommon []fieldRef
-	for _, r := range encSeq {
-		if inDec[r.obj] {
-			encCommon = append(encCommon, r)
-		}
-	}
-	for _, r := range decSeq {
-		if inEnc[r.obj] {
-			decCommon = append(decCommon, r)
-		}
-	}
-	for i := 0; i < len(encCommon) && i < len(decCommon); i++ {
-		if encCommon[i].obj != decCommon[i].obj {
-			pass.Reportf(decCommon[i].pos,
-				"%s.%s references field %s out of order: %s touches %s at this point in the sequence (encode and decode must walk common fields identically)",
-				tname, decName, decCommon[i].obj.Name(), encName, encCommon[i].obj.Name())
-			break
-		}
-	}
-
-	// Omissions, reported at the field declaration so the exemption
-	// directive lives next to the field it documents.
+// checkCoverage reports every field of named that fd never references,
+// at the field's declaration so the exemption directive lives next to
+// the field it documents.
+func checkCoverage(pass *analysis.Pass, named *types.Named, fd *ast.FuncDecl) {
+	seen := walked(pass, fd)
 	st := named.Underlying().(*types.Struct)
 	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !declaredHere(pass, f) {
-			continue
-		}
-		switch {
-		case inEnc[f] && !inDec[f]:
+		if f := st.Field(i); !seen[f] && declaredHere(pass, f) {
 			pass.Reportf(f.Pos(),
-				"field %s.%s is written by %s but never read back by %s; a restore silently discards it",
-				tname, f.Name(), encName, decName)
-		case !inEnc[f] && !inDec[f]:
-			pass.Reportf(f.Pos(),
-				"field %s.%s is captured by neither %s nor %s; snapshot it or mark this declaration //simlint:ignore snapsym <why it is derived or transient>",
-				tname, f.Name(), encName, decName)
+				"field %s.%s is not walked by Codec; walk it or mark this declaration //simlint:ignore snapsym <why it is derived or transient>",
+				named.Obj().Name(), f.Name())
 		}
 	}
 }

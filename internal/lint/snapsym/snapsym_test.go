@@ -7,10 +7,11 @@ import (
 	"github.com/plutus-gpu/plutus/internal/lint/snapsym"
 )
 
-// TestSimCritical exercises the four fixture cases in a sim-critical
-// package: matched pairs (with decoder-only reads and a directive-
-// exempted scratch field) stay clean; reordered decodes, dropped
-// fields, and encode-only fields are flagged.
+// TestSimCritical exercises the fixture cases in a sim-critical
+// package: fully walked types (with a directive-exempted scratch field,
+// a closure reference, and an extra bound parameter) stay clean; fields
+// a Codec never walks, including ones only a helper reaches, are
+// flagged.
 func TestSimCritical(t *testing.T) {
 	analysistest.Run(t, snapsym.Analyzer, "internal/secmem")
 }

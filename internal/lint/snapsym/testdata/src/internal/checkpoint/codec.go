@@ -1,24 +1,10 @@
-// Fixture model of the real internal/checkpoint codec: just enough
-// surface (Encoder/Decoder with fixed-width field methods and the
-// sticky-error accessors) for snapsym fixtures to type-check under the
-// package's real import path.
+// Fixture model of the real internal/checkpoint walker: just enough
+// surface (a Codec with fixed-width walk methods) for snapsym fixtures
+// to type-check under the package's real import path.
 package checkpoint
 
-type Encoder struct{ buf []byte }
+type Codec struct{ decoding bool }
 
-func (e *Encoder) U8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *Encoder) U32(v uint32) { e.buf = append(e.buf, byte(v)) }
-func (e *Encoder) U64(v uint64) { e.buf = append(e.buf, byte(v)) }
-func (e *Encoder) Bool(v bool)  { e.buf = append(e.buf, 0) }
-
-type Decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *Decoder) U8() uint8   { return 0 }
-func (d *Decoder) U32() uint32 { return 0 }
-func (d *Decoder) U64() uint64 { return 0 }
-func (d *Decoder) Bool() bool  { return false }
-func (d *Decoder) Err() error  { return d.err }
+func (c *Codec) Decoding() bool { return c.decoding }
+func (c *Codec) U32(p *uint32)  {}
+func (c *Codec) U64(p *uint64)  {}

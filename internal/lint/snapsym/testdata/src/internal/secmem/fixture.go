@@ -1,118 +1,67 @@
-// Fixture: checkpoint codec method pairs in a sim-critical package
-// (modelled as internal/secmem). Covers the matched, reordered,
-// omitted-field, and ignored-field cases, plus the shapes snapsym must
-// deliberately tolerate: decoder-only configuration reads and derived
-// state rebuilt on restore.
+// Fixture: Codec walks in a sim-critical package (modelled as
+// internal/secmem). Covers a fully walked type with an ignored field, an
+// omitted field, a reference inside a closure, a Codec that takes an
+// extra bound, and a helper not named Codec.
 package secmem
 
 import "internal/checkpoint"
 
-type config struct{ groups uint32 }
-
-// Matched is the sanctioned shape: both methods walk the same fields in
-// the same order; the decoder may additionally read configuration for
-// cross-checks, and transient scratch is exempted with a reasoned
-// directive on its declaration.
-type Matched struct {
+// Walked is the sanctioned shape: every field is walked, and transient
+// scratch is exempted with a reasoned directive on its declaration.
+type Walked struct {
 	epoch   uint64
 	dirty   uint32
-	cfg     config
 	scratch []byte //simlint:ignore snapsym per-request scratch, dead at quiescent snapshot points
 }
 
-func (m *Matched) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U64(m.epoch)
-	enc.U32(m.dirty)
-	return nil
+func (w *Walked) Codec(c *checkpoint.Codec) {
+	c.U64(&w.epoch)
+	c.U32(&w.dirty)
 }
 
-func (m *Matched) Restore(dec *checkpoint.Decoder) error {
-	if dec.U32() != m.cfg.groups { // decoder-only cfg read: legal
-		return dec.Err()
-	}
-	m.epoch = dec.U64()
-	m.dirty = dec.U32()
-	return dec.Err()
-}
-
-// Reordered decodes fields in a different order than they were encoded:
-// the restored values land in the wrong fields (or corrupt the stream
-// when widths differ), so the first out-of-order decoder reference is
-// flagged.
-type Reordered struct {
-	major uint64
-	minor uint64
-}
-
-func (r *Reordered) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U64(r.major)
-	enc.U64(r.minor)
-	return nil
-}
-
-func (r *Reordered) Restore(dec *checkpoint.Decoder) error {
-	r.minor = dec.U64() // want `Reordered\.Restore references field minor out of order: Snapshot touches major`
-	r.major = dec.U64()
-	return dec.Err()
-}
-
-// Omitted drops fields: state silently missing from the snapshot, and
-// encoded state a restore silently discards. Both are reported at the
-// field declaration, where the exemption directive would live.
+// Omitted never walks dropped: state that silently resets on every
+// resume. It is reported at the field declaration, where the exemption
+// directive would live.
 type Omitted struct {
 	kept    uint64
-	dropped uint64 // want `field Omitted\.dropped is captured by neither Snapshot nor Restore`
-	encOnly uint64 // want `field Omitted\.encOnly is written by Snapshot but never read back by Restore`
+	dropped uint64 // want `field Omitted\.dropped is not walked by Codec`
 }
 
-func (o *Omitted) Snapshot(enc *checkpoint.Encoder) error {
-	enc.U64(o.kept)
-	enc.U64(o.encOnly)
-	return nil
+func (o *Omitted) Codec(c *checkpoint.Codec) {
+	c.U64(&o.kept)
 }
 
-func (o *Omitted) Restore(dec *checkpoint.Decoder) error {
-	o.kept = dec.U64()
-	return dec.Err()
-}
-
-// pair uses the lowercase verb pair and void returns; the check binds
-// to the codec parameter types, not the signature shape.
-type pair struct {
-	a uint32
-	b uint32
-}
-
-func (p *pair) encode(enc *checkpoint.Encoder) {
-	enc.U32(p.a)
-	enc.U32(p.b)
-}
-
-func (p *pair) decode(dec *checkpoint.Decoder) {
-	p.b = dec.U32() // want `pair\.decode references field b out of order: encode touches a`
-	p.a = dec.U32()
-}
-
-// Fallback has one encoder and one decoder method under unpaired names:
-// the sole pair is matched positionally, and its closure-based walk is
-// still seen (field references inside func literals count).
-type Fallback struct {
+// Closure walks its words inside a func literal, which counts, and takes
+// an index bound besides the codec, which does not change the check.
+type Closure struct {
 	words []uint64
 	n     uint32
 }
 
-func (f *Fallback) writeTo(enc *checkpoint.Encoder) {
-	enc.U32(f.n)
-	walk(func() {
-		for _, w := range f.words {
-			enc.U64(w)
+func (f *Closure) Codec(c *checkpoint.Codec, limit uint64) {
+	c.U32(&f.n)
+	each(func() {
+		for i := range f.words {
+			c.U64(&f.words[i])
 		}
 	})
 }
 
-func (f *Fallback) readFrom(dec *checkpoint.Decoder) {
-	f.words = append(f.words[:0], dec.U64()) // want `Fallback\.readFrom references field words out of order: writeTo touches n`
-	f.n = dec.U32()
+func each(fn func()) { fn() }
+
+// Helper's walk is split into a method not named Codec, which is not
+// checked, so the fields only the helper reaches count as unwalked in
+// Codec itself.
+type Helper struct {
+	a uint64
+	b uint64 // want `field Helper\.b is not walked by Codec`
 }
 
-func walk(fn func()) { fn() }
+func (h *Helper) Codec(c *checkpoint.Codec) {
+	c.U64(&h.a)
+	h.walkRest(c)
+}
+
+func (h *Helper) walkRest(c *checkpoint.Codec) {
+	c.U64(&h.b)
+}

@@ -6,13 +6,13 @@
 // collapses if an error value is dropped on the floor, overwritten
 // before anyone looks at it, or shadowed by an inner declaration while
 // still unchecked: the decode "succeeds", state is half-restored, and
-// the corruption surfaces far away (if at all). The same applies on the
-// encode side, where Snapshot methods return errors that gate whether
-// the snapshot bytes are usable.
+// the corruption surfaces far away (if at all). The same applies inside
+// a Codec walk, whose error-returning calls (a workload's RestoreCursor,
+// say) must reach the codec through Fail rather than vanish.
 //
 // The analyzer applies to codec functions in sim-critical packages —
-// functions whose parameters or body touch a checkpoint.Encoder or
-// checkpoint.Decoder — and flags:
+// functions whose parameters or body touch a checkpoint.Encoder,
+// checkpoint.Decoder or checkpoint.Codec — and flags:
 //
 //   - a call whose error result is dropped (an expression statement,
 //     or an error assigned to the blank identifier);
@@ -64,7 +64,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // isCodecFunc reports whether fd's signature or body involves a
-// checkpoint.Encoder or checkpoint.Decoder value.
+// checkpoint.Encoder, checkpoint.Decoder or checkpoint.Codec value.
 func isCodecFunc(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	found := false
 	ast.Inspect(fd, func(n ast.Node) bool {
@@ -84,8 +84,8 @@ func isCodecFunc(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	return found
 }
 
-// isCodecType reports whether t is (a pointer to) checkpoint.Encoder or
-// checkpoint.Decoder.
+// isCodecType reports whether t is (a pointer to) checkpoint.Encoder,
+// checkpoint.Decoder or checkpoint.Codec.
 func isCodecType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -98,7 +98,11 @@ func isCodecType(t types.Type) bool {
 	if obj.Pkg() == nil || scope.Norm(obj.Pkg().Path()) != "internal/checkpoint" {
 		return false
 	}
-	return obj.Name() == "Encoder" || obj.Name() == "Decoder"
+	switch obj.Name() {
+	case "Encoder", "Decoder", "Codec":
+		return true
+	}
+	return false
 }
 
 // funcFacts is the per-function event record the checks consume.

@@ -26,3 +26,9 @@ func (d *Decoder) Finish() error {
 	}
 	return nil
 }
+
+type Codec struct{ err error }
+
+func (c *Codec) U64(p *uint64)  {}
+func (c *Codec) Decoding() bool { return false }
+func (c *Codec) Fail(err error) { c.err = err }

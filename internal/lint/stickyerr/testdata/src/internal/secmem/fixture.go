@@ -109,3 +109,20 @@ func (s *store) notCodec() {
 }
 
 func (s *store) plainErr() error { return nil }
+
+// cursor stands in for a workload whose rewind can fail.
+type cursor struct{ pos uint64 }
+
+func (u *cursor) rewind(pos uint64) error { u.pos = pos; return nil }
+
+// Codec walks drop errors just like Encoder/Decoder bodies: a rewind
+// whose failure never reaches the codec leaves a decode that "succeeds".
+func (s *store) Codec(c *checkpoint.Codec, u *cursor) {
+	c.U64(&s.a)
+	if c.Decoding() {
+		u.rewind(s.a) // want `error returned by u\.rewind is dropped`
+	}
+	if err := u.rewind(s.b); err != nil {
+		c.Fail(err)
+	}
+}

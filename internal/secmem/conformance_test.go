@@ -69,11 +69,11 @@ func driveConformance(t *testing.T, r *testRig) {
 
 func snapshotEngine(t *testing.T, e *Engine) []byte {
 	t.Helper()
-	enc := checkpoint.NewEncoder()
-	if err := e.Snapshot(enc); err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	data, err := checkpoint.Marshal(e.Codec)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	return enc.Data()
+	return data
 }
 
 // TestConformanceSnapshotRoundTrip: after a mixed workload, snapshotting
@@ -88,12 +88,8 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 			want := snapshotEngine(t, r.e)
 
 			fresh := conformanceRig(t, name)
-			dec := checkpoint.NewDecoder(want)
-			if err := fresh.e.Restore(dec); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			if err := dec.Finish(); err != nil {
-				t.Fatalf("Finish: %v", err)
+			if err := checkpoint.Unmarshal(want, fresh.e.Codec); err != nil {
+				t.Fatalf("decode: %v", err)
 			}
 			if got := snapshotEngine(t, fresh.e); !bytes.Equal(got, want) {
 				t.Fatalf("re-snapshot diverges: %d vs %d bytes", len(got), len(want))

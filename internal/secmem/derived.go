@@ -18,8 +18,6 @@ package secmem
 // embedding GPU exactly like the InitData hook.
 
 import (
-	"fmt"
-
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
 	"github.com/plutus-gpu/plutus/internal/dense"
 	"github.com/plutus-gpu/plutus/internal/geom"
@@ -62,30 +60,16 @@ func (d *derivedVersions) bump(i uint64) {
 	d.ver.Set(i, d.ver.Get(i)+1)
 }
 
-// Snapshot encodes the classification sets, then every on-stream
-// sector's version.
-func (d *derivedVersions) Snapshot(enc *checkpoint.Encoder) error {
-	snapshotBitmap(enc, &d.onStream)
-	snapshotBitmap(enc, &d.irregular)
+// Codec walks the classification sets, then every on-stream sector's
+// version. sectors bounds the sector indices a walk decodes.
+func (d *derivedVersions) Codec(c *checkpoint.Codec, sectors uint64) {
+	d.onStream.WalkSet(c, sectors)
+	d.irregular.WalkSet(c, sectors)
 	d.onStream.ForEach(func(i uint64) {
-		enc.U64(d.ver.Get(i))
+		v := d.ver.Get(i)
+		c.U64(&v)
+		d.ver.Set(i, v)
 	})
-	return nil
-}
-
-// Restore decodes state written by Snapshot.
-func (d *derivedVersions) Restore(dec *checkpoint.Decoder) error {
-	onStream := restoreBitmap(dec)
-	irregular := restoreBitmap(dec)
-	var ver dense.U64
-	onStream.ForEach(func(i uint64) {
-		ver.Set(i, dec.U64())
-	})
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("secmem: %w", err)
-	}
-	d.onStream, d.irregular, d.ver = onStream, irregular, ver
-	return nil
 }
 
 // counterOf returns sector i's effective encryption counter: the

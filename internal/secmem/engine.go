@@ -35,7 +35,6 @@ type layout struct {
 // parts exist follows from the configuration's three seams; an absent
 // part is nil (or, for the compact counter region, has a nil tree).
 type Engine struct {
-	//simlint:ignore snapsym configuration, rebuilt by New
 	cfg Config
 	//simlint:ignore snapsym construction wiring, rebuilt by New
 	eng *sim.Engine

@@ -50,6 +50,14 @@ func (r *counterRegion) build(cfg *Config, key siphash.Key, bytes uint64, ctrNam
 	r.treeCache = cfg.metaCache(treeName, geom.BlockSize)
 }
 
+// units returns the region's counter-unit count; zero when absent.
+func (r *counterRegion) units() uint64 {
+	if r.tree == nil {
+		return 0
+	}
+	return r.tree.Config().Units
+}
+
 // unitOf returns the unit index covering data sector i's counter.
 //
 //simlint:hotpath

@@ -47,27 +47,15 @@ type shareStore struct {
 	check [][]byte
 }
 
-// Snapshot encodes the written set, then every written sector's version.
-func (s *shareStore) Snapshot(enc *checkpoint.Encoder) error {
-	snapshotBitmap(enc, &s.written)
+// Codec walks the written set, then every written sector's version.
+// sectors bounds the sector indices a walk decodes.
+func (s *shareStore) Codec(c *checkpoint.Codec, sectors uint64) {
+	s.written.WalkSet(c, sectors)
 	s.written.ForEach(func(i uint64) {
-		enc.U64(s.ver.Get(i))
+		v := s.ver.Get(i)
+		c.U64(&v)
+		s.ver.Set(i, v)
 	})
-	return nil
-}
-
-// Restore decodes state written by Snapshot.
-func (s *shareStore) Restore(dec *checkpoint.Decoder) error {
-	written := restoreBitmap(dec)
-	var ver dense.U64
-	written.ForEach(func(i uint64) {
-		ver.Set(i, dec.U64())
-	})
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("secmem: %w", err)
-	}
-	s.written, s.ver = written, ver
-	return nil
 }
 
 // --- GF(256) arithmetic (AES polynomial x^8+x^4+x^3+x+1) ---

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net/http"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/plutus-gpu/plutus/internal/checkpoint"
 	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/server"
@@ -205,5 +207,72 @@ func TestSnapshotEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown benchmark: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHostileSnapshotFailsCleanly: a PLUTSNAP whose container is intact
+// (valid CRCs) but whose workload section claims 2^32−1 cursor entries
+// is accepted by PUT /v1/snapshots, which checks only the container.
+// The next submit of that cell must settle failed with a corrupt-snapshot
+// error, and the daemon must keep serving; it used to die allocating
+// 34 GB for the cursor.
+func TestHostileSnapshotFailsCleanly(t *testing.T) {
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hcfg := harness.Config{
+		MaxInstructions: 2000,
+		Benchmarks:      []string{"bfs"},
+		Parallelism:     1,
+		CheckpointEvery: 500,
+		CheckpointDir:   ckptDir,
+		Resume:          true,
+	}
+	runner := harness.NewRunner(hcfg)
+	_, c := startServer(t, server.Config{
+		Backend:         runner,
+		Workers:         1,
+		QueueDepth:      2,
+		MaxInstructions: hcfg.MaxInstructions,
+	}, nil)
+	ctx := context.Background()
+
+	// A real parked snapshot of the cell, with its workload section
+	// replaced and the container re-encoded.
+	if _, err := runner.RunSeededContext(newCancelInFlight(), "bfs", secmem.Plutus(0), 5); err == nil {
+		t.Fatal("expected preemption error")
+	}
+	snap, err := c.Snapshot(ctx, "bfs", "plutus", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.Decode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := &checkpoint.File{}
+	for _, s := range f.Sections() {
+		if s.Name == "workload" {
+			s.Payload = binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF)
+		}
+		hostile.Add(s.Name, s.Payload)
+	}
+	if err := c.PutSnapshot(ctx, "bfs", "plutus", 5, hostile.Encode()); err != nil {
+		t.Fatalf("PUT of an intact container refused: %v", err)
+	}
+
+	st, err := c.Submit(ctx, server.RunRequest{Benchmark: "bfs", Scheme: "plutus", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "snapshot corrupt") {
+		t.Fatalf("run settled %s (%q), want failed with a corrupt-snapshot error", st.State, st.Error)
+	}
+	if err := c.Health(ctx); err != nil {
+		t.Fatalf("daemon unhealthy after the hostile resume: %v", err)
 	}
 }

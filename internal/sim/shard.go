@@ -132,9 +132,6 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // Shard returns shard i.
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
-// Window returns the lookahead window.
-func (c *Cluster) Window() Cycle { return c.window }
-
 // cmpMessage is the canonical delivery order: (cycle, sender, sender
 // sequence). (sender, sequence) is unique, so the order is total.
 func cmpMessage(a, b message) int {

@@ -1,134 +1,67 @@
 package stats
 
-import (
-	"fmt"
+import "github.com/plutus-gpu/plutus/internal/checkpoint"
 
-	"github.com/plutus-gpu/plutus/internal/checkpoint"
-)
-
-// Snapshot encodes a Traffic accumulator, classes in declaration order.
-func (t *Traffic) Snapshot(enc *checkpoint.Encoder) {
-	for c := Class(0); c < numClasses; c++ {
-		enc.U64(t.ReadBytes[c])
-		enc.U64(t.WriteBytes[c])
-		enc.U64(t.Reads[c])
-		enc.U64(t.Writes[c])
+// Codec walks a Traffic accumulator, classes in declaration order. A
+// walk decodes in place, so the receiver pointer is preserved:
+// components such as the DRAM channel hold aliases to the partition's
+// Traffic, and restoring must never replace the struct.
+func (t *Traffic) Codec(c *checkpoint.Codec) {
+	for k := Class(0); k < numClasses; k++ {
+		c.U64(&t.ReadBytes[k])
+		c.U64(&t.WriteBytes[k])
+		c.U64(&t.Reads[k])
+		c.U64(&t.Writes[k])
 	}
 }
 
-// Restore decodes a Traffic accumulator in place. The receiver pointer
-// is preserved: components such as the DRAM channel hold aliases to the
-// partition's Traffic, so restoring must never replace the struct.
-func (t *Traffic) Restore(dec *checkpoint.Decoder) {
-	for c := Class(0); c < numClasses; c++ {
-		t.ReadBytes[c] = dec.U64()
-		t.WriteBytes[c] = dec.U64()
-		t.Reads[c] = dec.U64()
-		t.Writes[c] = dec.U64()
-	}
+// Codec walks a CacheStats block.
+func (s *CacheStats) Codec(c *checkpoint.Codec) {
+	c.U64(&s.Hits)
+	c.U64(&s.Misses)
+	c.U64(&s.MSHRMerges)
+	c.U64(&s.Evictions)
+	c.U64(&s.DirtyEvictions)
 }
 
-// Snapshot encodes a CacheStats block.
-func (c *CacheStats) Snapshot(enc *checkpoint.Encoder) {
-	enc.U64(c.Hits)
-	enc.U64(c.Misses)
-	enc.U64(c.MSHRMerges)
-	enc.U64(c.Evictions)
-	enc.U64(c.DirtyEvictions)
-}
-
-// Restore decodes a CacheStats block in place.
-func (c *CacheStats) Restore(dec *checkpoint.Decoder) {
-	c.Hits = dec.U64()
-	c.Misses = dec.U64()
-	c.MSHRMerges = dec.U64()
-	c.Evictions = dec.U64()
-	c.DirtyEvictions = dec.U64()
-}
-
-// Snapshot encodes a SecStats block, fields in declaration order.
-func (s *SecStats) Snapshot(enc *checkpoint.Encoder) {
-	enc.U64(s.ValueVerified)
-	enc.U64(s.MACVerified)
-	enc.U64(s.MACSkippedWrites)
-	enc.U64(s.MACWrites)
-	enc.U64(s.CompactHits)
-	enc.U64(s.CompactOverflow)
-	enc.U64(s.CompactDisabled)
-	enc.U64(s.BMTNodeVerifies)
-	enc.U64(s.TamperDetected)
-	enc.U64(s.ReplayDetected)
-	enc.U64(s.TamperInjected)
-	enc.U64(s.TaintedReads)
-	enc.U64(s.DerivedVersions)
-	enc.U64(s.DerivedFallbacks)
-	enc.U64(s.SharesReconstructed)
+// Codec walks a SecStats block, fields in declaration order.
+func (s *SecStats) Codec(c *checkpoint.Codec) {
+	c.U64(&s.ValueVerified)
+	c.U64(&s.MACVerified)
+	c.U64(&s.MACSkippedWrites)
+	c.U64(&s.MACWrites)
+	c.U64(&s.CompactHits)
+	c.U64(&s.CompactOverflow)
+	c.U64(&s.CompactDisabled)
+	c.U64(&s.BMTNodeVerifies)
+	c.U64(&s.TamperDetected)
+	c.U64(&s.ReplayDetected)
+	c.U64(&s.TamperInjected)
+	c.U64(&s.TaintedReads)
+	c.U64(&s.DerivedVersions)
+	c.U64(&s.DerivedFallbacks)
+	c.U64(&s.SharesReconstructed)
 	for i := range s.Verdicts {
-		enc.U64(s.Verdicts[i])
+		c.U64(&s.Verdicts[i])
 	}
 }
 
-// Restore decodes a SecStats block in place.
-func (s *SecStats) Restore(dec *checkpoint.Decoder) {
-	s.ValueVerified = dec.U64()
-	s.MACVerified = dec.U64()
-	s.MACSkippedWrites = dec.U64()
-	s.MACWrites = dec.U64()
-	s.CompactHits = dec.U64()
-	s.CompactOverflow = dec.U64()
-	s.CompactDisabled = dec.U64()
-	s.BMTNodeVerifies = dec.U64()
-	s.TamperDetected = dec.U64()
-	s.ReplayDetected = dec.U64()
-	s.TamperInjected = dec.U64()
-	s.TaintedReads = dec.U64()
-	s.DerivedVersions = dec.U64()
-	s.DerivedFallbacks = dec.U64()
-	s.SharesReconstructed = dec.U64()
-	for i := range s.Verdicts {
-		s.Verdicts[i] = dec.U64()
-	}
-}
-
-// Snapshot encodes a full Stats record.
-func (s *Stats) Snapshot(enc *checkpoint.Encoder) {
-	enc.String(s.Benchmark)
-	enc.String(s.Scheme)
-	enc.U64(s.Cycles)
-	enc.U64(s.Instructions)
-	enc.U64(s.MemInsts)
-	enc.U64(s.LoadInsts)
-	enc.U64(s.StoreInsts)
-	s.Traffic.Snapshot(enc)
-	s.Sec.Snapshot(enc)
-	s.L2.Snapshot(enc)
-	s.CounterCache.Snapshot(enc)
-	s.MACCache.Snapshot(enc)
-	s.BMTCache.Snapshot(enc)
-	s.CompactCache.Snapshot(enc)
-	s.CompactBMTC.Snapshot(enc)
-}
-
-// Restore decodes a full Stats record in place (see Traffic.Restore for
-// why in place matters) and reports any decode error.
-func (s *Stats) Restore(dec *checkpoint.Decoder) error {
-	s.Benchmark = dec.String()
-	s.Scheme = dec.String()
-	s.Cycles = dec.U64()
-	s.Instructions = dec.U64()
-	s.MemInsts = dec.U64()
-	s.LoadInsts = dec.U64()
-	s.StoreInsts = dec.U64()
-	s.Traffic.Restore(dec)
-	s.Sec.Restore(dec)
-	s.L2.Restore(dec)
-	s.CounterCache.Restore(dec)
-	s.MACCache.Restore(dec)
-	s.BMTCache.Restore(dec)
-	s.CompactCache.Restore(dec)
-	s.CompactBMTC.Restore(dec)
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	return nil
+// Codec walks a full Stats record in place (see Traffic.Codec for why in
+// place matters).
+func (s *Stats) Codec(c *checkpoint.Codec) {
+	c.String(&s.Benchmark)
+	c.String(&s.Scheme)
+	c.U64(&s.Cycles)
+	c.U64(&s.Instructions)
+	c.U64(&s.MemInsts)
+	c.U64(&s.LoadInsts)
+	c.U64(&s.StoreInsts)
+	s.Traffic.Codec(c)
+	s.Sec.Codec(c)
+	s.L2.Codec(c)
+	s.CounterCache.Codec(c)
+	s.MACCache.Codec(c)
+	s.BMTCache.Codec(c)
+	s.CompactCache.Codec(c)
+	s.CompactBMTC.Codec(c)
 }

@@ -43,13 +43,13 @@ func secStatsFixture() SecStats {
 func TestSecStatsSnapshotRoundTrip(t *testing.T) {
 	want := secStatsFixture()
 
-	enc := checkpoint.NewEncoder()
-	want.Snapshot(enc)
+	data, err := checkpoint.Marshal(want.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var got SecStats
-	dec := checkpoint.NewDecoder(enc.Data())
-	got.Restore(dec)
-	if err := dec.Finish(); err != nil {
+	if err := checkpoint.Unmarshal(data, got.Codec); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got != want {
@@ -66,10 +66,12 @@ func TestSecStatsSnapshotRoundTrip(t *testing.T) {
 
 	// Re-encoding the restored struct must reproduce the original bytes:
 	// the byte-identical replay guarantee leans on this determinism.
-	re := checkpoint.NewEncoder()
-	got.Snapshot(re)
-	if !bytes.Equal(re.Data(), enc.Data()) {
-		t.Errorf("re-encoded snapshot differs from original (%d vs %d bytes)", re.Len(), enc.Len())
+	re, err := checkpoint.Marshal(got.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, data) {
+		t.Errorf("re-encoded snapshot differs from original (%d vs %d bytes)", len(re), len(data))
 	}
 }
 
@@ -77,12 +79,14 @@ func TestSecStatsSnapshotRoundTrip(t *testing.T) {
 // SecStats without a matching codec (or version bump) fails loudly
 // here instead of desynchronizing resumed runs.
 func TestSecStatsSnapshotSize(t *testing.T) {
-	enc := checkpoint.NewEncoder()
 	s := secStatsFixture()
-	s.Snapshot(enc)
+	data, err := checkpoint.Marshal(s.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const fixed = 15 // scalar uint64 fields
 	want := 8 * (fixed + len(VerdictKinds()))
-	if enc.Len() != want {
-		t.Errorf("encoded SecStats is %d bytes, want %d — field/codec mismatch?", enc.Len(), want)
+	if len(data) != want {
+		t.Errorf("encoded SecStats is %d bytes, want %d — field/codec mismatch?", len(data), want)
 	}
 }

@@ -405,21 +405,19 @@ func TestOracleSnapshotResume(t *testing.T) {
 			start := newOracleRig(t, name)
 			var final *oracleRig
 			gotDigest := runOraclePaused(t, start, 3, ops, 500, func(r *oracleRig) *oracleRig {
-				enc := checkpoint.NewEncoder()
-				if err := r.sec.Snapshot(enc); err != nil {
-					t.Fatalf("Snapshot: %v", err)
+				walk := func(r *oracleRig) func(*checkpoint.Codec) {
+					return func(c *checkpoint.Codec) {
+						r.sec.Codec(c)
+						r.st.Codec(c)
+					}
 				}
-				r.st.Snapshot(enc)
+				data, err := checkpoint.Marshal(walk(r))
+				if err != nil {
+					t.Fatalf("encode: %v", err)
+				}
 				fresh := newOracleRig(t, name)
-				dec := checkpoint.NewDecoder(enc.Data())
-				if err := fresh.sec.Restore(dec); err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
-				if err := fresh.st.Restore(dec); err != nil {
-					t.Fatalf("stats Restore: %v", err)
-				}
-				if err := dec.Finish(); err != nil {
-					t.Fatalf("Finish: %v", err)
+				if err := checkpoint.Unmarshal(data, walk(fresh)); err != nil {
+					t.Fatalf("decode: %v", err)
 				}
 				final = fresh
 				return fresh

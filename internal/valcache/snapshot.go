@@ -1,83 +1,69 @@
 package valcache
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
 )
 
-// Snapshot encodes the cache's entries and statistics. Pinned entries
-// carry no ordering (they are never evicted), so they are written in
-// ascending key order; transient entries are written in exact LRU order,
-// least-recent first, so Restore can rebuild the intrusive list
-// identically — future evictions then pick the same victims.
-func (c *Cache) Snapshot(enc *checkpoint.Encoder) error {
-	var pinnedKeys []uint32
-	for k, i := range c.index {
-		if c.slots[i].pinned {
-			pinnedKeys = append(pinnedKeys, k)
+// Codec walks the cache's entries and statistics. Pinned entries carry
+// no ordering (they are never evicted), so they are walked in ascending
+// key order; transient entries are walked in exact LRU order,
+// least-recent first, so decoding rebuilds the intrusive list
+// identically — future evictions then pick the same victims. Decoding
+// replaces every entry and fails with ErrCorrupt on more entries than
+// there are slots for, or on a repeated key.
+func (c *Cache) Codec(cc *checkpoint.Codec) {
+	var pinned, lru []int32 // slots in wire order, when encoding
+	if cc.Decoding() {
+		c.index = make(map[uint32]int32, c.cfg.Entries)
+		c.resetSlots()
+		c.lruHead, c.lruTail = nilSlot, nilSlot
+	} else {
+		for _, i := range c.index {
+			if c.slots[i].pinned {
+				pinned = append(pinned, i)
+			}
+		}
+		// Collect-then-sort: map iteration order above cannot leak.
+		sort.Slice(pinned, func(a, b int) bool { return c.slots[pinned[a]].key < c.slots[pinned[b]].key })
+		for i := c.lruTail; i != nilSlot; i = c.slots[i].prev {
+			lru = append(lru, i)
 		}
 	}
-	// Collect-then-sort: iteration order above cannot leak.
-	sort.Slice(pinnedKeys, func(i, j int) bool { return pinnedKeys[i] < pinnedKeys[j] })
-	enc.U32(uint32(len(pinnedKeys)))
-	for _, k := range pinnedKeys {
-		enc.U32(k)
-		enc.U8(c.slots[c.index[k]].use)
-	}
-	enc.U32(uint32(c.transient))
-	for i := c.lruTail; i != nilSlot; i = c.slots[i].prev {
-		enc.U32(c.slots[i].key)
-		enc.U8(c.slots[i].use)
-	}
-	enc.U64(c.Probes)
-	enc.U64(c.Hits)
-	enc.U64(c.PinnedHits)
-	enc.U64(c.Inserts)
-	enc.U64(c.Promotions)
-	enc.U64(c.Evictions)
-	return nil
+	c.pinned = c.walkEntries(cc, pinned, c.pinCap, true)
+	c.transient = c.walkEntries(cc, lru, c.cfg.Entries-c.pinned, false)
+	cc.U64(&c.Probes)
+	cc.U64(&c.Hits)
+	cc.U64(&c.PinnedHits)
+	cc.U64(&c.Inserts)
+	cc.U64(&c.Promotions)
+	cc.U64(&c.Evictions)
 }
 
-// Restore decodes state written by Snapshot into a cache of the same
-// configuration, replacing all entries.
-func (c *Cache) Restore(dec *checkpoint.Decoder) error {
-	nPinned := dec.U32()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("valcache: %w", err)
+// walkEntries walks a count, then each slot's (key, use count) and
+// returns the count. Decoding allocates a slot per entry; a transient
+// one is pushed at the LRU head, so the list ends most-recent first.
+func (c *Cache) walkEntries(cc *checkpoint.Codec, slots []int32, max int, pinned bool) int {
+	n := len(slots)
+	cc.Len32(&n, uint64(max), 5)
+	for j := 0; j < n && cc.Err() == nil; j++ {
+		var e entry
+		if !cc.Decoding() {
+			e = c.slots[slots[j]]
+		}
+		cc.U32(&e.key)
+		cc.U8(&e.use)
+		if !cc.Decoding() || cc.Err() != nil {
+			continue
+		}
+		if _, dup := c.index[e.key]; dup {
+			cc.Corrupt("valcache: key %#x appears twice", e.key)
+			break
+		}
+		if i := c.alloc(e.key, e.use, pinned); !pinned {
+			c.listPushFront(i)
+		}
 	}
-	if int(nPinned) > c.pinCap {
-		return fmt.Errorf("valcache: snapshot has %d pinned entries, capacity %d: %w",
-			nPinned, c.pinCap, checkpoint.ErrMismatch)
-	}
-	c.index = make(map[uint32]int32, c.cfg.Entries)
-	c.resetSlots()
-	for i := uint32(0); i < nPinned && dec.Err() == nil; i++ {
-		k := dec.U32()
-		c.alloc(k, dec.U8(), true)
-	}
-	nTrans := dec.U32()
-	c.pinned = int(nPinned)
-	c.transient = int(nTrans)
-	// Pinned entries never enter the LRU list (alloc leaves their links
-	// nil), so resetting the list here — after the pinned loop, in the
-	// encoder's field order — is equivalent to resetting it up front.
-	c.lruHead, c.lruTail = nilSlot, nilSlot
-	// Written least-recent first; each push-front leaves earlier (older)
-	// entries deeper in the list, ending with the most recent at the head.
-	for i := uint32(0); i < nTrans && dec.Err() == nil; i++ {
-		k := dec.U32()
-		c.listPushFront(c.alloc(k, dec.U8(), false))
-	}
-	c.Probes = dec.U64()
-	c.Hits = dec.U64()
-	c.PinnedHits = dec.U64()
-	c.Inserts = dec.U64()
-	c.Promotions = dec.U64()
-	c.Evictions = dec.U64()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("valcache: %w", err)
-	}
-	return nil
+	return n
 }

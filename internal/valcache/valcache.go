@@ -93,10 +93,9 @@ type entry struct {
 // no heap allocation at all, which matters because every 32-bit value of
 // every verified or observed sector passes through here.
 type Cache struct {
-	cfg Config
-	//simlint:ignore snapsym Restore rebuilds the slot array entry-by-entry through resetSlots/alloc
+	cfg   Config
 	slots []entry
-	//simlint:ignore snapsym free-slot stack is derived; resetSlots refills it before Restore replays entries
+	//simlint:ignore snapsym free-slot stack is derived; resetSlots refills it before a decoding walk replays entries
 	free      []int32 // free slot stack
 	index     map[uint32]int32
 	pinned    int
