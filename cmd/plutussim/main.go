@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"text/tabwriter"
 
 	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/prof"
@@ -56,7 +57,7 @@ func main() {
 		volta   = flag.Bool("volta", false, "full 80-SM/32-partition Volta config (slow)")
 		asJSON  = flag.Bool("json", false, "print the canonical JSON record instead of the text report")
 		remote  = flag.String("remote", "", "submit to a plutusd daemon at this base URL instead of simulating locally")
-		list    = flag.Bool("list", false, "list benchmarks and schemes, then exit")
+		list    = flag.Bool("list", false, "list benchmarks, schemes and the scenario corpus, then exit")
 		ckptDir = flag.String("checkpoint-dir", "", "directory for run snapshots (required with -checkpoint-every)")
 		ckptN   = flag.Uint64("checkpoint-every", 0, "snapshot the run every N cycles (0 = off; cadence affects timing, so compare runs at equal cadence)")
 		resume  = flag.Bool("resume", false, "resume from the snapshot in -checkpoint-dir if one exists")
@@ -80,6 +81,14 @@ func main() {
 	if *list {
 		fmt.Println("benchmarks:", strings.Join(workload.Names(), " "))
 		fmt.Println("schemes:   ", strings.Join(secmem.Names(), " "))
+		fmt.Println()
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "SCENARIO\tWARPS\tINSTS/WARP\tDESCRIPTION")
+		for _, name := range workload.ScenarioNames() {
+			s, _ := workload.Describe(name)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", s.Name, s.Warps, s.InstsPerWarp, s.Desc)
+		}
+		tw.Flush()
 		return
 	}
 

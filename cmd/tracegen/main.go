@@ -1,6 +1,5 @@
 // Command tracegen captures a workload's issued instruction stream into
-// a PLTR-v2 trace, lists the scenario corpus, or inspects an existing
-// trace file.
+// a PLTR-v2 trace, or inspects an existing trace file.
 //
 // Capture runs the workload through the real simulator with an issue
 // tap, so the trace is the stream an actual run issued — not an
@@ -9,31 +8,29 @@
 // `trace:<path>` workload namespace:
 //
 //	tracegen -bench bfs -insts 100000 -o bfs.pltr
-//	tracegen -scenario scn-dnn-infer -o dnn.pltr
-//	tracegen -scenario list
+//	tracegen -bench scn-dnn-infer -o dnn.pltr
 //	tracegen -seed 7 -bench bfs -o bfs-7.pltr
 //	tracegen -inspect bfs.pltr
 //	plutussim -bench trace:bfs.pltr -scheme plutus
+//
+// `plutussim -list` lists the workloads, the scenario corpus included.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"text/tabwriter"
 
 	"github.com/plutus-gpu/plutus/internal/gpusim"
 	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/trace"
-	"github.com/plutus-gpu/plutus/internal/trace/scenario"
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
 func main() {
 	var (
-		bench   = flag.String("bench", "bfs", "workload to capture (suite, scenario, or trace:<path>)")
-		scen    = flag.String("scenario", "", "capture a scenario-corpus workload; \"list\" prints the corpus and exits")
+		bench   = flag.String("bench", "bfs", "workload to capture (suite, scenario, or trace:<path>; see plutussim -list)")
 		seed    = flag.Uint64("seed", 0, "workload seed perturbation (0 = canonical instantiation)")
 		scheme  = flag.String("scheme", "plutus", "security scheme the capture run executes under")
 		insts   = flag.Uint64("insts", 100000, "warp-instruction budget of the capture run")
@@ -43,21 +40,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*bench, *scen, *scheme, *out, *inspect, *seed, *insts, *report); err != nil {
+	if err := run(*bench, *scheme, *out, *inspect, *seed, *insts, *report); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, scen, scheme, out, inspect string, seed, insts uint64, report bool) error {
+func run(bench, scheme, out, inspect string, seed, insts uint64, report bool) error {
 	if inspect != "" {
 		return inspectTrace(inspect)
-	}
-	if scen == "list" {
-		return listScenarios()
-	}
-	if scen != "" {
-		bench = scen
 	}
 
 	wl, err := workload.GetSeeded(bench, seed)
@@ -102,16 +93,6 @@ func run(bench, scen, scheme, out, inspect string, seed, insts uint64, report bo
 		fmt.Print(harness.Report(st, sc))
 	}
 	return nil
-}
-
-func listScenarios() error {
-	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tWARPS\tINSTS/WARP\tDESCRIPTION")
-	for _, name := range scenario.Names() {
-		info, _ := scenario.Describe(name)
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\n", info.Name, info.Warps, info.InstsPerWarp, info.Desc)
-	}
-	return tw.Flush()
 }
 
 // inspectTrace prints the v2 header, per-warp chunk index, and record

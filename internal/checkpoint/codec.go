@@ -10,9 +10,9 @@ import (
 
 // Encoder serializes checkpoint state as fixed-width little-endian
 // fields. There is no reflection and no schema: identical writes always
-// encode to identical bytes. Snapshot sections are written through a
-// Codec walk; the trace format and the value model use Encoder and
-// Decoder directly.
+// encode to identical bytes. Snapshot sections, the trace header and
+// footer, and the value model are written through a Codec walk; only
+// trace chunk records use a Decoder directly.
 type Encoder struct {
 	buf bytes.Buffer
 }

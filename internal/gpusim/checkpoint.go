@@ -9,18 +9,6 @@ import (
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
 
-// CheckpointableWorkload is the optional interface a Workload implements
-// to participate in checkpoint/restore: the cursor is the complete
-// mutable state of a deterministic instruction stream, so capturing it
-// (plus the simulator state) captures the whole run.
-type CheckpointableWorkload interface {
-	Workload
-	// Cursor returns a copy of the per-warp stream positions.
-	Cursor() []uint64
-	// RestoreCursor rewinds the stream to a previously captured cursor.
-	RestoreCursor([]uint64) error
-}
-
 // CheckpointSink receives each snapshot taken during a checkpointed run,
 // with the quiescent cycle it was taken at. A non-nil error aborts the
 // run and is returned from RunWithCheckpoints; returning an error that
@@ -53,11 +41,12 @@ func configFingerprint(cfg Config, wl Workload) string {
 // partition order at the end, so the result is deterministic regardless
 // of execution mode. With Config.CheckpointEvery set, epoch drains still
 // occur (keeping timing identical to a sink-driven run at the same
-// cadence) but no snapshots are built.
+// cadence) but no snapshots are built. Run panics on any error
+// RunWithCheckpoints would return; callers replaying untrusted streams
+// use RunWithCheckpoints(nil).
 func (g *GPU) Run() *stats.Stats {
 	st, err := g.RunWithCheckpoints(nil)
 	if err != nil {
-		// With a nil sink the only error paths are invariant violations.
 		panic(fmt.Sprintf("gpusim: %v", err))
 	}
 	return st
@@ -69,7 +58,9 @@ func (g *GPU) Run() *stats.Stats {
 // complete simulator state, and hands it to sink (if non-nil). If sink
 // returns an error the run stops immediately — still quiescent, with the
 // just-written snapshot as its resumable state — and that error is
-// returned.
+// returned. An instruction addressing memory past the protected space
+// stops issue, and the run fails with that error without taking another
+// snapshot.
 func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 	defer g.cluster.Close()
 	if g.cfg.CheckpointEvery > 0 && g.nextCkpt == 0 {
@@ -87,6 +78,9 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 		n += ran
 		if n >= 1<<34 {
 			panic("gpusim: event livelock")
+		}
+		if g.fault != nil {
+			return nil, g.fault
 		}
 		// Fault injections land here, between windows, so the mutation
 		// point is deterministic and precedes any snapshot taken below.
@@ -233,9 +227,6 @@ func (g *GPU) quiescenceError() error {
 // self-describing snapshot file. The GPU must be quiescent (drained epoch
 // boundary); RunWithCheckpoints arranges that before calling it.
 func (g *GPU) WriteSnapshot() ([]byte, error) {
-	if _, ok := g.wl.(CheckpointableWorkload); !ok {
-		return nil, fmt.Errorf("gpusim: workload %s does not support checkpointing", g.wl.Name())
-	}
 	f := &checkpoint.File{}
 	for _, s := range g.sections() {
 		data, err := checkpoint.Marshal(s.walk)
@@ -256,9 +247,6 @@ func (g *GPU) WriteSnapshot() ([]byte, error) {
 // run the snapshot was taken from. On any error the half-restored GPU is
 // discarded.
 func ResumeSnapshot(cfg Config, wl Workload, data []byte) (*GPU, error) {
-	if _, ok := wl.(CheckpointableWorkload); !ok {
-		return nil, fmt.Errorf("gpusim: workload %s does not support checkpointing", wl.Name())
-	}
 	f, err := checkpoint.Decode(data)
 	if err != nil {
 		return nil, err
@@ -346,8 +334,7 @@ func (g *GPU) gpuCodec(c *checkpoint.Codec) {
 // workloadCodec walks the "workload" section, the per-warp stream
 // cursor. Decoding rewinds the workload to it.
 func (g *GPU) workloadCodec(c *checkpoint.Codec) {
-	cw := g.wl.(CheckpointableWorkload)
-	cur := cw.Cursor()
+	cur := g.wl.Cursor()
 	n := len(cur)
 	c.Len32(&n, uint64(len(cur)), 8)
 	cur = cur[:n]
@@ -355,7 +342,7 @@ func (g *GPU) workloadCodec(c *checkpoint.Codec) {
 		c.U64(&cur[i])
 	}
 	if c.Decoding() && c.Err() == nil {
-		if err := cw.RestoreCursor(cur); err != nil {
+		if err := g.wl.RestoreCursor(cur); err != nil {
 			c.Fail(fmt.Errorf("gpusim: %v: %w", err, checkpoint.ErrMismatch))
 		}
 	}

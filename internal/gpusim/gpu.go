@@ -45,6 +45,12 @@ type GPU struct {
 	activeWarps int
 	budgetDone  bool
 
+	// protected is the partition-local protected size every issued
+	// address must stay below. fault is the first address past it: it
+	// stops issue and fails the run.
+	protected uint64
+	fault     error
+
 	// Checkpoint state (see checkpoint.go). While draining, fetch parks
 	// warps instead of issuing; parked records the park order, which is
 	// part of the deterministic-replay contract. restoredParked seeds the
@@ -191,6 +197,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		}
 		g.parts = append(g.parts, part)
 	}
+	g.protected = g.parts[0].sec.Config().ProtectedBytes
 
 	g.sms = make([]*smCtx, cfg.SMs)
 	for i := range g.sms {
@@ -207,7 +214,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 
 // fetch advances warp w to its next instruction.
 func (g *GPU) fetch(w *warpCtx) {
-	if !w.active {
+	if !w.active || g.fault != nil {
 		return
 	}
 	if g.draining {
@@ -225,6 +232,13 @@ func (g *GPU) fetch(w *warpCtx) {
 	if !ok {
 		g.retire(w)
 		return
+	}
+	for _, a := range inst.Addrs {
+		if uint64(g.il.LocalAddr(a)) >= g.protected {
+			g.fault = fmt.Errorf("gpusim: %s: warp %d address %#x is past the protected space (%d bytes per partition)",
+				g.wl.Name(), w.id, uint64(a), g.protected)
+			return
+		}
 	}
 	g.issued++
 	if g.issueTap != nil {

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/plutus-gpu/plutus/internal/geom"
@@ -227,5 +228,48 @@ func TestSchemeOrderingOnValueLocalWorkload(t *testing.T) {
 	}
 	if plutus >= pssm {
 		t.Errorf("Plutus (%d cyc) should beat PSSM (%d cyc) on value-local data", plutus, pssm)
+	}
+}
+
+// TestAddressPastProtectedSpaceFails: an instruction addressing memory
+// past the protected space fails the run under every scheme, with the
+// warp, the address and the limit, instead of panicking inside the
+// metadata structures. The last protected word still runs.
+func TestAddressPastProtectedSpaceFails(t *testing.T) {
+	for _, name := range secmem.Names() {
+		t.Run(name, func(t *testing.T) {
+			sc, err := secmem.ByName(name, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testCfg(sc)
+			cfg.CheckpointEvery = 1
+			top := geom.Addr(cfg.Sec.ProtectedBytes * uint64(cfg.Partitions))
+			run := func(script []Inst) (int, error) {
+				g, err := New(cfg, newScript(2, script))
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps := 0
+				_, err = g.RunWithCheckpoints(func(uint64, []byte) error { snaps++; return nil })
+				return snaps, err
+			}
+			if _, err := run([]Inst{
+				{Kind: Load, Addrs: []geom.Addr{top - 4}},
+				{Kind: Store, Addrs: []geom.Addr{top - 32}},
+			}); err != nil {
+				t.Fatalf("last protected sector: %v", err)
+			}
+			snaps, err := run([]Inst{
+				{Kind: Load, Addrs: []geom.Addr{3 << 30}},
+				{Kind: Store, Addrs: []geom.Addr{5 << 30}},
+			})
+			if err == nil || !strings.Contains(err.Error(), "warp 0 address 0xc0000000 is past the protected space (1048576 bytes per partition)") {
+				t.Fatalf("err = %v, want the warp 0 load past the protected space", err)
+			}
+			if snaps != 0 {
+				t.Errorf("faulted run took %d snapshots", snaps)
+			}
+		})
 	}
 }

@@ -50,4 +50,10 @@ type Workload interface {
 	MemValue(addr geom.Addr) uint32
 	// StoreValue gives the value warp w stores at addr (4-byte aligned).
 	StoreValue(w int, addr geom.Addr) uint32
+	// Cursor returns a copy of the per-warp stream positions: the
+	// complete mutable state of a deterministic instruction stream, so
+	// checkpointing it with the simulator state captures the whole run.
+	Cursor() []uint64
+	// RestoreCursor rewinds the stream to a previously captured cursor.
+	RestoreCursor([]uint64) error
 }

@@ -7,11 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/stats"
 	"github.com/plutus-gpu/plutus/internal/trace"
-	"github.com/plutus-gpu/plutus/internal/trace/scenario"
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
@@ -96,7 +96,7 @@ func TestTraceWorkloadThroughHarness(t *testing.T) {
 // the capture/replay round trip.
 func TestTamperDetectionOnScenarioTraces(t *testing.T) {
 	const insts = 6000
-	for _, family := range scenario.Names() {
+	for _, family := range workload.ScenarioNames() {
 		family := family
 		t.Run(family, func(t *testing.T) {
 			path := captureScenario(t, family, insts)
@@ -120,5 +120,33 @@ func TestTamperDetectionOnScenarioTraces(t *testing.T) {
 				t.Error("probe-heavy scenario never observed a tainted sector — the oracle is vacuous")
 			}
 		})
+	}
+}
+
+// TestTraceAddressPastProtectedSpaceFails: a trace whose warps load at
+// 3 GiB and store at 5 GiB, past the scaled GPU's 1 GiB protected
+// space, fails its run with an error instead of panicking in the
+// metadata structures.
+func TestTraceAddressPastProtectedSpaceFails(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Header{Warps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Append(trace.Record{Warp: 0, Kind: gpusim.Load, Addrs: []geom.Addr{3 << 30}})
+	tw.Append(trace.Record{Warp: 1, Kind: gpusim.Store, Addrs: []geom.Addr{5 << 30}})
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "oob.pltr")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bench := "trace:" + path
+	r := NewRunner(Config{MaxInstructions: 100, Benchmarks: []string{bench}})
+	for _, sc := range []secmem.Config{secmem.Baseline(0), secmem.PSSM(0), secmem.Plutus(0)} {
+		if _, err := r.RunSeeded(bench, sc, 0); err == nil || !strings.Contains(err.Error(), "past the protected space") {
+			t.Errorf("%s: err = %v, want an address past the protected space", sc.Scheme, err)
+		}
 	}
 }

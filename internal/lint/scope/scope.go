@@ -38,7 +38,7 @@ var simCritical = []string{
 	"internal/valcache",
 	"internal/cache",
 	"internal/workload",
-	"internal/trace",    // covers internal/trace/scenario
+	"internal/trace",
 	"internal/valmodel", // value models: every byte a replayed store writes
 	"internal/geom",
 	"internal/crypto", // covers internal/crypto/...

@@ -35,10 +35,9 @@ func TestScopes(t *testing.T) {
 		{mod("internal/dense"), true, true, true, true},
 		{mod("internal/prof"), true, true, true, true},
 		// Trace pipeline: the serialized record stream, its replay
-		// cursors, the scenario generators, and the value models all
-		// feed simulation state directly.
+		// cursors, and the value models all feed simulation state
+		// directly.
 		{mod("internal/trace"), true, true, true, true},
-		{mod("internal/trace/scenario"), true, true, true, true},
 		{mod("internal/valmodel"), true, true, true, true},
 		{mod("cmd/tracegen"), false, false, true, true},
 		{mod("internal/harness"), false, true, false, true},

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -12,10 +13,13 @@ import (
 	"testing"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
+	"github.com/plutus-gpu/plutus/internal/geom"
+	"github.com/plutus-gpu/plutus/internal/gpusim"
 	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/server"
 	"github.com/plutus-gpu/plutus/internal/server/client"
+	"github.com/plutus-gpu/plutus/internal/trace"
 )
 
 // cancelInFlight mirrors the harness checkpoint tests' helper: a
@@ -274,5 +278,47 @@ func TestHostileSnapshotFailsCleanly(t *testing.T) {
 	}
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("daemon unhealthy after the hostile resume: %v", err)
+	}
+}
+
+// TestTraceAddressPastProtectedSpaceFailsCleanly: a submitted trace
+// that addresses memory past the protected space settles failed with
+// the simulator's error, and the daemon stays healthy.
+func TestTraceAddressPastProtectedSpaceFailsCleanly(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Header{Warps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Append(trace.Record{Warp: 0, Kind: gpusim.Load, Addrs: []geom.Addr{3 << 30}})
+	tw.Append(trace.Record{Warp: 1, Kind: gpusim.Store, Addrs: []geom.Addr{5 << 30}})
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "oob.pltr")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bench := "trace:" + path
+	hcfg := harness.Config{MaxInstructions: 100, Benchmarks: []string{bench}, Parallelism: 1}
+	_, c := startServer(t, server.Config{
+		Backend:         harness.NewRunner(hcfg),
+		Workers:         1,
+		QueueDepth:      2,
+		MaxInstructions: hcfg.MaxInstructions,
+	}, nil)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, server.RunRequest{Benchmark: bench, Scheme: "plutus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "past the protected space") {
+		t.Fatalf("run settled %s (%q), want failed with an address past the protected space", st.State, st.Error)
+	}
+	if err := c.Health(ctx); err != nil {
+		t.Fatalf("daemon unhealthy after the out-of-range trace: %v", err)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // The run's stats are returned alongside, so a capture doubles as the
 // reference result the replay must reproduce.
 //
-// If wl implements valmodel.Modeler (the synthetic suite, scenarios,
-// and replays all do), its value model is embedded in the header and
+// If wl implements valmodel.Modeler (workload.Bench and Replay both
+// do), its value model is embedded in the header and
 // replayed values match wl bit for bit. Otherwise the trace carries
 // only the instruction stream and replays with a zero model.
 func Capture(cfg gpusim.Config, wl gpusim.Workload, out io.Writer) (*stats.Stats, error) {
@@ -38,7 +38,10 @@ func Capture(cfg gpusim.Config, wl gpusim.Workload, out io.Writer) (*stats.Stats
 	g.SetIssueTap(func(warp int, inst gpusim.Inst) {
 		tw.Append(RecordOf(warp, inst))
 	})
-	st := g.Run()
+	st, err := g.RunWithCheckpoints(nil)
+	if err != nil {
+		return nil, err
+	}
 	if err := tw.Close(); err != nil {
 		return nil, fmt.Errorf("trace: capture %s: %w", wl.Name(), err)
 	}

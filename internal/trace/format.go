@@ -28,6 +28,10 @@ const (
 	fileHeaderLen = 4 + 2
 	// tag + warp + firstIndex + count + payloadLen.
 	chunkFrameLen = 1 + 4 + 8 + 4 + 4
+	// A ChunkInfo's wire size in the footer index.
+	chunkInfoLen = 8 + 8 + 4 + 4
+	// The smallest record: kind + cycles or address count.
+	minRecordLen = 1 + 2
 
 	// DefaultChunkRecords is the records-per-chunk target: large enough
 	// to amortize per-chunk framing and file opens, small enough that
@@ -53,6 +57,22 @@ type Header struct {
 	ChunkRecords int
 }
 
+// Codec walks the header payload: warp count, value model, chunk
+// target. Decoding rejects a warp count or chunk target out of range.
+func (h *Header) Codec(c *checkpoint.Codec) {
+	checkpoint.Uint32(c, &h.Warps)
+	c.Bool(&h.HasModel)
+	h.Model.Codec(c)
+	checkpoint.Uint32(c, &h.ChunkRecords)
+	switch {
+	case !c.Decoding():
+	case h.Warps < 1 || h.Warps > maxWarps:
+		c.Corrupt("warp count %d out of range", h.Warps)
+	case h.ChunkRecords < 1:
+		c.Corrupt("chunk target %d out of range", h.ChunkRecords)
+	}
+}
+
 // ChunkInfo locates one chunk of a warp's stream inside the file; the
 // footer index is a per-warp slice of these.
 type ChunkInfo struct {
@@ -68,17 +88,51 @@ type ChunkInfo struct {
 	PayloadLen uint32
 }
 
+// footer is the footer payload, which Writer and Reader both carry: the
+// record total and each warp's chunk index.
+type footer struct {
+	total uint64
+	index [][]ChunkInfo
+}
+
+// walk walks the footer in wire order: total, warp count, then each
+// warp's chunk count and entries. index holds one slice per header
+// warp; decoding fills them, bounding each warp's chunk count by
+// maxChunks, the chunk frames the file can hold.
+func (f *footer) walk(c *checkpoint.Codec, maxChunks uint64) {
+	c.U64(&f.total)
+	warps := len(f.index)
+	checkpoint.Uint32(c, &warps)
+	if warps != len(f.index) {
+		c.Corrupt("footer has %d warps, header %d", warps, len(f.index))
+		return
+	}
+	for w := range f.index {
+		n := len(f.index[w])
+		c.Len32(&n, maxChunks, chunkInfoLen)
+		if c.Decoding() {
+			f.index[w] = make([]ChunkInfo, n)
+		}
+		for i := range f.index[w] {
+			ci := &f.index[w][i]
+			c.U64(&ci.Offset)
+			c.U64(&ci.FirstIndex)
+			c.U32(&ci.Count)
+			c.U32(&ci.PayloadLen)
+		}
+	}
+}
+
 // Writer streams records into the PLTR-v2 format. Errors are sticky in
 // the codec discipline: after the first failed write every Append is a
 // no-op and Close reports the error once. Memory stays bounded — one
 // pending chunk per warp plus the (small) footer index.
 type Writer struct {
+	footer
 	bw     *bufio.Writer
 	off    uint64
 	hdr    Header
 	pend   []pendingChunk
-	index  [][]ChunkInfo
-	total  uint64
 	err    error
 	closed bool
 }
@@ -99,20 +153,14 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 		hdr.ChunkRecords = DefaultChunkRecords
 	}
 	tw := &Writer{
-		bw:    bufio.NewWriter(w),
-		hdr:   hdr,
-		pend:  make([]pendingChunk, hdr.Warps),
-		index: make([][]ChunkInfo, hdr.Warps),
+		footer: footer{index: make([][]ChunkInfo, hdr.Warps)},
+		bw:     bufio.NewWriter(w),
+		hdr:    hdr,
+		pend:   make([]pendingChunk, hdr.Warps),
 	}
 	tw.write(magic[:])
 	tw.writeU16(version)
-
-	he := checkpoint.NewEncoder()
-	he.U32(uint32(hdr.Warps))
-	he.Bool(hdr.HasModel)
-	hdr.Model.Encode(he)
-	he.U32(uint32(hdr.ChunkRecords))
-	tw.writeFramed(he.Data())
+	tw.writeFramed(tw.hdr.Codec)
 	return tw, tw.err
 }
 
@@ -145,9 +193,14 @@ func (tw *Writer) writeU64(v uint64) {
 	tw.write(b[:])
 }
 
-// writeFramed writes a length-prefixed, CRC-suffixed payload (the
-// header and footer framing; chunks carry extra fields).
-func (tw *Writer) writeFramed(payload []byte) {
+// writeFramed writes walk's encoding as a length-prefixed,
+// CRC-suffixed payload (the header and footer framing; chunks carry
+// extra fields).
+func (tw *Writer) writeFramed(walk func(*checkpoint.Codec)) {
+	payload, err := checkpoint.Marshal(walk)
+	if err != nil && tw.err == nil {
+		tw.err = fmt.Errorf("trace: %w", err)
+	}
 	tw.writeU32(uint32(len(payload)))
 	tw.write(payload)
 	tw.writeU32(crc32.ChecksumIEEE(payload))
@@ -242,20 +295,8 @@ func (tw *Writer) Close() error {
 	}
 
 	footerOff := tw.off
-	fe := checkpoint.NewEncoder()
-	fe.U64(tw.total)
-	fe.U32(uint32(tw.hdr.Warps))
-	for _, chunks := range tw.index {
-		fe.U32(uint32(len(chunks)))
-		for _, ci := range chunks {
-			fe.U64(ci.Offset)
-			fe.U64(ci.FirstIndex)
-			fe.U32(ci.Count)
-			fe.U32(ci.PayloadLen)
-		}
-	}
 	tw.write([]byte{footerTag})
-	tw.writeFramed(fe.Data())
+	tw.writeFramed(func(c *checkpoint.Codec) { tw.footer.walk(c, 0) })
 
 	trailer := make([]byte, 0, trailerLen)
 	trailer = append(trailer, trailerMagic...)
@@ -275,11 +316,10 @@ func (tw *Writer) Close() error {
 // footer index are decoded eagerly (both CRC-checked), chunks lazily
 // one at a time. It never materializes the record stream.
 type Reader struct {
+	footer
 	r         io.ReaderAt
 	size      int64
 	hdr       Header
-	index     [][]ChunkInfo
-	total     uint64
 	footerOff uint64
 }
 
@@ -368,21 +408,9 @@ func (tr *Reader) readHeader() error {
 	if err != nil {
 		return err
 	}
-	d := checkpoint.NewDecoder(payload)
-	warps := d.U32()
-	tr.hdr.HasModel = d.Bool()
-	tr.hdr.Model = valmodel.DecodeModel(d)
-	tr.hdr.ChunkRecords = int(d.U32())
-	if err := d.Finish(); err != nil {
+	if err := checkpoint.Unmarshal(payload, tr.hdr.Codec); err != nil {
 		return fmt.Errorf("trace: header: %w", err)
 	}
-	if warps < 1 || warps > maxWarps {
-		return fmt.Errorf("trace: header warp count %d out of range: %w", warps, checkpoint.ErrCorrupt)
-	}
-	if tr.hdr.ChunkRecords < 1 {
-		return fmt.Errorf("trace: header chunk target %d out of range: %w", tr.hdr.ChunkRecords, checkpoint.ErrCorrupt)
-	}
-	tr.hdr.Warps = int(warps)
 	return nil
 }
 
@@ -402,31 +430,15 @@ func (tr *Reader) readFooter() error {
 	if err != nil {
 		return err
 	}
-	d := checkpoint.NewDecoder(payload)
-	tr.total = d.U64()
-	warps := d.U32()
-	if d.Err() == nil && int(warps) != tr.hdr.Warps {
-		return fmt.Errorf("trace: footer has %d warps, header %d: %w", warps, tr.hdr.Warps, checkpoint.ErrCorrupt)
+	tr.index = make([][]ChunkInfo, tr.hdr.Warps)
+	maxChunks := uint64(tr.size) / chunkFrameLen
+	if err := checkpoint.Unmarshal(payload, func(c *checkpoint.Codec) { tr.footer.walk(c, maxChunks) }); err != nil {
+		return fmt.Errorf("trace: footer: %w", err)
 	}
-	index := make([][]ChunkInfo, tr.hdr.Warps)
 	var sum uint64
-	for w := 0; w < tr.hdr.Warps && d.Err() == nil; w++ {
-		n := d.U32()
-		if int64(n) > int64(tr.size)/chunkFrameLen {
-			return fmt.Errorf("trace: warp %d index claims %d chunks: %w", w, n, checkpoint.ErrCorrupt)
-		}
-		chunks := make([]ChunkInfo, 0, n)
+	for w, chunks := range tr.index {
 		var next uint64
-		for i := uint32(0); i < n && d.Err() == nil; i++ {
-			ci := ChunkInfo{
-				Offset:     d.U64(),
-				FirstIndex: d.U64(),
-				Count:      d.U32(),
-				PayloadLen: d.U32(),
-			}
-			if d.Err() != nil {
-				break
-			}
+		for i, ci := range chunks {
 			switch {
 			case ci.Count == 0:
 				return fmt.Errorf("trace: warp %d chunk %d is empty: %w", w, i, checkpoint.ErrCorrupt)
@@ -436,20 +448,17 @@ func (tr *Reader) readFooter() error {
 			case ci.Offset < fileHeaderLen || int64(ci.Offset)+chunkFrameLen+int64(ci.PayloadLen)+4 > int64(tr.footerOff):
 				return fmt.Errorf("trace: warp %d chunk %d at offset %d overruns the footer: %w",
 					w, i, ci.Offset, checkpoint.ErrCorrupt)
+			case uint64(ci.Count)*minRecordLen > uint64(ci.PayloadLen):
+				return fmt.Errorf("trace: warp %d chunk %d claims %d records in %d bytes: %w",
+					w, i, ci.Count, ci.PayloadLen, checkpoint.ErrCorrupt)
 			}
 			next = ci.FirstIndex + uint64(ci.Count)
-			chunks = append(chunks, ci)
 		}
 		sum += next
-		index[w] = chunks
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("trace: footer: %w", err)
 	}
 	if sum != tr.total {
 		return fmt.Errorf("trace: footer total %d, index sums to %d: %w", tr.total, sum, checkpoint.ErrCorrupt)
 	}
-	tr.index = index
 	return nil
 }
 
@@ -478,21 +487,15 @@ func (tr *Reader) WarpRecords(w int) uint64 {
 	return last.FirstIndex + uint64(last.Count)
 }
 
-// LoadChunk decodes warp w's i-th chunk. The chunk's framing must
+// LoadChunk decodes warp w's chunk-th chunk. The chunk's framing must
 // agree with the footer index and its payload CRC must verify.
-func (tr *Reader) LoadChunk(w, i int) ([]Record, error) {
-	return loadChunk(tr.r, tr.size, w, tr.index[w][i])
-}
-
-// loadChunk is the shared chunk decode core: Reader.LoadChunk uses it
-// over a retained ReaderAt; Replay re-opens the file around it so idle
-// replays hold no descriptor.
-func loadChunk(r io.ReaderAt, size int64, w int, ci ChunkInfo) ([]Record, error) {
+func (tr *Reader) LoadChunk(w, chunk int) ([]Record, error) {
+	ci := tr.index[w][chunk]
 	buf := make([]byte, chunkFrameLen+int(ci.PayloadLen)+4)
-	if int64(ci.Offset)+int64(len(buf)) > size {
+	if int64(ci.Offset)+int64(len(buf)) > tr.size {
 		return nil, fmt.Errorf("trace: warp %d chunk at %d overruns file: %w", w, ci.Offset, checkpoint.ErrCorrupt)
 	}
-	if _, err := r.ReadAt(buf, int64(ci.Offset)); err != nil {
+	if _, err := tr.r.ReadAt(buf, int64(ci.Offset)); err != nil {
 		return nil, fmt.Errorf("trace: warp %d chunk at %d: %v: %w", w, ci.Offset, err, checkpoint.ErrCorrupt)
 	}
 	switch {

@@ -100,6 +100,8 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"header-bitflip", mutate(func(d []byte) []byte { d[fileHeaderLen+5] ^= 0x10; return d }), checkpoint.ErrCorrupt},
 		{"trailer-crc-flip", mutate(func(d []byte) []byte { d[len(d)-1] ^= 1; return d }), checkpoint.ErrCorrupt},
 		{"trailer-offset-flip", mutate(func(d []byte) []byte { d[len(d)-trailerLen+8] ^= 1; return d }), checkpoint.ErrCorrupt},
+		{"footer-chunk-overclaim", overclaimChunks(t, valid), checkpoint.ErrCorrupt},
+		{"chunk-record-overclaim", overclaimRecords(t, valid), checkpoint.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"os"
+	"sort"
 
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
@@ -10,32 +11,29 @@ import (
 )
 
 // Replay adapts a serialized trace to gpusim.Workload with bounded
-// memory: only the header and footer index stay resident, and each
-// warp streams through its chunks one at a time — a chunk is dropped
-// the moment its last record is consumed, so replaying a multi-GB
-// trace never materializes the record stream. Memory values come from
-// the value model embedded in the header, so a replay reproduces the
-// capture source's memory image and store stream exactly.
+// memory: it is a set of per-warp cursors over a Reader, so only the
+// header and footer index stay resident, and each warp streams through
+// its chunks one at a time — a chunk is dropped the moment its last
+// record is consumed, so replaying a multi-GB trace never materializes
+// the record stream. Memory values come from the value model embedded
+// in the header, so a replay reproduces the capture source's memory
+// image and store stream exactly.
 //
-// Replay implements gpusim.CheckpointableWorkload: the cursor is the
-// per-warp consumed-record count, and RestoreCursor seeks through the
-// footer index to the chunk containing each position — so traced runs
-// checkpoint, resume, and preempt byte-identically to synthetic ones.
+// The cursor is the per-warp consumed-record count, and RestoreCursor
+// seeks through the footer index to the chunk containing each position
+// — so traced runs checkpoint, resume, and preempt byte-identically to
+// synthetic ones.
 //
-// The file is re-opened for each chunk load and closed again (one open
-// per DefaultChunkRecords records), so an idle or merely-validated
-// Replay holds no file descriptor. Next cannot report errors through
-// the Workload interface; a chunk that fails to load or verify mid-run
-// panics with the decode error — replay I/O failure is environment
-// breakage, not a result.
+// The reader opens the file for each chunk load and closes it again
+// (one open per DefaultChunkRecords records), so an idle or
+// merely-validated Replay holds no file descriptor. Next cannot report
+// errors through the Workload interface; a chunk that fails to load or
+// verify mid-run panics with the decode error — replay I/O failure is
+// environment breakage, not a result.
 type Replay struct {
-	name  string
-	path  string
-	hdr   Header
-	index [][]ChunkInfo
-	total uint64
-
-	cur []warpCursor
+	name string
+	tr   *Reader
+	cur  []warpCursor
 	// resident counts records currently decoded; maxResident is its
 	// high-water mark, the number the alloc-bounded test pins against
 	// the one-chunk-per-warp guarantee.
@@ -52,8 +50,9 @@ type warpCursor struct {
 }
 
 // OpenReplay validates the trace at path (header, trailer, and footer
-// index CRCs) and returns a replayable workload named name. The file
-// is closed again before returning; chunks load on demand.
+// index CRCs) through one open descriptor and returns a replayable
+// workload named name. The file is closed again before returning;
+// chunks load on demand.
 func OpenReplay(name, path string) (*Replay, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -68,57 +67,51 @@ func OpenReplay(name, path string) (*Replay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	r := &Replay{
-		name:  name,
-		path:  path,
-		hdr:   tr.Header(),
-		index: tr.index,
-		total: tr.total,
-		cur:   make([]warpCursor, tr.Warps()),
+	tr.r = reopen(path)
+	return &Replay{name: name, tr: tr, cur: make([]warpCursor, tr.Warps())}, nil
+}
+
+// reopen reads the file at its path, opening it for each read.
+type reopen string
+
+func (p reopen) ReadAt(b []byte, off int64) (int, error) {
+	f, err := os.Open(string(p))
+	if err != nil {
+		return 0, err
 	}
-	return r, nil
+	defer f.Close()
+	return f.ReadAt(b, off)
 }
 
 // Name implements gpusim.Workload.
 func (r *Replay) Name() string { return r.name }
 
 // Warps implements gpusim.Workload.
-func (r *Replay) Warps() int { return r.hdr.Warps }
+func (r *Replay) Warps() int { return r.tr.Warps() }
 
 // TotalRecords returns the trace's record count.
-func (r *Replay) TotalRecords() uint64 { return r.total }
+func (r *Replay) TotalRecords() uint64 { return r.tr.TotalRecords() }
 
 // ValueModel implements valmodel.Modeler, so a replay can itself be
 // captured with full value fidelity.
-func (r *Replay) ValueModel() valmodel.Model { return r.hdr.Model }
-
-// warpTotal is warp w's record count.
-func (r *Replay) warpTotal(w int) uint64 {
-	chunks := r.index[w]
-	if len(chunks) == 0 {
-		return 0
-	}
-	last := chunks[len(chunks)-1]
-	return last.FirstIndex + uint64(last.Count)
-}
+func (r *Replay) ValueModel() valmodel.Model { return r.tr.hdr.Model }
 
 // Next implements gpusim.Workload, streaming warp w through its
 // chunks in capture order.
 func (r *Replay) Next(w int) (gpusim.Inst, bool) {
 	c := &r.cur[w]
-	if c.pos >= r.warpTotal(w) {
+	if c.pos >= r.tr.WarpRecords(w) {
 		return gpusim.Inst{}, false
 	}
 	if c.recs == nil {
-		ci := r.index[w][c.chunk]
-		recs, err := r.loadChunk(w, ci)
+		recs, err := r.tr.LoadChunk(w, c.chunk)
 		if err != nil {
 			// See the type comment: the Workload interface has no error
 			// path, and silently retiring the warp would corrupt results.
 			panic(fmt.Sprintf("trace: replay %s: %v", r.name, err))
 		}
 		c.recs = recs
-		c.off = int(c.pos - ci.FirstIndex)
+		c.off = int(c.pos - r.tr.index[w][c.chunk].FirstIndex)
 		r.resident += len(recs)
 		if r.resident > r.maxResident {
 			r.maxResident = r.resident
@@ -135,35 +128,20 @@ func (r *Replay) Next(w int) (gpusim.Inst, bool) {
 	return rec.Inst(), true
 }
 
-// loadChunk opens the trace file, reads and verifies one chunk, and
-// closes the file again.
-func (r *Replay) loadChunk(w int, ci ChunkInfo) ([]Record, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return loadChunk(f, fi.Size(), w, ci)
-}
-
 // MemValue implements gpusim.Workload (pure in addr, safe for the
 // parallel partition shards).
-func (r *Replay) MemValue(a geom.Addr) uint32 { return r.hdr.Model.MemValue(a) }
+func (r *Replay) MemValue(a geom.Addr) uint32 { return r.tr.hdr.Model.MemValue(a) }
 
 // StoreValue implements gpusim.Workload.
-func (r *Replay) StoreValue(w int, a geom.Addr) uint32 { return r.hdr.Model.StoreValue(w, a) }
+func (r *Replay) StoreValue(w int, a geom.Addr) uint32 { return r.tr.hdr.Model.StoreValue(w, a) }
 
 // MaxResidentRecords returns the high-water mark of simultaneously
 // decoded records across all warps — bounded by warps × chunk target
 // regardless of trace length.
 func (r *Replay) MaxResidentRecords() int { return r.maxResident }
 
-// Cursor implements gpusim.CheckpointableWorkload: the per-warp
-// consumed-record counts, the stream's complete mutable state.
+// Cursor implements gpusim.Workload: the per-warp consumed-record
+// counts, the stream's complete mutable state.
 func (r *Replay) Cursor() []uint64 {
 	out := make([]uint64, len(r.cur))
 	for w := range r.cur {
@@ -172,16 +150,16 @@ func (r *Replay) Cursor() []uint64 {
 	return out
 }
 
-// RestoreCursor implements gpusim.CheckpointableWorkload, seeking each
-// warp to a previously captured position via the footer index. Loaded
-// chunks are dropped; the next Next reloads the right one.
+// RestoreCursor implements gpusim.Workload, seeking each warp to a
+// previously captured position via the footer index. Loaded chunks are
+// dropped; the next Next reloads the right one.
 func (r *Replay) RestoreCursor(cur []uint64) error {
 	if len(cur) != len(r.cur) {
 		return fmt.Errorf("trace %s: cursor has %d warps, trace has %d", r.name, len(cur), len(r.cur))
 	}
 	for w, pos := range cur {
-		if pos > r.warpTotal(w) {
-			return fmt.Errorf("trace %s: warp %d cursor %d beyond %d records", r.name, w, pos, r.warpTotal(w))
+		if n := r.tr.WarpRecords(w); pos > n {
+			return fmt.Errorf("trace %s: warp %d cursor %d beyond %d records", r.name, w, pos, n)
 		}
 	}
 	for w, pos := range cur {
@@ -189,20 +167,13 @@ func (r *Replay) RestoreCursor(cur []uint64) error {
 		if c.recs != nil {
 			r.resident -= len(c.recs)
 		}
-		*c = warpCursor{pos: pos, chunk: len(r.index[w])}
-		// Binary search the first chunk extending past pos; a cursor at
-		// the stream's end leaves chunk one past the last.
-		chunks := r.index[w]
-		lo, hi := 0, len(chunks)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if chunks[mid].FirstIndex+uint64(chunks[mid].Count) > pos {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		c.chunk = lo
+		// The first chunk extending past pos; a cursor at the stream's
+		// end leaves chunk one past the last.
+		chunks := r.tr.index[w]
+		i := sort.Search(len(chunks), func(i int) bool {
+			return chunks[i].FirstIndex+uint64(chunks[i].Count) > pos
+		})
+		*c = warpCursor{pos: pos, chunk: i}
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
-// Package trace records benchmark instruction streams in the PLTR
-// binary format and replays them as gpusim workloads. Traces make
-// experiments exactly repeatable across machines and let the simulator
-// be driven by captured production-scale streams (see the scenario
-// subpackage) instead of the synthetic suite.
+// Package trace holds the PLTR binary format (Writer, Reader), capture
+// of a run's issued instruction stream (Capture), and replay of a trace
+// as a gpusim workload (Replay, a set of per-warp cursors over a
+// Reader). Traces make experiments exactly repeatable across machines
+// and let the simulator be driven by captured production-scale streams
+// (the workload registry's scenario corpus is the intended source)
+// instead of the synthetic suite.
 //
 // # Format (PLTR version 2)
 //
@@ -28,7 +30,7 @@
 //	footer:
 //	    tag        u8  = 0x02
 //	    payloadLen u32
-//	    payload              total records + per-warp chunk index
+//	    payload              total records, warps, per-warp chunk index
 //	    payloadCRC u32
 //	trailer  [8]byte  "PLTR-END"
 //	footerOff u64             file offset of the footer tag
@@ -39,7 +41,9 @@
 // addresses. Records of one warp appear in issue order; the relative
 // order of different warps' chunks is not part of the format (replay
 // timing is decided by the simulator, exactly as for synthetic
-// workloads).
+// workloads). The header and footer payloads are checkpoint.Codec walks
+// (Header.Codec, footer.walk); records keep a hand-written encoding
+// because chunks stream one record at a time.
 //
 // The trailer magic distinguishes truncation (writer died; trailer
 // absent → checkpoint.ErrTruncated) from corruption (trailer present
@@ -52,14 +56,8 @@
 package trace
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"os"
-
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
-	"github.com/plutus-gpu/plutus/internal/valmodel"
 )
 
 // Record is one traced warp instruction.
@@ -97,60 +95,4 @@ func (r Record) Inst() gpusim.Inst {
 		return gpusim.Inst{Kind: gpusim.Compute, Cycles: int(r.Cycles)}
 	}
 	return gpusim.Inst{Kind: r.Kind, Addrs: r.Addrs}
-}
-
-// Trace is a fully materialized trace — a convenience for tests and
-// inspection tools. Production replay streams chunks through Replay
-// instead and never holds more than one chunk per warp.
-type Trace struct {
-	Warps    int
-	Model    valmodel.Model
-	HasModel bool
-	// Records hold each warp's stream in issue order; ReadAll returns
-	// them warp-major (all of warp 0, then warp 1, ...).
-	Records []Record
-}
-
-// Write serializes the trace in PLTR-v2 format.
-func (t *Trace) Write(w io.Writer) error {
-	tw, err := NewWriter(w, Header{Warps: t.Warps, Model: t.Model, HasModel: t.HasModel})
-	if err != nil {
-		return err
-	}
-	for _, r := range t.Records {
-		tw.Append(r)
-	}
-	return tw.Close()
-}
-
-// ReadAll materializes a whole serialized trace, warp-major.
-func ReadAll(data []byte) (*Trace, error) {
-	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Warps: r.Warps(), Model: r.Header().Model, HasModel: r.Header().HasModel}
-	for w := 0; w < r.Warps(); w++ {
-		for i := 0; i < r.Chunks(w); i++ {
-			recs, err := r.LoadChunk(w, i)
-			if err != nil {
-				return nil, err
-			}
-			t.Records = append(t.Records, recs...)
-		}
-	}
-	return t, nil
-}
-
-// ReadFile is ReadAll over a file.
-func ReadFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t, err := ReadAll(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
 }

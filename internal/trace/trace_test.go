@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
@@ -92,17 +93,17 @@ func TestReplayIsRecapturable(t *testing.T) {
 		t.Fatalf("second-generation capture diverged:\nref: %+v\ngot: %+v",
 			normalize(ref), normalize(ref2))
 	}
-	a, err := trace.ReadFile(path)
+	a, err := trace.OpenReplay("a", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := trace.ReadFile(path2)
+	b, err := trace.OpenReplay("b", path2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Warps != b.Warps || a.Model != b.Model || len(a.Records) != len(b.Records) {
+	if a.Warps() != b.Warps() || a.ValueModel() != b.ValueModel() || a.TotalRecords() != b.TotalRecords() {
 		t.Fatalf("recapture changed trace shape: %d/%d warps, %d/%d records",
-			a.Warps, b.Warps, len(a.Records), len(b.Records))
+			a.Warps(), b.Warps(), a.TotalRecords(), b.TotalRecords())
 	}
 }
 
@@ -323,53 +324,56 @@ func TestOpenReplayErrors(t *testing.T) {
 	}
 }
 
-// TestWriteReadAllRoundTrip covers the materialized convenience path.
+// TestWriteReadAllRoundTrip writes records through Writer and reads
+// every chunk back through Reader.
 func TestWriteReadAllRoundTrip(t *testing.T) {
-	src := &trace.Trace{Warps: 3, HasModel: true}
-	src.Model.Seed = 77
-	src.Model.ZeroFrac = 0.25
-	for step := 0; step < 100; step++ {
-		for w := 0; w < 3; w++ {
-			src.Records = append(src.Records, syntheticRecord(w, step))
-		}
-	}
+	hdr := trace.Header{Warps: 3, HasModel: true}
+	hdr.Model.Seed = 77
+	hdr.Model.ZeroFrac = 0.25
 	var buf bytes.Buffer
-	if err := src.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadAll(buf.Bytes())
+	tw, err := trace.NewWriter(&buf, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Warps != src.Warps || !got.HasModel || got.Model != src.Model {
+	var src []trace.Record
+	for step := 0; step < 100; step++ {
+		for w := 0; w < 3; w++ {
+			src = append(src, syntheticRecord(w, step))
+			tw.Append(src[len(src)-1])
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Header(); got.Warps != hdr.Warps || !got.HasModel || got.Model != hdr.Model {
 		t.Fatalf("header changed: %+v", got)
 	}
-	if len(got.Records) != len(src.Records) {
-		t.Fatalf("record count %d, want %d", len(got.Records), len(src.Records))
+	if r.TotalRecords() != uint64(len(src)) {
+		t.Fatalf("record count %d, want %d", r.TotalRecords(), len(src))
 	}
-	// ReadAll returns warp-major order; regroup the source to compare.
-	var want []trace.Record
+	// Each warp reads back in issue order; regroup the source to compare.
 	for w := 0; w < 3; w++ {
-		for _, r := range src.Records {
-			if int(r.Warp) == w {
-				want = append(want, r)
+		var want, got []trace.Record
+		for _, rec := range src {
+			if int(rec.Warp) == w {
+				want = append(want, rec)
 			}
 		}
-	}
-	for i := range want {
-		a, b := want[i], got.Records[i]
-		if a.Warp != b.Warp || a.Kind != b.Kind || a.Cycles != b.Cycles || len(a.Addrs) != len(b.Addrs) {
-			t.Fatalf("record %d changed: %+v vs %+v", i, a, b)
-		}
-		for j := range a.Addrs {
-			if a.Addrs[j] != b.Addrs[j] {
-				t.Fatalf("record %d address %d changed", i, j)
+		for i := 0; i < r.Chunks(w); i++ {
+			recs, err := r.LoadChunk(w, i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got = append(got, recs...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("warp %d records changed:\ngot:  %+v\nwant: %+v", w, got, want)
 		}
 	}
 }
 
-var (
-	_ gpusim.Workload               = (*trace.Replay)(nil)
-	_ gpusim.CheckpointableWorkload = (*trace.Replay)(nil)
-)
+var _ gpusim.Workload = (*trace.Replay)(nil)

@@ -94,24 +94,18 @@ func (m Model) StoreValue(w int, addr geom.Addr) uint32 {
 	return m.ValueAt(Hash2(m.Seed^storeSalt, uint64(addr)/4^uint64(w)<<52))
 }
 
-// Encode appends the model's fixed field order to e. Floats are encoded
-// as IEEE-754 bit patterns, so identical models are identical bytes.
-func (m Model) Encode(e *checkpoint.Encoder) {
-	e.U64(m.Seed)
-	e.U64(math.Float64bits(m.ZeroFrac))
-	e.U64(math.Float64bits(m.PoolFrac))
-	e.U32(m.PoolSize)
-	e.Bool(m.Jitter)
+// Codec walks the model's fixed field order. Floats travel as IEEE-754
+// bit patterns, so identical models are identical bytes.
+func (m *Model) Codec(c *checkpoint.Codec) {
+	c.U64(&m.Seed)
+	walkFloat(c, &m.ZeroFrac)
+	walkFloat(c, &m.PoolFrac)
+	c.U32(&m.PoolSize)
+	c.Bool(&m.Jitter)
 }
 
-// DecodeModel reads the fields written by Encode; the caller checks the
-// decoder's sticky error once afterwards.
-func DecodeModel(d *checkpoint.Decoder) Model {
-	return Model{
-		Seed:     d.U64(),
-		ZeroFrac: math.Float64frombits(d.U64()),
-		PoolFrac: math.Float64frombits(d.U64()),
-		PoolSize: d.U32(),
-		Jitter:   d.Bool(),
-	}
+func walkFloat(c *checkpoint.Codec, p *float64) {
+	bits := math.Float64bits(*p)
+	c.U64(&bits)
+	*p = math.Float64frombits(bits)
 }

@@ -15,11 +15,12 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Seed: ^uint64(0), ZeroFrac: 1, PoolFrac: 0, PoolSize: 1},
 	}
 	for _, m := range models {
-		e := checkpoint.NewEncoder()
-		m.Encode(e)
-		d := checkpoint.NewDecoder(e.Data())
-		back := DecodeModel(d)
-		if err := d.Finish(); err != nil {
+		data, err := checkpoint.Marshal(m.Codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Model
+		if err := checkpoint.Unmarshal(data, back.Codec); err != nil {
 			t.Fatalf("%+v: decode: %v", m, err)
 		}
 		if back != m {
@@ -29,11 +30,12 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	e := checkpoint.NewEncoder()
-	Model{Seed: 7}.Encode(e)
-	d := checkpoint.NewDecoder(e.Data()[:5])
-	DecodeModel(d)
-	if d.Err() == nil {
+	m := Model{Seed: 7}
+	data, err := checkpoint.Marshal(m.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Unmarshal(data[:5], m.Codec); err == nil {
 		t.Fatal("truncated model decoded without error")
 	}
 }

@@ -1,187 +1,53 @@
-// Package scenario is the production scenario corpus: deterministic,
-// step-indexed workload generators modelling the deployment shapes the
-// paper's evaluation cannot reach with single-kernel benchmarks —
-// DNN-inference serving, multi-tenant interleaving, phase-changing
-// kernels, and attacks mounted under bandwidth load. Scenarios
-// implement gpusim.Workload (plus the checkpoint cursor and value-model
-// interfaces), register into the workload registry alongside the
-// synthetic suite, and are the intended capture sources for the trace
-// corpus: `tracegen -scenario <name>` emits a PLTR-v2 trace whose
-// replay is byte-identical to running the scenario live.
-//
-// Like the workload package, everything is hash-derived from
-// (scenario, warp, step): no shared mutable state beyond per-warp
-// counters, so scenarios parallel-replay and checkpoint exactly like
-// the suite.
-package scenario
+package workload
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
 	"github.com/plutus-gpu/plutus/internal/valmodel"
 )
 
-// Info describes one scenario family for listings (tracegen -scenario).
-type Info struct {
-	Name string
-	Desc string
-	// Warps and InstsPerWarp bound the full (uncapped) stream.
-	Warps        int
-	InstsPerWarp int
-}
+// The scenario corpus: deterministic generators modelling deployment
+// shapes the paper's single-kernel benchmarks cannot reach —
+// DNN-inference serving, multi-tenant interleaving, phase-changing
+// kernels, and attacks mounted under bandwidth load. Each scenario is a
+// registry Spec whose generator replaces the suite's pattern fields;
+// SuiteNames leaves them out, so adding one never moves a pinned
+// figure. They are the intended capture sources for the trace corpus
+// (`tracegen -bench scn-dnn-infer`).
 
-// family couples an Info with its instruction generator. gen must be a
-// pure function of (seed, warp, step); values is the scenario's data
-// profile, seeded per instance.
-type family struct {
-	info   Info
-	values func(seed uint64) valmodel.Model
-	gen    func(seed uint64, w int, step uint64) gpusim.Inst
-}
-
-var families = map[string]family{
-	"scn-dnn-infer": {
-		info: Info{
-			Name: "scn-dnn-infer",
-			Desc: "DNN inference serving: layer-phased streaming weight reads with activation write-back, shrinking working set per layer",
-			// 24 warps keep captures and the parallel determinism sweep
-			// cheap while still exercising every partition.
-			Warps: 24, InstsPerWarp: 2400,
-		},
-		values: func(seed uint64) valmodel.Model {
-			// Weights: heavy zero/near-zero fraction (pruned+quantised
-			// nets), a hot pool of repeated quantised values with jitter.
-			return valmodel.Model{Seed: seed, ZeroFrac: 0.35, PoolFrac: 0.40, PoolSize: 48, Jitter: true}
-		},
-		gen: genDNNInfer,
-	},
-	"scn-multitenant": {
-		info: Info{
-			Name:  "scn-multitenant",
-			Desc:  "Multi-tenant interleaving: four tenants in disjoint address spaces with per-tenant access patterns sharing one device",
-			Warps: 24, InstsPerWarp: 2400,
-		},
-		values: func(seed uint64) valmodel.Model {
-			return valmodel.Model{Seed: seed, ZeroFrac: 0.20, PoolFrac: 0.25, PoolSize: 64, Jitter: true}
-		},
-		gen: genMultiTenant,
-	},
-	"scn-phase": {
-		info: Info{
-			Name:  "scn-phase",
-			Desc:  "Phase-changing kernel: alternating memory-bound streaming, compute-bound, and random-gather phases",
-			Warps: 24, InstsPerWarp: 2400,
-		},
-		values: func(seed uint64) valmodel.Model {
-			return valmodel.Model{Seed: seed, ZeroFrac: 0.25, PoolFrac: 0.30, PoolSize: 32, Jitter: false}
-		},
-		gen: genPhase,
-	},
-	"scn-attackload": {
-		info: Info{
-			Name:  "scn-attackload",
-			Desc:  "Attack under load: streaming victim traffic saturating bandwidth while probe warps hammer a small window with stores",
-			Warps: 24, InstsPerWarp: 2400,
-		},
-		values: func(seed uint64) valmodel.Model {
-			return valmodel.Model{Seed: seed, ZeroFrac: 0.30, PoolFrac: 0.35, PoolSize: 64, Jitter: true}
-		},
-		gen: genAttackLoad,
-	},
-}
-
-// Names lists the corpus in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(families))
-	for k := range families {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Describe returns a scenario's Info.
-func Describe(name string) (Info, bool) {
-	f, ok := families[name]
-	return f.info, ok
-}
-
-// Scenario is a runnable scenario instance; it implements
-// gpusim.Workload, gpusim.CheckpointableWorkload, and valmodel.Modeler.
-type Scenario struct {
-	info  Info
-	seed  uint64
-	model valmodel.Model
-	gen   func(seed uint64, w int, step uint64) gpusim.Inst
-	step  []uint64
-}
-
-// New instantiates a scenario with a name-derived seed perturbed by
-// seed (zero leaves it unchanged), mirroring workload.NewBenchSeeded.
-func New(name string, seed uint64) (*Scenario, error) {
-	f, ok := families[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
-	}
-	s := uint64(14695981039346656037)
-	for _, c := range name {
-		s = (s ^ uint64(c)) * 1099511628211
-	}
-	if seed != 0 {
-		s ^= valmodel.Splitmix64(seed)
-	}
-	return &Scenario{
-		info:  f.info,
-		seed:  s,
-		model: f.values(s),
-		gen:   f.gen,
-		step:  make([]uint64, f.info.Warps),
-	}, nil
-}
-
-// Name implements gpusim.Workload.
-func (s *Scenario) Name() string { return s.info.Name }
-
-// Warps implements gpusim.Workload.
-func (s *Scenario) Warps() int { return s.info.Warps }
-
-// Next implements gpusim.Workload.
-func (s *Scenario) Next(w int) (gpusim.Inst, bool) {
-	if s.step[w] >= uint64(s.info.InstsPerWarp) {
-		return gpusim.Inst{}, false
-	}
-	step := s.step[w]
-	s.step[w]++
-	return s.gen(s.seed, w, step), true
-}
-
-// ValueModel implements valmodel.Modeler for trace capture.
-func (s *Scenario) ValueModel() valmodel.Model { return s.model }
-
-// MemValue implements gpusim.Workload (pure, parallel-safe).
-func (s *Scenario) MemValue(addr geom.Addr) uint32 { return s.model.MemValue(addr) }
-
-// StoreValue implements gpusim.Workload.
-func (s *Scenario) StoreValue(w int, addr geom.Addr) uint32 { return s.model.StoreValue(w, addr) }
-
-// Cursor implements gpusim.CheckpointableWorkload.
-func (s *Scenario) Cursor() []uint64 {
-	out := make([]uint64, len(s.step))
-	copy(out, s.step)
-	return out
-}
-
-// RestoreCursor implements gpusim.CheckpointableWorkload.
-func (s *Scenario) RestoreCursor(cur []uint64) error {
-	if len(cur) != len(s.step) {
-		return fmt.Errorf("scenario %s: cursor has %d warps, scenario has %d",
-			s.info.Name, len(cur), len(s.step))
-	}
-	copy(s.step, cur)
-	return nil
+func init() {
+	// 24 warps keep captures and the parallel determinism sweep cheap
+	// while still exercising every partition.
+	register(Spec{
+		Name:  "scn-dnn-infer",
+		Desc:  "DNN inference serving: layer-phased streaming weight reads with activation write-back, shrinking working set per layer",
+		Warps: 24, InstsPerWarp: 2400,
+		// Weights: heavy zero/near-zero fraction (pruned+quantised
+		// nets), a hot pool of repeated quantised values with jitter.
+		Values: ValueProfile{ZeroFrac: 0.35, PoolFrac: 0.40, PoolSize: 48, Jitter: true},
+		gen:    genDNNInfer,
+	})
+	register(Spec{
+		Name:  "scn-multitenant",
+		Desc:  "Multi-tenant interleaving: four tenants in disjoint address spaces with per-tenant access patterns sharing one device",
+		Warps: 24, InstsPerWarp: 2400,
+		Values: ValueProfile{ZeroFrac: 0.20, PoolFrac: 0.25, PoolSize: 64, Jitter: true},
+		gen:    genMultiTenant,
+	})
+	register(Spec{
+		Name:  "scn-phase",
+		Desc:  "Phase-changing kernel: alternating memory-bound streaming, compute-bound, and random-gather phases",
+		Warps: 24, InstsPerWarp: 2400,
+		Values: ValueProfile{ZeroFrac: 0.25, PoolFrac: 0.30, PoolSize: 32},
+		gen:    genPhase,
+	})
+	register(Spec{
+		Name:  "scn-attackload",
+		Desc:  "Attack under load: streaming victim traffic saturating bandwidth while probe warps hammer a small window with stores",
+		Warps: 24, InstsPerWarp: 2400,
+		Values: ValueProfile{ZeroFrac: 0.30, PoolFrac: 0.35, PoolSize: 64, Jitter: true},
+		gen:    genAttackLoad,
+	})
 }
 
 // --- generators ---

@@ -1,4 +1,4 @@
-package scenario
+package workload
 
 import (
 	"sort"
@@ -9,13 +9,15 @@ import (
 	"github.com/plutus-gpu/plutus/internal/valmodel"
 )
 
+// The scenario corpus: registry specs with a generator, run by Bench.
+
 func TestNamesAndDescribe(t *testing.T) {
-	names := Names()
+	names := ScenarioNames()
 	if len(names) < 4 {
 		t.Fatalf("corpus has %d families, want at least 4", len(names))
 	}
 	if !sort.StringsAreSorted(names) {
-		t.Errorf("Names() not sorted: %v", names)
+		t.Errorf("ScenarioNames() not sorted: %v", names)
 	}
 	for _, n := range names {
 		info, ok := Describe(n)
@@ -29,19 +31,19 @@ func TestNamesAndDescribe(t *testing.T) {
 	if _, ok := Describe("scn-nope"); ok {
 		t.Error("Describe accepted an unknown name")
 	}
-	if _, err := New("scn-nope", 0); err == nil {
-		t.Error("New accepted an unknown name")
+	if _, err := GetSeeded("scn-nope", 0); err == nil {
+		t.Error("GetSeeded accepted an unknown name")
 	}
 }
 
 func TestDeterminismAndSeedSeparation(t *testing.T) {
-	for _, name := range Names() {
-		a, err := New(name, 0)
+	for _, name := range ScenarioNames() {
+		a, err := GetSeeded(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := New(name, 0)
-		c, _ := New(name, 1)
+		b, _ := GetSeeded(name, 0)
+		c, _ := GetSeeded(name, 1)
 		diverged := false
 		for k := 0; k < 300; k++ {
 			ia, oka := a.Next(2)
@@ -76,8 +78,8 @@ func TestDeterminismAndSeedSeparation(t *testing.T) {
 // kinds, and retire after exactly InstsPerWarp steps.
 func TestStreamShape(t *testing.T) {
 	const protectedGlobal = geom.Addr(8 * 128 << 20)
-	for _, name := range Names() {
-		s, err := New(name, 0)
+	for _, name := range ScenarioNames() {
+		s, err := GetSeeded(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +124,7 @@ func TestStreamShape(t *testing.T) {
 }
 
 func TestCursorRoundTrip(t *testing.T) {
-	a, err := New("scn-phase", 3)
+	a, err := GetSeeded("scn-phase", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestCursorRoundTrip(t *testing.T) {
 		a.Next(1)
 	}
 	cur := a.Cursor()
-	b, _ := New("scn-phase", 3)
+	b, _ := GetSeeded("scn-phase", 3)
 	if err := b.RestoreCursor(cur); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +148,4 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
-var (
-	_ gpusim.Workload               = (*Scenario)(nil)
-	_ gpusim.CheckpointableWorkload = (*Scenario)(nil)
-	_ valmodel.Modeler              = (*Scenario)(nil)
-)
+var _ valmodel.Modeler = (*Bench)(nil)

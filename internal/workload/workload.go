@@ -1,10 +1,12 @@
-// Package workload provides the synthetic benchmark suite standing in for
-// the paper's Rodinia-3.1 / Parboil / LonestarGPU-2.0 / Pannotia
-// workloads (the real binaries and inputs require GPGPU-Sim; see
-// DESIGN.md's substitution table).
+// Package workload runs every registered workload: the synthetic
+// benchmark suite standing in for the paper's Rodinia-3.1 / Parboil /
+// LonestarGPU-2.0 / Pannotia workloads (the real binaries and inputs
+// require GPGPU-Sim; see DESIGN.md's substitution table), the scenario
+// corpus (scenario.go), and `trace:<path>` replays of PLTR-v2 traces.
+// One type, Bench, produces the stream of every registered Spec.
 //
-// Each benchmark is a deterministic generator parameterised along the
-// axes the paper's mechanisms key on:
+// Each suite benchmark is a deterministic generator parameterised along
+// the axes the paper's mechanisms key on:
 //
 //   - access pattern (streaming, strided, stencil, uniform-random,
 //     graph-irregular with skew) — drives cache and row-buffer locality
@@ -16,6 +18,7 @@
 //     — drives the value locality that Plutus's verification exploits
 //     (Fig. 9).
 //
+// A scenario replaces those pattern axes with a generator of its own.
 // Everything is hash-derived from (benchmark, warp, step), so runs are
 // reproducible bit-for-bit with no shared mutable state beyond per-warp
 // counters.
@@ -29,7 +32,6 @@ import (
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
 	"github.com/plutus-gpu/plutus/internal/trace"
-	"github.com/plutus-gpu/plutus/internal/trace/scenario"
 	"github.com/plutus-gpu/plutus/internal/valmodel"
 )
 
@@ -82,12 +84,15 @@ type ValueProfile struct {
 	Jitter bool
 }
 
-// Spec fully describes one synthetic benchmark.
+// Spec fully describes one registered workload: a suite benchmark's
+// pattern parameters, or a scenario's generator.
 type Spec struct {
 	Name  string
 	Suite string
 	// Intensity is "high" or "medium" (the paper's two selection bins).
 	Intensity string
+	// Desc describes a scenario for listings (plutussim -list).
+	Desc string
 
 	Warps        int
 	InstsPerWarp int
@@ -104,15 +109,23 @@ type Spec struct {
 	// memory instruction (32 = fully divergent worst case).
 	ThreadsPerAccess int
 	Values           ValueProfile
+
+	// gen, when set, produces the instruction stream in place of the
+	// pattern fields (Footprint through ThreadsPerAccess), which stay
+	// unset. It must be a pure function of (seed, warp, step).
+	gen func(seed uint64, w int, step uint64) gpusim.Inst
 }
 
-// Validate reports spec errors.
+// Validate reports spec errors. A generator spec has no pattern fields
+// to check.
 func (s Spec) Validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("workload: empty name")
 	case s.Warps < 1 || s.InstsPerWarp < 1:
 		return fmt.Errorf("workload %s: warps/insts must be positive", s.Name)
+	case s.gen != nil:
+		return nil
 	case s.Footprint < geom.BlockSize:
 		return fmt.Errorf("workload %s: footprint too small", s.Name)
 	case s.MemFrac < 0 || s.MemFrac > 1 || s.ReadFrac < 0 || s.ReadFrac > 1:
@@ -124,18 +137,17 @@ func (s Spec) Validate() error {
 }
 
 // splitmix64 and hash2 are this package's historical names for the
-// shared generator hashes, now owned by internal/valmodel so trace
-// replay and the scenario corpus derive values from the same math.
+// shared generator hashes, owned by internal/valmodel so trace replay
+// derives values from the same math.
 func splitmix64(x uint64) uint64 { return valmodel.Splitmix64(x) }
 
 func hash2(a, b uint64) uint64 { return valmodel.Hash2(a, b) }
 
 // Bench is a runnable instance of a Spec; it implements gpusim.Workload.
 type Bench struct {
-	spec  Spec
-	seed  uint64
-	model valmodel.Model
-	step  []uint64 // per-warp instruction counter
+	spec Spec
+	seed uint64
+	step []uint64 // per-warp instruction counter
 }
 
 // NewBench instantiates spec with a name-derived seed.
@@ -159,15 +171,7 @@ func NewBenchSeeded(spec Spec, seed uint64) (*Bench, error) {
 	if seed != 0 {
 		s ^= splitmix64(seed)
 	}
-	p := spec.Values
-	m := valmodel.Model{
-		Seed:     s,
-		ZeroFrac: p.ZeroFrac,
-		PoolFrac: p.PoolFrac,
-		PoolSize: uint32(p.PoolSize),
-		Jitter:   p.Jitter,
-	}
-	return &Bench{spec: spec, seed: s, model: m, step: make([]uint64, spec.Warps)}, nil
+	return &Bench{spec: spec, seed: s, step: make([]uint64, spec.Warps)}, nil
 }
 
 // Spec returns the benchmark's parameters.
@@ -193,6 +197,9 @@ func (b *Bench) Next(w int) (gpusim.Inst, bool) {
 	}
 	step := b.step[w]
 	b.step[w]++
+	if b.spec.gen != nil {
+		return b.spec.gen(b.seed, w, step), true
+	}
 
 	h := hash2(b.seed, uint64(w)<<32|step)
 	if float64(h%1000)/1000 >= b.spec.MemFrac {
@@ -273,28 +280,37 @@ func (b *Bench) addrs(w int, step uint64, isLoad bool) []geom.Addr {
 // ValueModel returns the model the benchmark's data contents derive
 // from; trace capture embeds it so replayed values match this instance
 // exactly (including any seed perturbation).
-func (b *Bench) ValueModel() valmodel.Model { return b.model }
+func (b *Bench) ValueModel() valmodel.Model {
+	p := b.spec.Values
+	return valmodel.Model{
+		Seed:     b.seed,
+		ZeroFrac: p.ZeroFrac,
+		PoolFrac: p.PoolFrac,
+		PoolSize: uint32(p.PoolSize),
+		Jitter:   p.Jitter,
+	}
+}
 
 // MemValue implements gpusim.Workload: the initial memory image.
-func (b *Bench) MemValue(addr geom.Addr) uint32 { return b.model.MemValue(addr) }
+func (b *Bench) MemValue(addr geom.Addr) uint32 { return b.ValueModel().MemValue(addr) }
 
 // StoreValue implements gpusim.Workload: stored values follow the same
 // profile (computation output resembles its input distribution).
 func (b *Bench) StoreValue(w int, addr geom.Addr) uint32 {
-	return b.model.StoreValue(w, addr)
+	return b.ValueModel().StoreValue(w, addr)
 }
 
 // StreamCursor implements secmem.StreamCursorSource (structurally — the
 // mgx scheme's application-knowledge contract): regular-pattern
 // benchmarks declare their in-footprint accesses as one block-granular
 // write stream, so the controller can derive those sectors' version
-// numbers on-chip. Irregular patterns and out-of-footprint addresses
-// report no stream, forcing the stored-counter fallback.
+// numbers on-chip. Irregular patterns, scenarios and out-of-footprint
+// addresses report no stream, forcing the stored-counter fallback.
 func (b *Bench) StreamCursor(addr geom.Addr) (uint64, bool) {
 	switch b.spec.Pattern {
 	case Streaming, Strided, Stencil:
 		fp := b.spec.Footprint &^ (geom.BlockSize - 1)
-		if uint64(addr) < fp {
+		if b.spec.gen == nil && uint64(addr) < fp {
 			return uint64(addr) / geom.BlockSize, true
 		}
 	}
@@ -312,35 +328,42 @@ func register(s Spec) {
 	registry[s.Name] = s
 }
 
-// SuiteNames lists the synthetic benchmark suite in sorted order —
-// the benchmarks the golden figure tables are pinned to. Scenario and
-// trace workloads are deliberately excluded so adding corpus entries
-// never changes byte-pinned results.
-func SuiteNames() []string {
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
+// names lists the registered specs keep selects, sorted.
+func names(keep func(Spec) bool) []string {
+	var out []string
+	for k, s := range registry {
+		if keep(s) {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Names lists every named workload Get resolves: the synthetic suite
-// plus the scenario corpus, sorted. `trace:` workloads are not listed
-// (they name files, not registry entries).
-func Names() []string {
-	out := append(SuiteNames(), scenario.Names()...)
-	sort.Strings(out)
-	return out
+// SuiteNames lists the synthetic benchmark suite in sorted order —
+// the benchmarks the golden figure tables are pinned to. Scenarios and
+// trace workloads are deliberately excluded so adding corpus entries
+// never changes byte-pinned results.
+func SuiteNames() []string { return names(func(s Spec) bool { return s.gen == nil }) }
+
+// ScenarioNames lists the scenario corpus in sorted order.
+func ScenarioNames() []string { return names(func(s Spec) bool { return s.gen != nil }) }
+
+// Names lists every registered workload, the suite and the scenario
+// corpus, sorted. `trace:` workloads are not listed (they name files,
+// not registry entries).
+func Names() []string { return names(func(Spec) bool { return true }) }
+
+// Describe returns a registered workload's Spec.
+func Describe(name string) (Spec, bool) {
+	s, ok := registry[name]
+	return s, ok
 }
 
-// Get instantiates a named workload. Three namespaces resolve, in
-// order: the synthetic suite, the scenario corpus
-// (internal/trace/scenario), and `trace:<path>` — a PLTR-v2 trace file
-// replayed as a workload. All three flow through the harness, plutusd,
-// and cluster sweeps identically; the returned value implements
-// gpusim.CheckpointableWorkload in every case, so any workload
-// checkpoints and resumes.
+// Get instantiates a named workload: a registered Spec, or
+// `trace:<path>` — a PLTR-v2 trace file replayed as a workload. Both
+// flow through the harness, plutusd, and cluster sweeps identically,
+// and every gpusim.Workload checkpoints and resumes.
 func Get(name string) (gpusim.Workload, error) {
 	return GetSeeded(name, 0)
 }
@@ -358,9 +381,6 @@ func GetSeeded(name string, seed uint64) (gpusim.Workload, error) {
 	}
 	if s, ok := registry[name]; ok {
 		return NewBenchSeeded(s, seed)
-	}
-	if _, ok := scenario.Describe(name); ok {
-		return scenario.New(name, seed)
 	}
 	return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
 }

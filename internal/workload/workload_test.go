@@ -53,12 +53,8 @@ func TestNamesResolve(t *testing.T) {
 	}
 	scenarios := 0
 	for _, n := range names {
-		wl, err := Get(n)
-		if err != nil {
+		if _, err := Get(n); err != nil {
 			t.Fatalf("Get(%q): %v", n, err)
-		}
-		if _, ok := wl.(gpusim.CheckpointableWorkload); !ok {
-			t.Errorf("Get(%q) is not checkpointable", n)
 		}
 		if strings.HasPrefix(n, "scn-") {
 			scenarios++
