@@ -5,14 +5,16 @@
 #
 # Runs perfbench's sweep-graph workload (seed 1, untraced) at both
 # checkouts in 5 pairs, alternating which side goes first, and appends
-# each run's result line to OUT_DIR/base.jsonl or OUT_DIR/head.jsonl.
-# The run length and the kinsts_per_s and alloc_mb bounds are read from
-# HEAD_DIR/BENCHMARK.json. It fails when any run exits non-zero (a
-# failed output check), when the head loses every pair and its median
-# kinsts_per_s is below the base's by more than its bound, or when the
-# head's median alloc_mb is above the base's by more than its bound
-# (alloc_mb is deterministic, so one comparison of medians decides). A
-# base that has no perfbench/run.sh is skipped with a notice.
+# each run's result line to OUT_DIR/base.jsonl or OUT_DIR/head.jsonl;
+# then one sweep-write pair, base first, into OUT_DIR/base-write.jsonl
+# and OUT_DIR/head-write.jsonl. The run length and the kinsts_per_s and
+# alloc_mb bounds are read from HEAD_DIR/BENCHMARK.json. It fails when
+# any run exits non-zero (a failed output check), when the head loses
+# every sweep-graph pair and its median kinsts_per_s is below the base's
+# by more than its bound, or when the head's alloc_mb on either workload
+# is above the base's by more than its bound (alloc_mb is
+# deterministic, so the sweep-graph medians and the one sweep-write pair
+# decide). A base that has no perfbench/run.sh is skipped with a notice.
 set -euo pipefail
 [ $# -eq 3 ] || { echo "usage: $0 BASE_DIR HEAD_DIR OUT_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -28,21 +30,26 @@ fi
 seconds=$(jq -er '.run_seconds' "$head/BENCHMARK.json")
 bound=$(jq -er '.end_to_end[] | select(.name == "kinsts_per_s") | .bound' "$head/BENCHMARK.json")
 alloc_bound=$(jq -er '.end_to_end[] | select(.name == "alloc_mb") | .bound' "$head/BENCHMARK.json")
-echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound, alloc_mb bound $alloc_bound"
+echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound, alloc_mb bound $alloc_bound; then one sweep-write pair"
 
 : > "$out/base.jsonl"
 : > "$out/head.jsonl"
+: > "$out/base-write.jsonl"
+: > "$out/head-write.jsonl"
 
-# run SIDE DIR PAIR: one perfbench run; its last output line is the result.
+# run SIDE DIR PAIR [WORKLOAD]: one perfbench run (sweep-graph unless
+# named); its last output line is the result.
 run() {
-	local log="$out/$1-$3.log"
-	if ! (cd "$2" && bash perfbench/run.sh --workload sweep-graph --seed 1 --seconds "$seconds" --trace 0) > "$log" 2>&1; then
+	local workload=${4:-sweep-graph} suffix=
+	[ "$workload" = sweep-graph ] || suffix=-${workload#sweep-}
+	local log="$out/$1$suffix-$3.log"
+	if ! (cd "$2" && bash perfbench/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0) > "$log" 2>&1; then
 		tail -n 20 "$log" >&2
-		echo "::error::perf-ab: the $1 run of pair $3 failed"
+		echo "::error::perf-ab: the $1 $workload run of pair $3 failed"
 		exit 1
 	fi
-	tail -n 1 "$log" >> "$out/$1.jsonl"
-	echo "pair $3 $1: $(tail -n 1 "$log" | jq -r '.metrics.kinsts_per_s.value') kinst/s"
+	tail -n 1 "$log" >> "$out/$1$suffix.jsonl"
+	echo "$workload pair $3 $1: $(tail -n 1 "$log" | jq -r '"\(.metrics.kinsts_per_s.value) kinst/s, \(.metrics.alloc_mb.value) MB"')"
 }
 for i in $(seq 1 "$pairs"); do
 	if [ $((i % 2)) -eq 1 ]; then
@@ -53,18 +60,23 @@ for i in $(seq 1 "$pairs"); do
 		run base "$base" "$i"
 	fi
 done
+run base "$base" 1 sweep-write
+run head "$head" 1 sweep-write
 
 jq -n --argjson bound "$bound" --argjson alloc_bound "$alloc_bound" \
-	--slurpfile b "$out/base.jsonl" --slurpfile h "$out/head.jsonl" '
+	--slurpfile b "$out/base.jsonl" --slurpfile h "$out/head.jsonl" \
+	--slurpfile bw "$out/base-write.jsonl" --slurpfile hw "$out/head-write.jsonl" '
 	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
 	($b | map(.metrics.kinsts_per_s.value)) as $base
 	| ($h | map(.metrics.kinsts_per_s.value)) as $head
 	| {base: $base, head: $head, base_median: ($base | median), head_median: ($head | median),
 	   head_wins: ([range($base | length) | select($head[.] >= $base[.])] | length), bound: $bound,
 	   base_alloc_mb_median: ($b | map(.metrics.alloc_mb.value) | median),
-	   head_alloc_mb_median: ($h | map(.metrics.alloc_mb.value) | median), alloc_bound: $alloc_bound}
+	   head_alloc_mb_median: ($h | map(.metrics.alloc_mb.value) | median), alloc_bound: $alloc_bound,
+	   base_write_alloc_mb: $bw[0].metrics.alloc_mb.value, head_write_alloc_mb: $hw[0].metrics.alloc_mb.value}
 	| .regressed = (.head_wins == 0 and .head_median < .base_median * (1 - $bound))
-	| .alloc_regressed = (.head_alloc_mb_median > .base_alloc_mb_median * (1 + $alloc_bound))' > "$out/summary.json"
+	| .alloc_regressed = (.head_alloc_mb_median > .base_alloc_mb_median * (1 + $alloc_bound))
+	| .write_alloc_regressed = (.head_write_alloc_mb > .base_write_alloc_mb * (1 + $alloc_bound))' > "$out/summary.json"
 cat "$out/summary.json"
 status=0
 if jq -e '.regressed' "$out/summary.json" > /dev/null; then
@@ -73,6 +85,10 @@ if jq -e '.regressed' "$out/summary.json" > /dev/null; then
 fi
 if jq -e '.alloc_regressed' "$out/summary.json" > /dev/null; then
 	echo "::error::perf-ab: the head's median alloc_mb is more than $alloc_bound above the base's"
+	status=1
+fi
+if jq -e '.write_alloc_regressed' "$out/summary.json" > /dev/null; then
+	echo "::error::perf-ab: the head's sweep-write alloc_mb is more than $alloc_bound above the base's"
 	status=1
 fi
 exit "$status"

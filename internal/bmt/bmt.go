@@ -97,6 +97,10 @@ type Tree struct {
 	//simlint:ignore snapsym constant for a given key/serialization, recomputed at construction
 	defaultNode []uint64
 	root        uint64
+	// nodeBuf is the node-hash serialization buffer (computeNode,
+	// hashChildren): arity child hashes and the level.
+	//simlint:ignore snapsym per-call scratch, sized from cfg at construction
+	nodeBuf []byte
 }
 
 // New builds a tree whose counter units all hash to defaultUnitHash
@@ -111,6 +115,7 @@ func New(cfg Config, defaultUnitHash uint64) (*Tree, error) {
 		arity:       uint64(cfg.Arity()),
 		unitHashes:  make(map[uint64]uint64),
 		defaultUnit: defaultUnitHash,
+		nodeBuf:     make([]byte, 8*cfg.Arity()+8),
 	}
 	// Build level sizes bottom-up until a single root.
 	n := ceilDiv(cfg.Units, t.arity)
@@ -157,7 +162,7 @@ func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
 // hashChildren hashes a node whose children all have hash h (used only
 // for defaults; real nodes hash their actual child vector).
 func (t *Tree) hashChildren(level int, h uint64) uint64 {
-	buf := make([]byte, 8*int(t.arity)+8)
+	buf := t.nodeBuf
 	for i := 0; i < int(t.arity); i++ {
 		binary.LittleEndian.PutUint64(buf[i*8:], h)
 	}
@@ -275,8 +280,10 @@ func (t *Tree) nodeHash(l int, i uint64) uint64 {
 }
 
 // computeNode recomputes the hash of node (l, i) from its children.
+//
+//simlint:hotpath
 func (t *Tree) computeNode(l int, i uint64) uint64 {
-	buf := make([]byte, 8*int(t.arity)+8)
+	buf := t.nodeBuf
 	base := i * t.arity
 	for c := uint64(0); c < t.arity; c++ {
 		var h uint64
@@ -301,6 +308,8 @@ func (t *Tree) computeNode(l int, i uint64) uint64 {
 
 // SetUnitHash records a new hash for counter unit u (after a counter
 // write) and propagates the change to the root.
+//
+//simlint:hotpath
 func (t *Tree) SetUnitHash(u uint64, h uint64) {
 	if u >= t.cfg.Units {
 		panic(fmt.Sprintf("bmt: unit %d out of range %d", u, t.cfg.Units))

@@ -62,16 +62,37 @@ type Eviction struct {
 	Dirty geom.SectorMask
 }
 
-// MSHR tracks an outstanding miss to one block, merging later requests.
+// MSHR names one allocation of an MSHR slot: the slot and the
+// generation it was allocated in. A fill naming an allocation that has
+// since retired is a no-op, even after its slot is reused for the same
+// block. The zero value names no allocation.
 type MSHR struct {
-	Addr    geom.Addr       // block-aligned
-	Pending geom.SectorMask // sectors requested from memory so far
-	arrived geom.SectorMask // sectors whose fill data has landed
-	waiters []func()
+	slot int32
+	gen  uint32
 }
 
-// AddWaiter registers fn to run when the fill completes.
-func (m *MSHR) AddWaiter(fn func()) { m.waiters = append(m.waiters, fn) }
+// mshr is one slab entry: an outstanding miss to one block, merging
+// later requests, with its waiters as an intrusive list of wait nodes.
+type mshr struct {
+	addr       geom.Addr       // block-aligned
+	gen        uint32          // bumped at every allocation, so never 0 when live
+	head, tail int32           // first and last wait node; 0 when none
+	pending    geom.SectorMask // sectors requested from memory so far
+	arrived    geom.SectorMask // sectors whose fill data has landed
+	live       bool
+}
+
+// waitNode is one registered waiter. Node 0 is the list terminator.
+type waitNode struct {
+	fn   func()
+	next int32
+}
+
+// Waiters is the waiter list a completing fill detached from its MSHR;
+// Wake runs it. A detached list shares no node with any live MSHR, so a
+// waiter that re-enters Lookup and takes the freed slot cannot disturb
+// the waiters still to run.
+type Waiters struct{ head int32 }
 
 // Cache is one cache instance. Create with New.
 type Cache struct {
@@ -82,10 +103,20 @@ type Cache struct {
 	//simlint:ignore snapsym derived from cfg.BlockBytes at construction
 	sectors  int // sectors per block
 	lruClock uint64
-	mshrs    map[geom.Addr]*MSHR
-	//simlint:ignore snapsym derived from cfg.MSHRs at construction
-	mshrLimit int
-	Stats     stats.CacheStats
+	// The MSHR slab: cfg.MSHRs entries, the free slots as a stack, and
+	// the block → live slot index. Empty at a checkpoint (Codec).
+	//simlint:ignore snapsym request scratch, all free when a drained cache is walked
+	mshrs []mshr
+	//simlint:ignore snapsym request scratch, all free when a drained cache is walked
+	freeSlots []int32
+	//simlint:ignore snapsym request scratch, empty when a drained cache is walked
+	index map[geom.Addr]int32
+	// nodes holds every wait node; freeNode heads the free ones.
+	//simlint:ignore snapsym request scratch, all free when a drained cache is walked
+	nodes []waitNode
+	//simlint:ignore snapsym request scratch, all free when a drained cache is walked
+	freeNode int32
+	Stats    stats.CacheStats
 }
 
 // New builds a cache from cfg.
@@ -98,14 +129,21 @@ func New(cfg Config) (*Cache, error) {
 	for i := range sets {
 		sets[i] = make([]line, cfg.Ways)
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		sets:      sets,
 		setMask:   geom.Addr(nSets - 1),
 		sectors:   cfg.BlockSize / geom.SectorSize,
-		mshrs:     make(map[geom.Addr]*MSHR),
-		mshrLimit: cfg.MSHRs,
-	}, nil
+		mshrs:     make([]mshr, cfg.MSHRs),
+		freeSlots: make([]int32, cfg.MSHRs),
+		index:     make(map[geom.Addr]int32),
+		nodes:     make([]waitNode, 1),
+	}
+	for i := range c.freeSlots {
+		// Stacked so the first allocation takes slot 0.
+		c.freeSlots[i] = int32(cfg.MSHRs - 1 - i)
+	}
+	return c, nil
 }
 
 // MustNew is New for static configuration; it panics on error.
@@ -193,9 +231,11 @@ func (o Outcome) String() string {
 // Lookup checks for addr's sectors given by mask (in this cache's
 // geometry) and updates LRU and statistics. On Miss it returns the mask of
 // sectors that must be fetched and the MSHR tracking them (already
-// registered). On MissMerged the returned MSHR is the existing one to
-// attach a waiter to. onDone (nullable) is registered on the MSHR.
-func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone func()) (Outcome, geom.SectorMask, *MSHR) {
+// registered). On MissMerged the returned MSHR is the existing one.
+// onDone (nullable) is registered as a waiter on Miss and MissMerged.
+//
+//simlint:hotpath
+func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone func()) (Outcome, geom.SectorMask, MSHR) {
 	block := c.blockAddr(addr)
 	ln := c.find(block)
 	if ln != nil && ln.valid&mask == mask {
@@ -205,7 +245,7 @@ func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone 
 			ln.dirty |= mask
 		}
 		c.Stats.Hits++
-		return Hit, 0, nil
+		return Hit, 0, MSHR{}
 	}
 	var present geom.SectorMask
 	if ln != nil {
@@ -215,69 +255,137 @@ func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone 
 	}
 	need := mask &^ present
 
-	if m, ok := c.mshrs[block]; ok {
-		still := need &^ m.Pending
+	if slot, ok := c.index[block]; ok {
+		m := &c.mshrs[slot]
+		c.addWaiter(m, onDone)
+		still := need &^ m.pending
 		if still == 0 {
-			if onDone != nil {
-				m.AddWaiter(onDone)
-			}
 			c.Stats.MSHRMerges++
-			return MissMerged, 0, m
+			return MissMerged, 0, MSHR{slot, m.gen}
 		}
 		// Partially covered: extend the MSHR with the extra sectors; the
 		// caller issues a memory request for just those.
-		m.Pending |= still
-		if onDone != nil {
-			m.AddWaiter(onDone)
-		}
+		m.pending |= still
 		c.Stats.Misses++
-		return Miss, still, m
+		return Miss, still, MSHR{slot, m.gen}
 	}
-	if len(c.mshrs) >= c.mshrLimit {
-		return MissNoMSHR, need, nil
+	n := len(c.freeSlots) - 1
+	if n < 0 {
+		return MissNoMSHR, need, MSHR{}
 	}
-	m := &MSHR{Addr: block, Pending: need}
-	if onDone != nil {
-		m.AddWaiter(onDone)
+	slot := c.freeSlots[n]
+	c.freeSlots = c.freeSlots[:n]
+	m := &c.mshrs[slot]
+	if m.gen++; m.gen == 0 { // zero names no allocation
+		m.gen = 1
 	}
-	c.mshrs[block] = m
+	m.addr, m.pending, m.arrived, m.live = block, need, 0, true
+	c.index[block] = slot
+	c.addWaiter(m, onDone)
 	c.Stats.Misses++
-	return Miss, need, m
+	return Miss, need, MSHR{slot, m.gen}
+}
+
+// addWaiter appends fn (if non-nil) to m's waiter list.
+//
+//simlint:hotpath
+func (c *Cache) addWaiter(m *mshr, fn func()) {
+	if fn == nil {
+		return
+	}
+	i := c.freeNode
+	if i == 0 {
+		i = c.newNode()
+	}
+	n := &c.nodes[i]
+	c.freeNode = n.next
+	n.fn, n.next = fn, 0
+	if m.head == 0 {
+		m.head = i
+	} else {
+		c.nodes[m.tail].next = i
+	}
+	m.tail = i
+}
+
+// newNode grows the node store by one free node and returns its index;
+// the store grows only until it holds the most waiters ever registered
+// at once.
+//
+//go:noinline
+func (c *Cache) newNode() int32 {
+	c.nodes = append(c.nodes, waitNode{})
+	return int32(len(c.nodes) - 1)
 }
 
 // Fill installs all of the MSHR's pending sectors at once
-// (allocate-on-fill), returning any eviction needed to make room plus the
-// waiters to resume. markDirty makes the filled sectors dirty immediately
-// (fill-from-write). Use FillSectors when fill data arrives piecemeal.
-func (c *Cache) Fill(m *MSHR, markDirty bool) ([]Eviction, []func()) {
-	evs, _, w := c.FillSectors(m, m.Pending, markDirty)
-	return evs, w
+// (allocate-on-fill), returning the eviction needed to make room, if
+// any, plus the waiters to resume. markDirty makes the filled sectors
+// dirty immediately (fill-from-write). Use FillSectors when fill data
+// arrives piecemeal.
+//
+//simlint:hotpath
+func (c *Cache) Fill(m MSHR, markDirty bool) (Eviction, bool, Waiters) {
+	if !c.live(m) {
+		return Eviction{}, false, Waiters{}
+	}
+	ev, evicted, ws, _ := c.FillSectors(m, c.mshrs[m.slot].pending, markDirty)
+	return ev, evicted, ws
+}
+
+// live reports whether m names a slot's current allocation.
+func (c *Cache) live(m MSHR) bool {
+	s := &c.mshrs[m.slot]
+	return s.live && s.gen == m.gen
 }
 
 // FillSectors records the arrival of some of an MSHR's sectors. The
-// sectors are installed immediately; the MSHR completes — is deallocated
-// and its waiters returned — only once every pending sector has arrived,
-// so a fill for an MSHR that was extended after this memory request was
-// issued cannot prematurely retire the extension. Extra arrivals after
-// completion are no-ops.
-func (c *Cache) FillSectors(m *MSHR, mask geom.SectorMask, markDirty bool) (evs []Eviction, done bool, waiters []func()) {
-	if cur, live := c.mshrs[m.Addr]; !live || cur != m {
-		// Stale completion: the MSHR already finished.
-		return nil, false, nil
+// sectors are installed immediately; the MSHR completes — its slot is
+// freed and its waiters detached into ws — only once every pending
+// sector has arrived, so a fill for an MSHR that was extended after this
+// memory request was issued cannot prematurely retire the extension.
+// A fill naming a retired allocation is a no-op.
+//
+//simlint:hotpath
+func (c *Cache) FillSectors(m MSHR, mask geom.SectorMask, markDirty bool) (ev Eviction, evicted bool, ws Waiters, done bool) {
+	if !c.live(m) {
+		return Eviction{}, false, Waiters{}, false
 	}
-	m.arrived |= mask & m.Pending
-	evs = c.install(m.Addr, mask&m.Pending, markDirty)
-	if m.arrived != m.Pending {
-		return evs, false, nil
+	s := &c.mshrs[m.slot]
+	s.arrived |= mask & s.pending
+	ev, evicted = c.install(s.addr, mask&s.pending, markDirty)
+	if s.arrived != s.pending {
+		return ev, evicted, Waiters{}, false
 	}
-	delete(c.mshrs, m.Addr)
-	waiters = m.waiters
-	m.waiters = nil
-	return evs, true, waiters
+	delete(c.index, s.addr)
+	s.live = false
+	ws = Waiters{s.head}
+	s.head, s.tail = 0, 0
+	c.freeSlots = append(c.freeSlots, m.slot)
+	return ev, evicted, ws, true
 }
 
-// install merges sectors into an existing line or allocates a victim.
-func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Eviction {
+// Wake runs a detached waiter list in registration order. Each node is
+// freed before its waiter runs, so a waiter may register new waiters —
+// on any MSHR, including one in the slot the list came from.
+//
+//simlint:hotpath
+func (c *Cache) Wake(ws Waiters) {
+	for i := ws.head; i != 0; {
+		n := &c.nodes[i]
+		fn, next := n.fn, n.next
+		n.fn, n.next = nil, c.freeNode
+		c.freeNode = i
+		fn()
+		i = next
+	}
+}
+
+// install merges sectors into an existing line or allocates a victim,
+// returning the victim block if one was evicted.
+//
+//simlint:hotpath
+func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) (Eviction, bool) {
 	c.lruClock++
 	if ln := c.find(block); ln != nil {
 		ln.valid |= mask
@@ -285,7 +393,7 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Evi
 			ln.dirty |= mask
 		}
 		ln.lru = c.lruClock
-		return nil
+		return Eviction{}, false
 	}
 	set := c.setOf(block)
 	victim := &set[0]
@@ -298,13 +406,14 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Evi
 			victim = &set[i]
 		}
 	}
-	var evs []Eviction
-	if victim.valid != 0 {
+	var ev Eviction
+	evicted := victim.valid != 0
+	if evicted {
 		c.Stats.Evictions++
 		if victim.dirty != 0 {
 			c.Stats.DirtyEvictions++
 		}
-		evs = append(evs, Eviction{Addr: victim.tag, Dirty: victim.dirty})
+		ev = Eviction{Addr: victim.tag, Dirty: victim.dirty}
 	}
 	victim.tag = block
 	victim.valid = mask
@@ -313,12 +422,14 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Evi
 		victim.dirty = mask
 	}
 	victim.lru = c.lruClock
-	return evs
+	return ev, evicted
 }
 
 // Insert places sectors directly (no MSHR), used for write-allocate paths
 // in the metadata engines where the "fill" data is produced on-chip.
-func (c *Cache) Insert(addr geom.Addr, mask geom.SectorMask, dirty bool) []Eviction {
+//
+//simlint:hotpath
+func (c *Cache) Insert(addr geom.Addr, mask geom.SectorMask, dirty bool) (Eviction, bool) {
 	return c.install(c.blockAddr(addr), mask, dirty)
 }
 
@@ -367,10 +478,10 @@ func (c *Cache) Invalidate(addr geom.Addr) geom.SectorMask {
 }
 
 // InflightMisses returns the number of allocated MSHRs.
-func (c *Cache) InflightMisses() int { return len(c.mshrs) }
+func (c *Cache) InflightMisses() int { return len(c.mshrs) - len(c.freeSlots) }
 
 // FreeMSHRs returns the number of unallocated MSHR entries.
-func (c *Cache) FreeMSHRs() int { return c.mshrLimit - len(c.mshrs) }
+func (c *Cache) FreeMSHRs() int { return len(c.freeSlots) }
 
 // WalkDirty visits every dirty (block, mask) pair; used to flush at
 // simulation end so writeback traffic is fully accounted.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,12 +40,11 @@ func TestMissFillHit(t *testing.T) {
 	c := small(t)
 	mask := c.MaskFor(0x1000)
 	out, need, m := c.Lookup(0x1000, mask, false, nil)
-	if out != Miss || need != mask || m == nil {
+	if out != Miss || need != mask || m == (MSHR{}) {
 		t.Fatalf("first lookup: %v need=%04b", out, need)
 	}
-	evs, _ := c.Fill(m, false)
-	if len(evs) != 0 {
-		t.Fatalf("fill into empty cache evicted %v", evs)
+	if ev, evicted, _ := c.Fill(m, false); evicted {
+		t.Fatalf("fill into empty cache evicted %v", ev)
 	}
 	out, _, _ = c.Lookup(0x1000, mask, false, nil)
 	if out != Hit {
@@ -84,10 +84,8 @@ func TestMSHRMerging(t *testing.T) {
 	if out != Miss || need != 0b0010 || m3 != m {
 		t.Fatalf("extend lookup: %v need=%04b", out, need)
 	}
-	_, waiters := c.Fill(m, false)
-	for _, w := range waiters {
-		w()
-	}
+	_, _, ws := c.Fill(m, false)
+	c.Wake(ws)
 	if done != 3 {
 		t.Fatalf("waiters run = %d, want 3", done)
 	}
@@ -105,7 +103,7 @@ func TestMSHRExhaustion(t *testing.T) {
 		}
 	}
 	out, _, m := c.Lookup(0x9000, 0b0001, false, nil)
-	if out != MissNoMSHR || m != nil {
+	if out != MissNoMSHR || m != (MSHR{}) {
 		t.Fatalf("5th miss: %v, want MissNoMSHR", out)
 	}
 }
@@ -121,12 +119,12 @@ func TestEvictionLRUAndDirty(t *testing.T) {
 	// Touch addr 0 so it is MRU; victim should be 512.
 	c.Lookup(0, 0b0001, false, nil)
 	_, _, m := c.Lookup(addrs[4], 0b0001, false, nil)
-	evs, _ := c.Fill(m, false)
-	if len(evs) != 1 || evs[0].Addr != 512 {
-		t.Fatalf("eviction = %+v, want victim 512", evs)
+	ev, evicted, _ := c.Fill(m, false)
+	if !evicted || ev.Addr != 512 {
+		t.Fatalf("eviction = %+v (evicted %v), want victim 512", ev, evicted)
 	}
-	if evs[0].Dirty != 0b1111 {
-		t.Fatalf("victim dirty = %04b, want all", evs[0].Dirty)
+	if ev.Dirty != 0b1111 {
+		t.Fatalf("victim dirty = %04b, want all", ev.Dirty)
 	}
 	if c.Stats.DirtyEvictions != 1 {
 		t.Errorf("DirtyEvictions = %d", c.Stats.DirtyEvictions)
@@ -226,6 +224,92 @@ func TestDirtyImpliesValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A fill naming a retired MSHR stays a no-op after its slot is reused,
+// even for the same block: the generation, not the slot, names it.
+func TestStaleFillAfterSlotReuseIsNoOp(t *testing.T) {
+	c := MustNew(Config{Name: "one", SizeBytes: 2048, BlockSize: 128, Ways: 4, MSHRs: 1})
+	_, _, old := c.Lookup(0x1000, 0b0001, false, nil)
+	c.Fill(old, false)
+	c.Invalidate(0x1000)
+	ran := false
+	out, _, cur := c.Lookup(0x1000, 0b0001, false, func() { ran = true })
+	if out != Miss || cur.slot != old.slot || cur == old {
+		t.Fatalf("re-miss: %v in slot %d (old slot %d), want a new allocation of the same slot", out, cur.slot, old.slot)
+	}
+	if ev, evicted, ws, done := c.FillSectors(old, 0b0001, true); evicted || done || ws != (Waiters{}) {
+		t.Fatalf("stale fill acted: ev=%v evicted=%v done=%v", ev, evicted, done)
+	}
+	if c.Probe(0x1000) != 0 || c.DirtyMask(0x1000) != 0 || c.InflightMisses() != 1 || ran {
+		t.Fatalf("stale fill changed state: probe=%04b dirty=%04b inflight=%d ran=%v",
+			c.Probe(0x1000), c.DirtyMask(0x1000), c.InflightMisses(), ran)
+	}
+	_, _, ws := c.Fill(cur, false)
+	c.Wake(ws)
+	if !ran || c.Probe(0x1000) != 0b0001 || c.InflightMisses() != 0 {
+		t.Fatalf("live fill: ran=%v probe=%04b inflight=%d", ran, c.Probe(0x1000), c.InflightMisses())
+	}
+}
+
+// A waiter may re-enter Lookup and take the slot its MSHR just freed;
+// the waiters still to run must neither be lost nor run twice, and the
+// new MSHR's waiters must wait for its own fill.
+func TestWaiterReentersFreedSlot(t *testing.T) {
+	c := MustNew(Config{Name: "one", SizeBytes: 2048, BlockSize: 128, Ways: 4, MSHRs: 1})
+	var log []string
+	var next MSHR
+	_, _, m := c.Lookup(0x2000, 0b0001, false, func() {
+		log = append(log, "a")
+		var out Outcome
+		out, _, next = c.Lookup(0x3000, 0b0001, false, func() { log = append(log, "x") })
+		if out != Miss {
+			t.Errorf("re-entrant lookup: %v, want a miss in the freed slot", out)
+		}
+		c.Lookup(0x3000, 0b0001, false, func() { log = append(log, "y") })
+	})
+	c.Lookup(0x2000, 0b0001, false, func() { log = append(log, "b") })
+	c.Lookup(0x2000, 0b0001, false, func() { log = append(log, "c") })
+	_, _, ws := c.Fill(m, false)
+	c.Wake(ws)
+	if got := strings.Join(log, ""); got != "abc" || next.slot != m.slot {
+		t.Fatalf("first wake ran %q (new MSHR in slot %d, old %d), want \"abc\" and the same slot", got, next.slot, m.slot)
+	}
+	_, _, ws = c.Fill(next, false)
+	c.Wake(ws)
+	if got := strings.Join(log, ""); got != "abcxy" {
+		t.Fatalf("second wake: log %q, want \"abcxy\"", got)
+	}
+}
+
+// A warmed cache's miss, merge, fill and wake cycle allocates nothing:
+// the slab, its index and the wait nodes are all reused.
+func TestMSHRCycleSteadyStateAllocs(t *testing.T) {
+	c := MustNew(Config{Name: "q", SizeBytes: 1024, BlockSize: 128, Ways: 2, MSHRs: 4})
+	woke := 0
+	fn := func() { woke++ }
+	batch := func() {
+		var live [4]MSHR
+		for round := 0; round < 64; round++ {
+			for k := range live {
+				a := geom.Addr(round*4+k) * 128
+				_, _, live[k] = c.Lookup(a, 0b0001, false, fn)
+				c.Lookup(a, 0b0001, false, fn)
+			}
+			for _, m := range live {
+				ev, evicted, ws := c.Fill(m, false)
+				_, _ = ev, evicted
+				c.Wake(ws)
+			}
+		}
+	}
+	batch()
+	if got := testing.AllocsPerRun(10, batch); got != 0 {
+		t.Fatalf("warmed MSHR cycle allocates: %.1f allocs per batch", got)
+	}
+	if woke == 0 || c.InflightMisses() != 0 {
+		t.Fatalf("woke %d waiters, %d MSHRs left in flight", woke, c.InflightMisses())
 	}
 }
 

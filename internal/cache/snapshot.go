@@ -14,9 +14,9 @@ import (
 // closures that cannot be serialized, so a walk with in-flight misses
 // fails with ErrNotQuiescent.
 func (c *Cache) Codec(cc *checkpoint.Codec) {
-	if len(c.mshrs) != 0 {
+	if n := c.InflightMisses(); n != 0 {
 		cc.Fail(fmt.Errorf("cache %q: %d in-flight MSHRs: %w",
-			c.cfg.Name, len(c.mshrs), checkpoint.ErrNotQuiescent))
+			c.cfg.Name, n, checkpoint.ErrNotQuiescent))
 	}
 	cc.Want32("cache "+c.cfg.Name+" sets", uint32(len(c.sets)))
 	cc.Want32("cache "+c.cfg.Name+" ways", uint32(c.cfg.Ways))

@@ -37,6 +37,14 @@ type Bitmap struct {
 
 const bitmapPageWords = pageSize / 64
 
+// newPage allocates one page of n entries. Pages are the stores' only
+// allocation — footprint, once per pageSize entries — so keeping it out
+// of line lets callers that inline Set and Put stay allocation-free in
+// the compiler's escape analysis.
+//
+//go:noinline
+func newPage[T any](n int) []T { return make([]T, n) }
+
 // Get reports whether bit i is set.
 //
 //simlint:hotpath
@@ -54,12 +62,14 @@ func (b *Bitmap) page(p uint64) []uint64 {
 		b.pages = append(b.pages, nil)
 	}
 	if b.pages[p] == nil {
-		b.pages[p] = make([]uint64, bitmapPageWords)
+		b.pages[p] = newPage[uint64](bitmapPageWords)
 	}
 	return b.pages[p]
 }
 
 // Set sets bit i.
+//
+//simlint:hotpath
 func (b *Bitmap) Set(i uint64) {
 	pg := b.page(i >> pageBits)
 	o := i & pageMask
@@ -136,13 +146,15 @@ func (v *U64) Get(i uint64) uint64 {
 }
 
 // Set stores x at index i.
+//
+//simlint:hotpath
 func (v *U64) Set(i uint64, x uint64) {
 	p := i >> pageBits
 	for uint64(len(v.pages)) <= p {
 		v.pages = append(v.pages, nil)
 	}
 	if v.pages[p] == nil {
-		v.pages[p] = make([]uint64, pageSize)
+		v.pages[p] = newPage[uint64](pageSize)
 	}
 	v.pages[p][i&pageMask] = x
 }
@@ -164,13 +176,15 @@ func (v *U32) Get(i uint64) uint32 {
 }
 
 // Set stores x at index i.
+//
+//simlint:hotpath
 func (v *U32) Set(i uint64, x uint32) {
 	p := i >> pageBits
 	for uint64(len(v.pages)) <= p {
 		v.pages = append(v.pages, nil)
 	}
 	if v.pages[p] == nil {
-		v.pages[p] = make([]uint32, pageSize)
+		v.pages[p] = newPage[uint32](pageSize)
 	}
 	v.pages[p][i&pageMask] = x
 }
@@ -205,13 +219,15 @@ func (s *Sectors) Lookup(i uint64) ([]byte, bool) {
 
 // Put marks record i present and returns its 32-byte slice for the
 // caller to fill (zeroed if never previously written).
+//
+//simlint:hotpath
 func (s *Sectors) Put(i uint64) []byte {
 	p := i >> pageBits
 	for uint64(len(s.pages)) <= p {
 		s.pages = append(s.pages, nil)
 	}
 	if s.pages[p] == nil {
-		s.pages[p] = make([]byte, pageSize*SectorBytes)
+		s.pages[p] = newPage[byte](pageSize * SectorBytes)
 	}
 	s.present.Set(i)
 	o := (i & pageMask) * SectorBytes

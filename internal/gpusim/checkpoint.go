@@ -72,6 +72,7 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 	var n uint64
 	for {
 		ran := g.cluster.RunWindow()
+		g.reclaimStores()
 		if ran == 0 {
 			break
 		}
@@ -142,15 +143,13 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 func (g *GPU) seedWork() {
 	if g.restoredParked != nil {
 		for _, id := range g.restoredParked {
-			w := g.warps[id]
-			g.eng.Schedule(0, func() { g.fetch(w) })
+			g.eng.Schedule(0, g.warps[id].fetchFn)
 		}
 		g.restoredParked = nil
 		return
 	}
 	for _, w := range g.warps {
-		w := w
-		g.eng.Schedule(0, func() { g.fetch(w) })
+		g.eng.Schedule(0, w.fetchFn)
 	}
 }
 
@@ -160,6 +159,7 @@ func (g *GPU) seedWork() {
 func (g *GPU) takeCheckpoint(sink CheckpointSink) error {
 	g.draining = true
 	for g.cluster.RunWindow() != 0 {
+		g.reclaimStores()
 	}
 	g.draining = false
 	if err := g.quiescenceError(); err != nil {
@@ -181,17 +181,17 @@ func (g *GPU) takeCheckpoint(sink CheckpointSink) error {
 		}
 	}
 	for _, w := range g.parked {
-		w := w
-		g.eng.Schedule(0, func() { g.fetch(w) })
+		g.eng.Schedule(0, w.fetchFn)
 	}
 	g.parked = g.parked[:0]
 	return nil
 }
 
 // quiescenceError verifies the drained-epoch invariants: every active
-// warp is parked with no loads in flight, and no partition holds
-// in-flight misses, pending secure-memory requests, or MSHR waiters. Any
-// violation is a simulator bug, reported as ErrNotQuiescent.
+// warp is parked with no loads in flight, every request record is back
+// on its free list, and no partition holds in-flight misses, pending
+// secure-memory requests, or MSHR waiters. Any violation is a simulator
+// bug, reported as ErrNotQuiescent.
 func (g *GPU) quiescenceError() error {
 	parked := make(map[int]bool, len(g.parked))
 	for _, w := range g.parked {
@@ -207,8 +207,15 @@ func (g *GPU) quiescenceError() error {
 				w.id, w.active, parked[w.id], checkpoint.ErrNotQuiescent)
 		}
 	}
+	if n := g.loadCtxs.Out() + g.sectorLoads.Out() + g.storeReqs.Out(); n != 0 {
+		return fmt.Errorf("gpusim: %d SM request records are not back on their free lists: %w",
+			n, checkpoint.ErrNotQuiescent)
+	}
 	for _, p := range g.parts {
 		switch {
+		case p.fills.Out() != 0:
+			return fmt.Errorf("gpusim: partition %d has %d L2 fill records in flight: %w",
+				p.id, p.fills.Out(), checkpoint.ErrNotQuiescent)
 		case p.l2.InflightMisses() != 0:
 			return fmt.Errorf("gpusim: partition %d has %d in-flight L2 misses: %w",
 				p.id, p.l2.InflightMisses(), checkpoint.ErrNotQuiescent)

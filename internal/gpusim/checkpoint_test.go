@@ -226,3 +226,29 @@ func TestResumeRejectsDamage(t *testing.T) {
 		t.Fatalf("bit flip: err = %v, want ErrCorrupt", err)
 	}
 }
+
+// A request record that is not back on its free list breaks quiescence:
+// a snapshot cannot capture the request it stands for.
+func TestQuiescenceReportsLiveRecords(t *testing.T) {
+	g, err := New(testCfg(secmem.Plutus(1<<20)), newScript(0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.quiescenceError(); err != nil {
+		t.Fatalf("fresh GPU: %v", err)
+	}
+	s := g.sectorLoads.Get()
+	if err := g.quiescenceError(); !errors.Is(err, checkpoint.ErrNotQuiescent) {
+		t.Fatalf("live sector load: err = %v, want ErrNotQuiescent", err)
+	}
+	g.sectorLoads.Put(s)
+	f := g.parts[1].fills.Get()
+	if err := g.quiescenceError(); !errors.Is(err, checkpoint.ErrNotQuiescent) {
+		t.Fatalf("live L2 fill: err = %v, want ErrNotQuiescent", err)
+	}
+	g.parts[1].fills.Put(f)
+	g.parts[0].sec.Read(0x40, nil)
+	if err := g.quiescenceError(); !errors.Is(err, checkpoint.ErrNotQuiescent) {
+		t.Fatalf("live secure read: err = %v, want ErrNotQuiescent", err)
+	}
+}

@@ -39,6 +39,13 @@ type GPU struct {
 	// coalesce for the aliasing contract.
 	coalesceBuf []geom.Addr
 
+	// The SM shard's request-record free lists. Load records return with
+	// their response; store records end on a partition and come back
+	// between windows (reclaimStores).
+	loadCtxs    sim.FreeList[loadCtx]
+	sectorLoads sim.FreeList[sectorLoad]
+	storeReqs   sim.FreeList[storeReq]
+
 	issued      uint64
 	loads       uint64
 	stores      uint64
@@ -102,6 +109,16 @@ type partition struct {
 	// released when a fill frees an entry (no polling).
 	//simlint:ignore snapsym holds closures, empty by the quiescence invariant when snapshots are taken
 	mshrWait sim.FuncQueue
+	// fills is the partition's free list of L2 fill records.
+	//simlint:ignore snapsym request scratch: every record is back on its list when a drained partition is walked
+	fills sim.FreeList[l2Fill]
+	// spent holds the store records this partition finished with in the
+	// current window, for the run loop to hand back to the SM shard.
+	//simlint:ignore snapsym request scratch, reclaimed after every window
+	spent []*storeReq
+	// initBuf is InitData's result buffer.
+	//simlint:ignore snapsym per-call scratch, dead between calls
+	initBuf [geom.SectorSize]byte
 }
 
 // releaseMSHRWaiters wakes as many blocked requests as there are free
@@ -127,11 +144,75 @@ type warpCtx struct {
 	active      bool
 	outstanding int  // loads in flight
 	blocked     bool // stalled on MaxPendingLoads
+	// inst is the fetched instruction awaiting its issue slot: a warp has
+	// at most one fetch→execute in flight.
+	inst Inst
+	// g.fetch(w) and g.execute(w), bound once by New.
+	fetchFn, executeFn func()
 }
 
 // loadCtx tracks one load instruction's outstanding sectors.
 type loadCtx struct {
+	w         *warpCtx
 	remaining int
+}
+
+//go:noinline
+func (g *GPU) newLoadCtx() *loadCtx { return &loadCtx{} }
+
+// sectorLoad is one load sector's round trip across the interconnect:
+// SM → partition L2 (and secure memory on a miss) → SM. It comes from
+// the SM shard's free list and returns there when its response arrives;
+// the partition only borrows it in between.
+type sectorLoad struct {
+	g     *GPU
+	p     *partition
+	lc    *loadCtx
+	local geom.Addr
+	// Steps bound once by newSectorLoad.
+	loadFn, l2LoadFn, respondFn, arriveFn func()
+}
+
+//go:noinline
+func (g *GPU) newSectorLoad() *sectorLoad {
+	s := &sectorLoad{g: g}
+	s.loadFn, s.l2LoadFn, s.respondFn, s.arriveFn = s.load, s.l2Load, s.respond, s.arrive
+	return s
+}
+
+// storeReq is one store sector carried from the SM to its partition. It
+// comes from the SM shard's free list and ends on the partition, whose
+// spent list the run loop hands back between windows.
+type storeReq struct {
+	p     *partition
+	local geom.Addr
+	data  [geom.SectorSize]byte
+	// Steps bound once by newStoreReq.
+	storeFn, writeFn func()
+}
+
+//go:noinline
+func (g *GPU) newStoreReq() *storeReq {
+	st := &storeReq{}
+	st.storeFn, st.writeFn = st.store, st.write
+	return st
+}
+
+// l2Fill is one L2 miss waiting for its secure read. It is owned by the
+// partition that issued it.
+type l2Fill struct {
+	p      *partition
+	m      cache.MSHR
+	need   geom.SectorMask
+	local  geom.Addr
+	readFn func(secmem.ReadResult) // f.read, bound once by newL2Fill
+}
+
+//go:noinline
+func (p *partition) newL2Fill() *l2Fill {
+	f := &l2Fill{p: p}
+	f.readFn = f.read
+	return f
 }
 
 // New builds a GPU running workload wl under cfg.
@@ -144,6 +225,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		return nil, err
 	}
 	g := &GPU{cfg: cfg, il: il, wl: wl}
+	g.loadCtxs.New, g.sectorLoads.New, g.storeReqs.New = g.newLoadCtx, g.newSectorLoad, g.newStoreReq
 	// The interconnect latency is the PDES lookahead; a zero-latency
 	// crossbar is modelled as one cycle so the window stays positive.
 	g.xbar = cfg.XbarLatency
@@ -177,19 +259,9 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		if err != nil {
 			return nil, err
 		}
+		part.fills.New = part.newL2Fill
+		part.sec.InitData = part.initData
 		p := p
-		part.sec.InitData = func(local geom.Addr) []byte {
-			buf := make([]byte, geom.SectorSize)
-			global := il.GlobalAddr(p, local)
-			for k := 0; k < geom.SectorSize/4; k++ {
-				v := wl.MemValue(global + geom.Addr(k*4))
-				buf[k*4] = byte(v)
-				buf[k*4+1] = byte(v >> 8)
-				buf[k*4+2] = byte(v >> 16)
-				buf[k*4+3] = byte(v >> 24)
-			}
-			return buf
-		}
 		if src, ok := wl.(secmem.StreamCursorSource); ok {
 			part.sec.StreamHint = func(local geom.Addr) (uint64, bool) {
 				return src.StreamCursor(il.GlobalAddr(p, local))
@@ -206,13 +278,33 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 	n := wl.Warps()
 	g.warps = make([]*warpCtx, n)
 	for w := 0; w < n; w++ {
-		g.warps[w] = &warpCtx{id: w, sm: w % cfg.SMs, active: true}
+		wc := &warpCtx{id: w, sm: w % cfg.SMs, active: true}
+		wc.fetchFn = func() { g.fetch(wc) }
+		wc.executeFn = func() { g.execute(wc) }
+		g.warps[w] = wc
 	}
 	g.activeWarps = n
 	return g, nil
 }
 
+// initData is the partition's secmem.Engine.InitData: the workload's
+// initial contents of partition-local sector local, in initBuf.
+func (p *partition) initData(local geom.Addr) []byte {
+	wl := p.gpu.wl
+	global := p.gpu.il.GlobalAddr(p.id, local)
+	for k := 0; k < geom.SectorSize/4; k++ {
+		v := wl.MemValue(global + geom.Addr(k*4))
+		p.initBuf[k*4] = byte(v)
+		p.initBuf[k*4+1] = byte(v >> 8)
+		p.initBuf[k*4+2] = byte(v >> 16)
+		p.initBuf[k*4+3] = byte(v >> 24)
+	}
+	return p.initBuf[:]
+}
+
 // fetch advances warp w to its next instruction.
+//
+//simlint:hotpath
 func (g *GPU) fetch(w *warpCtx) {
 	if !w.active || g.fault != nil {
 		return
@@ -235,8 +327,7 @@ func (g *GPU) fetch(w *warpCtx) {
 	}
 	for _, a := range inst.Addrs {
 		if uint64(g.il.LocalAddr(a)) >= g.protected {
-			g.fault = fmt.Errorf("gpusim: %s: warp %d address %#x is past the protected space (%d bytes per partition)",
-				g.wl.Name(), w.id, uint64(a), g.protected)
+			g.addressFault(w, a)
 			return
 		}
 	}
@@ -258,34 +349,47 @@ func (g *GPU) fetch(w *warpCtx) {
 	t := sim.Cycle(sm.slotFree / uint64(g.cfg.IssueWidth))
 	sm.slotFree++
 
-	g.eng.Schedule(t-now, func() { g.execute(w, inst) })
+	w.inst = inst
+	g.eng.Schedule(t-now, w.executeFn)
 }
 
-// execute runs one instruction at its issue slot.
-func (g *GPU) execute(w *warpCtx, inst Inst) {
+// addressFault stops issue: warp w addressed a past the protected space.
+//
+//go:noinline
+func (g *GPU) addressFault(w *warpCtx, a geom.Addr) {
+	g.fault = fmt.Errorf("gpusim: %s: warp %d address %#x is past the protected space (%d bytes per partition)",
+		g.wl.Name(), w.id, uint64(a), g.protected)
+}
+
+// execute runs warp w's fetched instruction at its issue slot.
+//
+//simlint:hotpath
+func (g *GPU) execute(w *warpCtx) {
+	inst := &w.inst
 	switch inst.Kind {
 	case Compute:
 		c := inst.Cycles
 		if c < 1 {
 			c = 1
 		}
-		g.eng.Schedule(sim.Cycle(c), func() { g.fetch(w) })
+		g.eng.Schedule(sim.Cycle(c), w.fetchFn)
 	case Load:
 		g.loads++
 		sectors := g.coalesce(inst.Addrs)
 		if len(sectors) == 0 {
-			g.eng.Schedule(1, func() { g.fetch(w) })
+			g.eng.Schedule(1, w.fetchFn)
 			return
 		}
 		w.outstanding++
-		lc := &loadCtx{remaining: len(sectors)}
+		lc := g.loadCtxs.Get()
+		lc.w, lc.remaining = w, len(sectors)
 		for _, s := range sectors {
-			g.routeLoad(w, lc, s)
+			g.routeLoad(lc, s)
 		}
 		// Warps tolerate several loads in flight (intra-warp MLP); they
 		// stall only at the MLP limit.
 		if w.outstanding < g.cfg.MaxPendingLoads {
-			g.eng.Schedule(1, func() { g.fetch(w) })
+			g.eng.Schedule(1, w.fetchFn)
 		} else {
 			w.blocked = true
 		}
@@ -295,7 +399,7 @@ func (g *GPU) execute(w *warpCtx, inst Inst) {
 			g.routeStore(w, s)
 		}
 		// Stores retire immediately (write-back hierarchy absorbs them).
-		g.eng.Schedule(1, func() { g.fetch(w) })
+		g.eng.Schedule(1, w.fetchFn)
 	}
 }
 
@@ -309,9 +413,9 @@ func (g *GPU) retire(w *warpCtx) {
 // coalesce reduces per-thread addresses to their unique sectors,
 // preserving first-touch order. The result aliases a scratch buffer
 // owned by the SM shard and is only valid until the next coalesce call;
-// callers consume it synchronously (the interconnect closures capture
-// sector values, never the slice). Warps are a few dozen threads wide,
-// so a linear dedup scan beats a per-instruction map.
+// callers consume it synchronously (the request records copy sector
+// addresses, never the slice). Warps are a few dozen threads wide, so a
+// linear dedup scan beats a per-instruction map.
 func (g *GPU) coalesce(addrs []geom.Addr) []geom.Addr {
 	out := g.coalesceBuf[:0]
 	for _, a := range addrs {
@@ -333,132 +437,184 @@ func (g *GPU) coalesce(addrs []geom.Addr) []geom.Addr {
 
 // routeLoad sends a load sector request across the interconnect: a
 // mailbox message to the owning partition's shard, whose response is a
-// mailbox message back to the SM shard. The closure that updates warp
-// state is created here and executes on the SM shard only; the partition
-// merely carries it.
-func (g *GPU) routeLoad(w *warpCtx, lc *loadCtx, sector geom.Addr) {
-	p := g.parts[g.il.Partition(sector)]
-	local := g.il.LocalAddr(sector)
-	g.smShard.Send(p.shard, g.xbar, func() {
-		p.load(local, func() {
-			// Response crosses back to the SM.
-			p.shard.Send(g.smShard, g.xbar, func() {
-				lc.remaining--
-				if lc.remaining == 0 {
-					w.outstanding--
-					if w.blocked {
-						w.blocked = false
-						g.fetch(w)
-					}
-				}
-			})
-		})
-	})
+// mailbox message back to the SM shard (the sectorLoad steps).
+//
+//simlint:hotpath
+func (g *GPU) routeLoad(lc *loadCtx, sector geom.Addr) {
+	s := g.sectorLoads.Get()
+	s.p, s.lc, s.local = g.parts[g.il.Partition(sector)], lc, g.il.LocalAddr(sector)
+	g.smShard.Send(s.p.shard, g.xbar, s.loadFn)
+}
+
+// load services the sector at its partition's L2 bank, which issues one
+// access per cycle.
+//
+//simlint:hotpath
+func (s *sectorLoad) load() {
+	p := s.p
+	now := p.eng.Now()
+	t := now
+	if p.l2Free > t {
+		t = p.l2Free
+	}
+	p.l2Free = t + 1
+	p.eng.Schedule(t-now, s.l2LoadFn)
+}
+
+// l2Load looks the sector up in the L2; it is also the retry of a load
+// parked on a full MSHR file.
+//
+//simlint:hotpath
+func (s *sectorLoad) l2Load() {
+	p := s.p
+	out, need, m := p.l2.Lookup(s.local, geom.MaskFor(s.local), false, s.respondFn)
+	switch out {
+	case cache.Hit:
+		p.eng.Schedule(p.gpu.cfg.L2HitLatency, s.respondFn)
+	case cache.Miss:
+		f := p.fills.Get()
+		f.m, f.need, f.local = m, need, s.local
+		p.sec.Read(s.local, f.readFn)
+	case cache.MissNoMSHR:
+		p.mshrWait.Push(s.l2LoadFn)
+	}
+}
+
+// respond sends the sector's response back across the interconnect.
+//
+//simlint:hotpath
+func (s *sectorLoad) respond() { s.p.shard.Send(s.g.smShard, s.g.xbar, s.arriveFn) }
+
+// arrive accounts the response on the SM shard, where the record is
+// freed; the load's last sector unblocks its warp.
+//
+//simlint:hotpath
+func (s *sectorLoad) arrive() {
+	g, lc := s.g, s.lc
+	s.p, s.lc = nil, nil
+	g.sectorLoads.Put(s)
+	lc.remaining--
+	if lc.remaining != 0 {
+		return
+	}
+	w := lc.w
+	lc.w = nil
+	g.loadCtxs.Put(lc)
+	w.outstanding--
+	if w.blocked {
+		w.blocked = false
+		g.fetch(w)
+	}
+}
+
+// read installs a secure read's data and completes the L2 fill.
+//
+//simlint:hotpath
+func (f *l2Fill) read(res secmem.ReadResult) {
+	p, m, need, sa := f.p, f.m, f.need, geom.SectorAddr(f.local)
+	p.fills.Put(f)
+	// A store may have raced ahead of this fill; its dirty data is newer
+	// than what memory returned.
+	if p.l2.DirtyMask(sa)&geom.MaskFor(sa) == 0 {
+		copy(p.l2data.Put(uint64(sa)/geom.SectorSize), res.Data[:])
+	}
+	ev, evicted, ws, done := p.l2.FillSectors(m, need, false)
+	if evicted {
+		p.handleL2Eviction(ev)
+	}
+	if done {
+		p.l2.Wake(ws)
+		p.releaseMSHRWaiters()
+	}
 }
 
 // routeStore sends a store across the interconnect, materializing the
 // sector's store data from the workload on the SM side (Workload.Next
 // and StoreValue are only ever called from the SM shard).
+//
+//simlint:hotpath
 func (g *GPU) routeStore(w *warpCtx, sector geom.Addr) {
-	p := g.parts[g.il.Partition(sector)]
-	local := g.il.LocalAddr(sector)
-	data := make([]byte, geom.SectorSize)
+	st := g.storeReqs.Get()
+	st.p, st.local = g.parts[g.il.Partition(sector)], g.il.LocalAddr(sector)
 	for k := 0; k < geom.SectorSize/4; k++ {
 		v := g.wl.StoreValue(w.id, sector+geom.Addr(k*4))
-		data[k*4] = byte(v)
-		data[k*4+1] = byte(v >> 8)
-		data[k*4+2] = byte(v >> 16)
-		data[k*4+3] = byte(v >> 24)
+		st.data[k*4] = byte(v)
+		st.data[k*4+1] = byte(v >> 8)
+		st.data[k*4+2] = byte(v >> 16)
+		st.data[k*4+3] = byte(v >> 24)
 	}
-	g.smShard.Send(p.shard, g.xbar, func() { p.store(local, data) })
+	g.smShard.Send(st.p.shard, g.xbar, st.storeFn)
 }
 
-// load services a load sector at the partition's L2.
-func (p *partition) load(local geom.Addr, respond func()) {
+// store services a store sector at its partition's L2 bank.
+//
+//simlint:hotpath
+func (st *storeReq) store() {
+	p := st.p
 	now := p.eng.Now()
 	t := now
 	if p.l2Free > t {
 		t = p.l2Free
 	}
 	p.l2Free = t + 1
-	p.eng.Schedule(t-now, func() { p.l2Load(local, respond) })
+	p.eng.Schedule(t-now, st.writeFn)
 }
 
-func (p *partition) l2Load(local geom.Addr, respond func()) {
-	g := p.gpu
+// write writes the sector into the L2: write-allocate without fetch
+// (coalesced GPU stores cover whole sectors). The record then goes on
+// the partition's spent list.
+//
+//simlint:hotpath
+func (st *storeReq) write() {
+	p, local := st.p, st.local
 	mask := geom.MaskFor(local)
-	out, need, m := p.l2.Lookup(local, mask, false, nil)
-	switch out {
-	case cache.Hit:
-		p.eng.Schedule(g.cfg.L2HitLatency, respond)
-	case cache.MissMerged:
-		m.AddWaiter(respond)
-	case cache.Miss:
-		m.AddWaiter(respond)
-		p.sec.Read(local, func(res secmem.ReadResult) {
-			sa := geom.SectorAddr(local)
-			// A store may have raced ahead of this fill; its dirty data
-			// is newer than what memory returned.
-			if p.l2.DirtyMask(sa)&geom.MaskFor(sa) == 0 {
-				copy(p.l2data.Put(uint64(sa)/geom.SectorSize), res.Data)
-			}
-			evs, done, waiters := p.l2.FillSectors(m, need, false)
-			p.handleL2Evictions(evs)
-			if done {
-				for _, fn := range waiters {
-					fn()
-				}
-				p.releaseMSHRWaiters()
-			}
-		})
-	case cache.MissNoMSHR:
-		p.mshrWait.Push(func() { p.l2Load(local, respond) })
+	// Stores must not allocate MSHRs (nothing will ever fill them): hit →
+	// mark dirty in place; miss → write-allocate without fetch.
+	if p.l2.Probe(local)&mask == mask {
+		p.l2.MarkDirty(local, mask)
+		p.l2.Stats.Hits++
+	} else {
+		p.l2.Stats.Misses++
+		if ev, evicted := p.l2.Insert(local, mask, true); evicted {
+			p.handleL2Eviction(ev)
+		}
+	}
+	copy(p.l2data.Put(uint64(geom.SectorAddr(local))/geom.SectorSize), st.data[:])
+	st.p = nil
+	p.spent = append(p.spent, st)
+}
+
+// reclaimStores hands every store record the partitions finished with
+// back to the SM shard's free list. It runs between windows, when no
+// shard executes.
+func (g *GPU) reclaimStores() {
+	for _, p := range g.parts {
+		for i, st := range p.spent {
+			g.storeReqs.Put(st)
+			p.spent[i] = nil
+		}
+		p.spent = p.spent[:0]
 	}
 }
 
-// store services a store sector: write-allocate without fetch (coalesced
-// GPU stores cover whole sectors).
-func (p *partition) store(local geom.Addr, data []byte) {
-	now := p.eng.Now()
-	t := now
-	if p.l2Free > t {
-		t = p.l2Free
-	}
-	p.l2Free = t + 1
-	p.eng.Schedule(t-now, func() {
-		mask := geom.MaskFor(local)
-		// Stores must not allocate MSHRs (nothing will ever fill them):
-		// hit → mark dirty in place; miss → write-allocate without fetch
-		// (coalesced GPU stores cover whole sectors).
-		if p.l2.Probe(local)&mask == mask {
-			p.l2.MarkDirty(local, mask)
-			p.l2.Stats.Hits++
-		} else {
-			p.l2.Stats.Misses++
-			evs := p.l2.Insert(local, mask, true)
-			p.handleL2Evictions(evs)
-		}
-		copy(p.l2data.Put(uint64(geom.SectorAddr(local))/geom.SectorSize), data)
-	})
-}
-
-// handleL2Evictions writes back dirty sectors of evicted L2 blocks.
-func (p *partition) handleL2Evictions(evs []cache.Eviction) {
-	for _, ev := range evs {
-		for s := 0; s < geom.SectorsPerBlock; s++ {
-			sa := ev.Addr + geom.Addr(s*geom.SectorSize)
-			si := uint64(sa) / geom.SectorSize
-			data, resident := p.l2data.Lookup(si)
-			if ev.Dirty.Has(s) {
-				if !resident {
-					panic(fmt.Sprintf("gpusim: dirty L2 sector %#x has no data", sa))
-				}
-				// Writeback copies the sector before returning, so handing
-				// it a slice aliasing the dense store is safe to delete.
-				p.sec.Writeback(sa, data, nil)
+// handleL2Eviction writes back the dirty sectors of an evicted L2 block
+// and drops its data.
+//
+//simlint:hotpath
+func (p *partition) handleL2Eviction(ev cache.Eviction) {
+	for s := 0; s < geom.SectorsPerBlock; s++ {
+		sa := ev.Addr + geom.Addr(s*geom.SectorSize)
+		si := uint64(sa) / geom.SectorSize
+		data, resident := p.l2data.Lookup(si)
+		if ev.Dirty.Has(s) {
+			if !resident {
+				panic(fmt.Sprintf("gpusim: dirty L2 sector %#x has no data", sa))
 			}
-			p.l2data.Delete(si)
+			// Writeback copies the sector before returning, so handing
+			// it a slice aliasing the dense store is safe to delete.
+			p.sec.Writeback(sa, data, nil)
 		}
+		p.l2data.Delete(si)
 	}
 }
 

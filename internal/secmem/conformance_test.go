@@ -22,11 +22,15 @@ func conformanceRig(t *testing.T, name string) *testRig {
 	if err != nil {
 		t.Fatalf("ByName(%s): %v", name, err)
 	}
-	r := newRig(t, cfg)
+	return wire(newRig(t, cfg))
+}
+
+// wire installs the embedding's hooks on r's engine.
+func wire(r *testRig) *testRig {
 	r.e.InitData = func(local geom.Addr) []byte {
 		return sector(uint32(local)^0xdead, uint32(local)+7)
 	}
-	if cfg.Versions == VersionsDerived {
+	if r.e.cfg.Versions == VersionsDerived {
 		r.e.StreamHint = func(local geom.Addr) (uint64, bool) {
 			if local < 0x800 {
 				return uint64(local) / geom.BlockSize, true
@@ -97,7 +101,7 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				a := geom.Addr(i) * geom.SectorSize
 				wantRes, gotRes := r.read(t, a), fresh.read(t, a)
-				if !gotRes.OK || !bytes.Equal(gotRes.Data, wantRes.Data) {
+				if !gotRes.OK || !bytes.Equal(gotRes.Data[:], wantRes.Data[:]) {
 					t.Fatalf("restored engine diverges at %#x", uint64(a))
 				}
 			}

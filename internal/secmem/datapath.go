@@ -6,23 +6,39 @@ import (
 	"github.com/plutus-gpu/plutus/internal/cache"
 	"github.com/plutus-gpu/plutus/internal/counters"
 	"github.com/plutus-gpu/plutus/internal/geom"
+	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
 
-// join is a completion barrier: run fires then once every registered arm
-// has completed. Arms may be added only before Seal.
+// join is a completion barrier embedded in a request record: then runs
+// once every armed step has completed. Arms may be added only before
+// seal. Both funcs are bound once when the record is built, so arming
+// allocates nothing.
 type join struct {
-	n      int
-	sealed bool
-	then   func()
+	n        int
+	sealed   bool
+	then     func()
+	arriveFn func() // j.arrive, bound once by bind
 }
 
+// bind sets the continuation and binds the arm callback; a record's
+// constructor calls it once.
+func (j *join) bind(then func()) {
+	j.then = then
+	j.arriveFn = j.arrive
+}
+
+// reset readies a reused record's barrier for a new request.
+func (j *join) reset() { j.n, j.sealed = 0, false }
+
+//simlint:hotpath
 func (j *join) arm() func() {
 	j.n++
-	return j.done
+	return j.arriveFn
 }
 
-func (j *join) done() {
+//simlint:hotpath
+func (j *join) arrive() {
 	j.n--
 	if j.n == 0 && j.sealed {
 		j.then()
@@ -31,6 +47,8 @@ func (j *join) done() {
 
 // seal marks arm registration complete; if everything already finished,
 // the continuation runs immediately.
+//
+//simlint:hotpath
 func (j *join) seal() {
 	j.sealed = true
 	if j.n == 0 {
@@ -38,10 +56,31 @@ func (j *join) seal() {
 	}
 }
 
+// records holds the engine's request-record free lists. Every record
+// lives for one request and returns to its list when the request
+// completes, so a drained engine has every record at home (Pending is
+// zero) and nothing to snapshot.
+type records struct {
+	reads   sim.FreeList[readReq]
+	writes  sim.FreeList[writeReq]
+	fills   sim.FreeList[metaFill]
+	parked  sim.FreeList[parkedFetch]
+	dirties sim.FreeList[nodeDirty]
+}
+
+// init binds each list's constructor.
+func (rs *records) init(e *Engine) {
+	rs.reads.New = e.newReadReq
+	rs.writes.New = e.newWriteReq
+	rs.fills.New = e.newMetaFill
+	rs.parked.New = e.newParkedFetch
+	rs.dirties.New = e.newNodeDirty
+}
+
 // ReadResult reports a completed secure read.
 type ReadResult struct {
 	// Data is the decrypted sector plaintext.
-	Data []byte
+	Data [geom.SectorSize]byte
 	// OK is false when integrity or freshness verification failed.
 	OK bool
 	// ValueVerified is true when the sector was authenticated by the
@@ -49,69 +88,125 @@ type ReadResult struct {
 	ValueVerified bool
 }
 
-// Pending returns the number of in-flight requests (for drain loops).
-func (e *Engine) Pending() int { return e.pending }
+// Pending returns the number of request records in flight: reads,
+// writebacks, and the metadata fills, parked fetches and node updates
+// they spawned. A drained engine reports zero.
+func (e *Engine) Pending() int {
+	rs := &e.rec
+	return rs.reads.Out() + rs.writes.Out() + rs.fills.Out() + rs.parked.Out() + rs.dirties.Out()
+}
+
+// readReq is one secure read in flight, from Read to its done callback.
+type readReq struct {
+	join
+	e       *Engine
+	local   geom.Addr
+	done    func(ReadResult)
+	freshOK bool // cleared when counter or tree verification fails
+	res     ReadResult
+	// The MAC path's verdict inputs, fixed at decrypt time.
+	stale, mismatch, tainted bool
+	// Steps bound once by newReadReq.
+	unprotectedFn, decryptFn, macFetchedFn, macCheckedFn func()
+}
+
+//go:noinline
+func (e *Engine) newReadReq() *readReq {
+	r := &readReq{e: e}
+	r.bind(r.joined)
+	r.unprotectedFn, r.decryptFn = r.unprotected, r.decrypt
+	r.macFetchedFn, r.macCheckedFn = r.macFetched, r.macChecked
+	return r
+}
 
 // Read performs a secure read of the 32 B sector at partition-local
 // address local, invoking done with the plaintext when all security
 // checks complete.
+//
+//simlint:hotpath
 func (e *Engine) Read(local geom.Addr, done func(ReadResult)) {
-	local = geom.SectorAddr(local)
-	e.pending++
-	finish := func(r ReadResult) {
-		e.pending--
-		if done != nil {
-			done(r)
-		}
-	}
+	r := e.rec.reads.Get()
+	r.reset()
+	r.local, r.done, r.freshOK, r.res = geom.SectorAddr(local), done, true, ReadResult{}
 
 	switch e.cfg.Check {
 	case CheckNone:
-		e.ch.Access(local, false, stats.Data, func() {
-			// No verification exists: a read of attacker-mutated data
-			// succeeds and returns the corruption — the baseline's
-			// defining failure.
-			if e.taintData.Get(e.sectorIdx(local)) {
-				e.st.Sec.TaintedReads++
-				e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
-			}
-			finish(ReadResult{Data: e.plaintextOf(local), OK: true})
-		})
+		e.ch.Access(r.local, false, stats.Data, r.unprotectedFn)
 		return
 	case CheckShares:
-		e.ssmRead(local, finish)
+		e.ssmRead(r)
 		return
 	}
 
-	freshOK := true
-	j := &join{}
-	j.then = func() {
-		// Data and counters have arrived; decrypt, then verify.
-		e.eng.Schedule(e.cfg.AESLatency, func() {
-			e.completeRead(local, freshOK, finish)
-		})
-	}
 	// Demand data fetch.
-	e.ch.Access(local, false, stats.Data, j.arm())
+	e.ch.Access(r.local, false, stats.Data, r.arm())
 	// Counter acquisition (may be free, cached, or multiple fetches).
-	e.acquireCounter(local, j, &freshOK)
-	j.seal()
+	e.acquireCounter(r.local, &r.join, &r.freshOK)
+	r.seal()
+}
+
+// unprotected completes a read under CheckNone. No verification exists:
+// a read of attacker-mutated data succeeds and returns the corruption —
+// the baseline's defining failure.
+//
+//simlint:hotpath
+func (r *readReq) unprotected() {
+	e := r.e
+	if e.taintData.Get(e.sectorIdx(r.local)) {
+		e.st.Sec.TaintedReads++
+		e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
+	}
+	e.plaintextOf(&r.res.Data, r.local)
+	r.finish(true)
+}
+
+// joined runs once the data (and counters, or every share) have arrived:
+// decrypt after the crypto pipeline's latency.
+//
+//simlint:hotpath
+func (r *readReq) joined() { r.e.eng.Schedule(r.e.cfg.AESLatency, r.decryptFn) }
+
+//simlint:hotpath
+func (r *readReq) decrypt() {
+	if r.e.shares != nil {
+		r.e.ssmCompleteRead(r)
+		return
+	}
+	r.e.completeRead(r)
+}
+
+// finish settles the verdict, returns the record to its list and hands
+// the result to the requester.
+//
+//simlint:hotpath
+func (r *readReq) finish(ok bool) {
+	e, done := r.e, r.done
+	r.res.OK = ok
+	res := r.res
+	r.done = nil
+	e.rec.reads.Put(r)
+	if done != nil {
+		done(res)
+	}
 }
 
 // completeRead runs the post-decrypt verification stage.
-func (e *Engine) completeRead(local geom.Addr, freshOK bool, finish func(ReadResult)) {
-	i := e.sectorIdx(local)
-	pt := e.plaintextOf(local)
-	tainted := e.taintData.Get(i)
-	if tainted {
+//
+//simlint:hotpath
+func (e *Engine) completeRead(r *readReq) {
+	i := e.sectorIdx(r.local)
+	e.plaintextOf(&r.res.Data, r.local)
+	pt := r.res.Data[:]
+	r.tainted = e.taintData.Get(i)
+	if r.tainted {
 		e.st.Sec.TaintedReads++
 	}
 
-	if !freshOK {
+	if !r.freshOK {
 		// Counter/tree verification already failed: replay detected.
 		e.st.Sec.ReplayDetected++
 		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
-		finish(ReadResult{Data: pt, OK: false})
+		r.finish(false)
 		return
 	}
 
@@ -119,14 +214,15 @@ func (e *Engine) completeRead(local geom.Addr, freshOK bool, finish func(ReadRes
 		res := e.vcache.VerifySector(pt)
 		if res.Verified {
 			e.st.Sec.ValueVerified++
-			if tainted {
+			if r.tainted {
 				// Mutated ciphertext decrypted to words that still
 				// cleared the match threshold: a false accept, the event
 				// the paper's Eq. 1 bounds.
 				e.st.Sec.Verdicts.Record(stats.VerdictAcceptedByValueCache)
 			}
 			e.vcache.ObserveSector(pt)
-			finish(ReadResult{Data: pt, OK: true, ValueVerified: true})
+			r.res.ValueVerified = true
+			r.finish(true)
 			return
 		}
 	}
@@ -136,58 +232,82 @@ func (e *Engine) completeRead(local geom.Addr, freshOK bool, finish func(ReadRes
 	// concurrent writeback committing while the MAC block is in flight
 	// must not affect this read's result), so snapshot it now; the fetch
 	// and MAC-engine latency that follow are purely timing.
-	stale := e.macStale.Get(i)
-	mismatch := !stale && e.currentMAC(local) != e.macs.Get(i)
-	e.fetchMeta(e.macCache, e.macAddrOf(i), e.macCache.MaskFor(e.macAddrOf(i)), stats.MAC, func() {
-		e.eng.Schedule(e.cfg.MACLatency, func() {
-			e.st.Sec.MACVerified++
-			ok := !stale && !mismatch
-			if !ok {
-				// A stale MAC fails too: a write-guarantee sector should
-				// always value-verify, so reaching the MAC path with one
-				// means either the guarantee logic is unsound or an
-				// attacker interfered.
-				e.st.Sec.TamperDetected++
-				e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
-			} else if tainted {
-				// Tainted data sailed through MAC comparison — the
-				// failure an integrity-enabled scheme must never produce
-				// (the differential oracle asserts this stays zero).
-				e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
-			}
-			if e.vcache != nil {
-				e.vcache.ObserveSector(pt)
-			}
-			finish(ReadResult{Data: pt, OK: ok})
-		})
-	})
+	r.stale = e.macStale.Get(i)
+	r.mismatch = !r.stale && e.currentMAC(r.local) != e.macs.Get(i)
+	ma := e.macAddrOf(i)
+	e.fetchMeta(e.macCache, ma, e.macCache.MaskFor(ma), stats.MAC, r.macFetchedFn)
+}
+
+//simlint:hotpath
+func (r *readReq) macFetched() { r.e.eng.Schedule(r.e.cfg.MACLatency, r.macCheckedFn) }
+
+//simlint:hotpath
+func (r *readReq) macChecked() {
+	e := r.e
+	e.st.Sec.MACVerified++
+	ok := !r.stale && !r.mismatch
+	if !ok {
+		// A stale MAC fails too: a write-guarantee sector should always
+		// value-verify, so reaching the MAC path with one means either
+		// the guarantee logic is unsound or an attacker interfered.
+		e.st.Sec.TamperDetected++
+		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
+	} else if r.tainted {
+		// Tainted data sailed through MAC comparison — the failure an
+		// integrity-enabled scheme must never produce (the differential
+		// oracle asserts this stays zero).
+		e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
+	}
+	if e.vcache != nil {
+		e.vcache.ObserveSector(r.res.Data[:])
+	}
+	r.finish(ok)
+}
+
+// writeReq is one secure writeback in flight, from Writeback to its
+// data write's completion.
+type writeReq struct {
+	join
+	e       *Engine
+	local   geom.Addr
+	done    func()
+	freshOK bool
+	pt      [geom.SectorSize]byte
+	// Steps bound once by newWriteReq.
+	issueFn, finishFn func()
+}
+
+//go:noinline
+func (e *Engine) newWriteReq() *writeReq {
+	w := &writeReq{e: e}
+	w.bind(w.joined)
+	w.issueFn, w.finishFn = w.issue, w.finish
+	return w
 }
 
 // Writeback performs a secure write of a dirty 32 B sector (an L2
-// eviction). done (nullable) fires when the data transaction completes.
+// eviction). It copies data before returning. done (nullable) fires when
+// the data transaction completes.
+//
+//simlint:hotpath
 func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
 	local = geom.SectorAddr(local)
 	if len(data) != geom.SectorSize {
 		panic(fmt.Sprintf("secmem: writeback of %d bytes", len(data)))
 	}
-	e.pending++
-	finish := func() {
-		e.pending--
-		if done != nil {
-			done()
-		}
-	}
+	w := e.rec.writes.Get()
+	w.reset()
+	w.local, w.done, w.freshOK = local, done, true
 
 	if e.cfg.Check == CheckNone {
 		copy(e.mem.Put(e.sectorIdx(local)), data)
 		e.taintData.Clear(e.sectorIdx(local)) // overwritten: corruption gone
-		e.ch.Access(local, true, stats.Data, func() { finish() })
+		e.ch.Access(local, true, stats.Data, w.finishFn)
 		return
 	}
-	pt := make([]byte, geom.SectorSize)
-	copy(pt, data)
+	copy(w.pt[:], data)
 	if e.cfg.Check == CheckShares {
-		e.ssmWrite(local, pt, finish)
+		e.ssmWrite(w)
 		return
 	}
 
@@ -195,29 +315,66 @@ func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
 	if e.cfg.Versions == VersionsCommon {
 		e.regionWritten.Set(e.regionOf(local))
 	}
-
-	freshOK := true
-	j := &join{}
-	j.then = func() {
-		if !freshOK {
-			// The counter fetched for this write failed freshness
-			// verification. The controller raises the alarm; the write
-			// itself still commits, rewriting the unit with fresh state
-			// (see dirtyCounter), as real hardware would after
-			// flagging the violation.
-			e.st.Sec.ReplayDetected++
-			e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
-		}
-		e.commitWrite(local, pt, finish)
-	}
 	// The counter must be on-chip (and verified) before it is bumped.
-	e.acquireCounter(local, j, &freshOK)
-	j.seal()
+	e.acquireCounter(local, &w.join, &w.freshOK)
+	w.seal()
+}
+
+// joined runs once the write's counter is on-chip — or, under the
+// share check, once every share write has landed.
+//
+//simlint:hotpath
+func (w *writeReq) joined() {
+	e := w.e
+	if e.shares != nil {
+		w.finish()
+		return
+	}
+	if !w.freshOK {
+		// The counter fetched for this write failed freshness
+		// verification. The controller raises the alarm; the write
+		// itself still commits, rewriting the unit with fresh state (see
+		// dirtyCounter), as real hardware would after flagging the
+		// violation.
+		e.st.Sec.ReplayDetected++
+		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
+	}
+	e.commitWrite(w)
+}
+
+// issue sends the encrypted write to DRAM: one data transaction, or
+// one per share under the share check.
+//
+//simlint:hotpath
+func (w *writeReq) issue() {
+	e := w.e
+	if e.shares == nil {
+		e.ch.Access(w.local, true, stats.Data, w.finishFn)
+		return
+	}
+	i := e.sectorIdx(w.local)
+	for r := 0; r < e.cfg.SSMShares; r++ {
+		e.ch.Access(e.ssmSlotAddr(r, i), true, stats.Data, w.arm())
+	}
+	w.seal()
+}
+
+//simlint:hotpath
+func (w *writeReq) finish() {
+	e, done := w.e, w.done
+	w.done = nil
+	e.rec.writes.Put(w)
+	if done != nil {
+		done()
+	}
 }
 
 // commitWrite runs once the counter is available: bump it, update trees
 // and MAC, encrypt and write the data.
-func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
+//
+//simlint:hotpath
+func (e *Engine) commitWrite(w *writeReq) {
+	local, pt := w.local, w.pt[:]
 	i := e.sectorIdx(local)
 
 	derived := e.derived.has(i)
@@ -282,18 +439,20 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 		e.setMAC(i, e.currentMAC(local))
 		e.macStale.Clear(i)
 		ma := e.macAddrOf(i)
-		e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC)
+		ev, _ := e.macCache.Insert(ma, e.macCache.MaskFor(ma), true)
+		e.handleEviction(ev, stats.MAC)
 	}
 
 	// Encrypt latency then the data write transaction.
-	e.eng.Schedule(e.cfg.AESLatency, func() {
-		e.ch.Access(local, true, stats.Data, func() { finish() })
-	})
+	e.eng.Schedule(e.cfg.AESLatency, w.issueFn)
 }
 
 // refreshDisabledBlockHashes re-hashes every main-tree unit covering a
 // just-disabled compact block: the disable event propagated the block's
-// surviving compact counters to the original copy.
+// surviving compact counters to the original copy. It runs once per
+// block, so its map is a cold allocation.
+//
+//go:noinline
 func (e *Engine) refreshDisabledBlockHashes(i uint64) {
 	per := uint64(e.cfg.Compact.CountersPerSector())
 	blockSectors := 4 * per // one compact block covers 4 compact sectors
@@ -311,27 +470,40 @@ func (e *Engine) refreshDisabledBlockHashes(i uint64) {
 
 // bumpCounter increments sector local's counter, capturing group
 // plaintexts first so a minor overflow can re-encrypt them.
+//
+//simlint:hotpath
 func (e *Engine) bumpCounter(local geom.Addr) {
 	i := e.sectorIdx(local)
-	willOverflow := e.split.Minor(i) == uint32(1)<<uint(e.split.Config().MinorBits)-1
-	if willOverflow {
-		clear(e.overflowPlain)
-		g := e.split.GroupOf(i)
-		base := g * uint64(e.split.Config().GroupSize)
-		for k := 0; k < e.split.Config().GroupSize; k++ {
-			if e.derived.has(base + uint64(k)) {
-				// Derived group-mates don't ride the split counters: the
-				// major bump doesn't change their effective version, so
-				// they must not be re-encrypted.
-				continue
-			}
-			sa := geom.Addr((base + uint64(k)) * geom.SectorSize)
-			if _, ok := e.mem.Lookup(base + uint64(k)); ok {
-				e.overflowPlain[sa] = e.plaintextOf(sa)
-			}
-		}
+	if e.split.Minor(i) == uint32(1)<<uint(e.split.Config().MinorBits)-1 {
+		e.captureOverflowPlain(i)
 	}
 	e.split.Increment(i)
+}
+
+// captureOverflowPlain records the plaintext of every materialized,
+// counter-versioned sector in data sector i's group before a minor
+// overflow re-encrypts them (onCounterOverflow). Overflow is rare, so
+// its fresh buffers are a cold allocation.
+//
+//go:noinline
+func (e *Engine) captureOverflowPlain(i uint64) {
+	clear(e.overflowPlain)
+	g := e.split.GroupOf(i)
+	base := g * uint64(e.split.Config().GroupSize)
+	for k := 0; k < e.split.Config().GroupSize; k++ {
+		if e.derived.has(base + uint64(k)) {
+			// Derived group-mates don't ride the split counters: the
+			// major bump doesn't change their effective version, so they
+			// must not be re-encrypted.
+			continue
+		}
+		sa := geom.Addr((base + uint64(k)) * geom.SectorSize)
+		if _, ok := e.mem.Lookup(base + uint64(k)); ok {
+			pt := new([geom.SectorSize]byte)
+			e.plaintextOf(pt, sa)
+			e.overflowPlain[sa] = pt[:]
+		}
+	}
 }
 
 // --- counter acquisition ---
@@ -339,6 +511,8 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 // acquireCounter arranges for sector local's encryption counter to be
 // on-chip and verified, joining all resulting memory activity onto j.
 // freshOK is cleared if counter verification fails (replay detection).
+//
+//simlint:hotpath
 func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 	i := e.sectorIdx(local)
 
@@ -367,23 +541,32 @@ func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 			return
 		case counters.ServedOverflowed:
 			e.st.Sec.CompactOverflow++
-			// Serial: discover saturation in the compact layer, then go
-			// to the original counters (the paper's double access).
-			inner := j.arm()
-			cj := &join{}
-			cj.then = func() {
-				oj := &join{then: inner}
-				e.fetchUnit(&e.ctr, i, oj, freshOK)
-				oj.seal()
-			}
-			e.fetchUnit(&e.cctr, i, cj, freshOK)
-			cj.seal()
+			e.fetchOverflowed(i, j, freshOK)
 			return
 		default: // counters.ServedDisabled
 			e.st.Sec.CompactDisabled++
 		}
 	}
 	e.fetchUnit(&e.ctr, i, j, freshOK)
+}
+
+// fetchOverflowed is the serial fetch of a saturated compact counter:
+// discover saturation in the compact layer, then go to the original
+// counters (the paper's double access). It is rare, so its barriers
+// and closures are a cold allocation.
+//
+//go:noinline
+func (e *Engine) fetchOverflowed(i uint64, j *join, freshOK *bool) {
+	inner := j.arm()
+	cj := &join{}
+	cj.bind(func() {
+		oj := &join{}
+		oj.bind(inner)
+		e.fetchUnit(&e.ctr, i, oj, freshOK)
+		oj.seal()
+	})
+	e.fetchUnit(&e.cctr, i, cj, freshOK)
+	cj.seal()
 }
 
 // fetchMask is the sector mask of one fetch of a size-byte metadata
@@ -398,82 +581,175 @@ func fetchMask(mc *cache.Cache, addr geom.Addr, size int) geom.SectorMask {
 
 // fetchMeta fetches (addr, mask) through mc and runs done when the
 // requested sectors are present.
+//
+//simlint:hotpath
 func (e *Engine) fetchMeta(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done func()) {
-	out, need, m := mc.Lookup(addr, mask, false, nil)
+	out, need, m := mc.Lookup(addr, mask, false, done)
 	switch out {
 	case cache.Hit:
 		e.eng.Schedule(0, done)
-	case cache.MissMerged:
-		m.AddWaiter(done)
 	case cache.Miss:
-		m.AddWaiter(done)
 		e.issueMetaFill(mc, m, addr, need, cl)
 	case cache.MissNoMSHR:
 		// Park until some fill frees an MSHR (models MSHR-full stall
 		// without polling).
-		e.mshrWait.Push(func() { e.fetchMeta(mc, addr, mask, cl, done) })
+		p := e.rec.parked.Get()
+		p.mc, p.addr, p.mask, p.cl, p.done = mc, addr, mask, cl, done
+		e.mshrWait.Push(p.retryFn)
 	}
+}
+
+// parkedFetch is a metadata fetch parked on a full MSHR file.
+type parkedFetch struct {
+	e       *Engine
+	mc      *cache.Cache
+	addr    geom.Addr
+	mask    geom.SectorMask
+	cl      stats.Class
+	done    func()
+	retryFn func() // p.retry, bound once by newParkedFetch
+}
+
+//go:noinline
+func (e *Engine) newParkedFetch() *parkedFetch {
+	p := &parkedFetch{e: e}
+	p.retryFn = p.retry
+	return p
+}
+
+// retry re-issues the parked fetch. Only fill completions wake parked
+// fetches, so when the last fetch of a woken batch has run, no fill is
+// in flight and fetches are still parked, nothing would ever wake them:
+// the next batch is woken here instead. With no fill in flight every
+// MSHR is free, so that batch makes progress.
+//
+//simlint:hotpath
+func (p *parkedFetch) retry() {
+	e, mc, addr, mask, cl, done := p.e, p.mc, p.addr, p.mask, p.cl, p.done
+	p.mc, p.done = nil, nil
+	e.rec.parked.Put(p)
+	e.fetchMeta(mc, addr, mask, cl, done)
+	if n := e.mshrWait.Len(); n != 0 && e.rec.parked.Out() == n && e.rec.fills.Out() == 0 {
+		e.releaseMSHRWaiters()
+	}
+}
+
+// metaFill is one 32 B sector of a metadata fill in flight from DRAM.
+type metaFill struct {
+	e      *Engine
+	mc     *cache.Cache
+	m      cache.MSHR
+	mask   geom.SectorMask
+	cl     stats.Class
+	landFn func() // f.land, bound once by newMetaFill
+}
+
+//go:noinline
+func (e *Engine) newMetaFill() *metaFill {
+	f := &metaFill{e: e}
+	f.landFn = f.land
+	return f
 }
 
 // issueMetaFill issues DRAM reads for the needed sectors, filling the
 // cache as each lands; waiters resume when the MSHR completes.
-func (e *Engine) issueMetaFill(mc *cache.Cache, m *cache.MSHR, addr geom.Addr, need geom.SectorMask, cl stats.Class) {
+//
+//simlint:hotpath
+func (e *Engine) issueMetaFill(mc *cache.Cache, m cache.MSHR, addr geom.Addr, need geom.SectorMask, cl stats.Class) {
 	block := addr &^ geom.Addr(geom.BlockSize-1)
-	need.Sectors(func(s int) {
-		sa := block + geom.Addr(s*geom.SectorSize)
-		smask := geom.SectorMask(1 << s)
-		e.ch.Access(sa, false, cl, func() {
-			evs, done, waiters := mc.FillSectors(m, smask, false)
-			e.handleEvictions(evs, cl)
-			if done {
-				for _, w := range waiters {
-					w()
-				}
-				e.releaseMSHRWaiters()
-			}
-		})
-	})
-}
-
-// handleEvictions writes back dirty sectors of evicted metadata blocks
-// of traffic class cl and, for a counter region's counter or tree blocks
-// under lazy update, propagates the update to the parent tree node.
-func (e *Engine) handleEvictions(evs []cache.Eviction, cl stats.Class) {
-	for _, ev := range evs {
-		if ev.Dirty == 0 {
+	for s := 0; s < geom.SectorsPerBlock; s++ {
+		if !need.Has(s) {
 			continue
 		}
-		ev.Dirty.Sectors(func(s int) {
+		f := e.rec.fills.Get()
+		f.mc, f.m, f.mask, f.cl = mc, m, geom.SectorMask(1<<s), cl
+		e.ch.Access(block+geom.Addr(s*geom.SectorSize), false, cl, f.landFn)
+	}
+}
+
+//simlint:hotpath
+func (f *metaFill) land() {
+	e, mc, cl := f.e, f.mc, f.cl
+	ev, _, ws, done := mc.FillSectors(f.m, f.mask, false)
+	f.mc = nil
+	e.rec.fills.Put(f)
+	e.handleEviction(ev, cl)
+	if done {
+		mc.Wake(ws)
+		e.releaseMSHRWaiters()
+	}
+}
+
+// handleEviction writes back the dirty sectors of an evicted metadata
+// block of traffic class cl and, for a counter region's counter or tree
+// blocks under lazy update, propagates the update to the parent tree
+// node. A clean or zero eviction is a no-op.
+//
+//simlint:hotpath
+func (e *Engine) handleEviction(ev cache.Eviction, cl stats.Class) {
+	if ev.Dirty == 0 {
+		return
+	}
+	for s := 0; s < geom.SectorsPerBlock; s++ {
+		if ev.Dirty.Has(s) {
 			e.ch.Access(ev.Addr+geom.Addr(s*geom.SectorSize), true, cl, nil)
-		})
-		for _, r := range [...]*counterRegion{&e.ctr, &e.cctr} {
-			switch {
-			case r.tree == nil: // absent compact region
-			case cl == r.ctrClass:
-				e.propagateDirty(r, r.unitOfAddr(ev.Addr))
-			case cl == r.treeClass:
-				e.propagateNodeDirty(r, ev.Addr)
-			}
 		}
 	}
+	for _, r := range [...]*counterRegion{&e.ctr, &e.cctr} {
+		switch {
+		case r.tree == nil: // absent compact region
+		case cl == r.ctrClass:
+			e.propagateDirty(r, r.unitOfAddr(ev.Addr))
+		case cl == r.treeClass:
+			e.propagateNodeDirty(r, ev.Addr)
+		}
+	}
+}
+
+// nodeDirty is a tree-node update waiting for its node's sector to be
+// fetched (markNodeDirty's read-modify-write).
+type nodeDirty struct {
+	e         *Engine
+	mc        *cache.Cache
+	na        geom.Addr
+	mask      geom.SectorMask
+	cl        stats.Class
+	fetchedFn func() // d.fetched, bound once by newNodeDirty
+}
+
+//go:noinline
+func (e *Engine) newNodeDirty() *nodeDirty {
+	d := &nodeDirty{e: e}
+	d.fetchedFn = d.fetched
+	return d
 }
 
 // markNodeDirty dirties one tree-node sector in its cache. An absent
 // sector is fetched through the cache first (read-modify-write), so
 // concurrent propagations to the same node merge in the MSHRs instead of
 // each paying a DRAM read.
+//
+//simlint:hotpath
 func (e *Engine) markNodeDirty(mc *cache.Cache, na geom.Addr, cl stats.Class) {
 	mask := mc.MaskFor(na)
 	if mc.MarkDirty(na, mask) {
 		return
 	}
-	e.fetchMeta(mc, na, mask, cl, func() {
-		if !mc.MarkDirty(na, mask) {
-			// Filled and already evicted again (cache thrash): charge the
-			// update write directly rather than loop.
-			e.ch.Access(geom.SectorAddr(na), true, cl, nil)
-		}
-	})
+	d := e.rec.dirties.Get()
+	d.mc, d.na, d.mask, d.cl = mc, na, mask, cl
+	e.fetchMeta(mc, na, mask, cl, d.fetchedFn)
+}
+
+//simlint:hotpath
+func (d *nodeDirty) fetched() {
+	e, mc, na, mask, cl := d.e, d.mc, d.na, d.mask, d.cl
+	d.mc = nil
+	e.rec.dirties.Put(d)
+	if !mc.MarkDirty(na, mask) {
+		// Filled and already evicted again (cache thrash): charge the
+		// update write directly rather than loop.
+		e.ch.Access(geom.SectorAddr(na), true, cl, nil)
+	}
 }
 
 // FlushDirtyMetadata writes back all dirty metadata (end-of-run

@@ -102,7 +102,9 @@ type Engine struct {
 	StreamHint func(local geom.Addr) (stream uint64, ok bool)
 
 	// InitData supplies the initial plaintext of a never-written sector
-	// (workload-defined memory contents). Nil means zero-filled.
+	// (workload-defined memory contents). Nil means zero-filled. The
+	// returned slice need only stay valid until the next call: the engine
+	// copies it at once.
 	//simlint:ignore snapsym workload wiring (a function), reattached by the embedding GPU on resume
 	InitData func(local geom.Addr) []byte
 
@@ -126,13 +128,17 @@ type Engine struct {
 	//simlint:ignore snapsym per-operation scratch, dead between drained epochs
 	hashScratch []byte
 
-	// pending tracks outstanding requests for drain logic.
-	pending int
+	// rec holds the request-record free lists (see Pending).
+	//simlint:ignore snapsym request scratch: every record is back on its list when a drained engine is walked
+	rec records
 }
 
 // releaseMSHRWaiters wakes a bounded batch of metadata fetches parked on
 // MSHR exhaustion (each fill frees one entry; waking the whole queue
-// would only re-park it).
+// would only re-park it). Fill completions call it; so does the last
+// woken fetch when no fill is left to complete (parkedFetch.retry).
+//
+//simlint:hotpath
 func (e *Engine) releaseMSHRWaiters() {
 	n := e.mshrWait.Len()
 	if n > 8 {
@@ -157,6 +163,7 @@ func New(cfg Config, eng *sim.Engine, ch *dram.Channel, st *stats.Stats) (*Engin
 		bmtTampered:   make(map[geom.Addr]bool),
 		overflowPlain: make(map[geom.Addr][]byte),
 	}
+	e.rec.init(e)
 	switch cfg.Versions {
 	case VersionsNone:
 		return e, nil
@@ -402,25 +409,24 @@ func (e *Engine) materialize(local geom.Addr) []byte {
 	return dst
 }
 
-// plaintextOf decrypts the current DRAM image of sector local. The result
-// is a fresh buffer (it escapes into ReadResult.Data).
-func (e *Engine) plaintextOf(local geom.Addr) []byte {
+// plaintextOf decrypts the current DRAM image of sector local into dst.
+//
+//simlint:hotpath
+func (e *Engine) plaintextOf(dst *[geom.SectorSize]byte, local geom.Addr) {
 	local = geom.SectorAddr(local)
 	if e.shares != nil {
-		pt, _ := e.ssmReconstruct(e.sectorIdx(local))
-		return pt
+		e.ssmReconstruct(dst, e.sectorIdx(local))
+		return
 	}
 	ct := e.materialize(local)
-	out := make([]byte, len(ct))
 	if e.enc == nil {
-		copy(out, ct)
-		return out
+		copy(dst[:], ct)
+		return
 	}
 	i := e.sectorIdx(local)
-	if err := e.enc.DecryptInto(out, ct, uint64(local), e.counterOf(i)); err != nil {
+	if err := e.enc.DecryptInto(dst[:], ct, uint64(local), e.counterOf(i)); err != nil {
 		panic(fmt.Sprintf("secmem: decrypt: %v", err))
 	}
-	return out
 }
 
 // storeCiphertext encrypts plaintext pt for sector local under its current
@@ -499,7 +505,8 @@ func (e *Engine) onCounterOverflow(gi uint64, sectors []uint64) {
 		e.ch.Access(local, true, stats.Data, nil)
 		if e.macCache != nil {
 			ma := e.macAddrOf(s)
-			e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC)
+			ev, _ := e.macCache.Insert(ma, e.macCache.MaskFor(ma), true)
+			e.handleEviction(ev, stats.MAC)
 		}
 	}
 }

@@ -94,6 +94,8 @@ func (r *counterRegion) unitHash(u uint64) uint64 {
 
 // fetchUnit brings data sector i's counter unit of region r on-chip,
 // verifying a fetched unit through r's tree.
+//
+//simlint:hotpath
 func (e *Engine) fetchUnit(r *counterRegion, i uint64, j *join, freshOK *bool) {
 	u := r.unitOf(i)
 	ua := r.unitAddr(u)
@@ -116,6 +118,8 @@ func (e *Engine) fetchUnit(r *counterRegion, i uint64, j *join, freshOK *bool) {
 // bottom-up until one hits in the (verified) tree cache or the on-chip
 // root is reached. Fetching a node whose DRAM copy an attacker corrupted
 // fails verification against its parent and clears freshOK.
+//
+//simlint:hotpath
 func (e *Engine) walkTree(r *counterRegion, u uint64, j *join, freshOK *bool) {
 	var buf bmt.PathBuf
 	for _, ref := range r.tree.PathInto(u, &buf) {
@@ -141,9 +145,12 @@ func (e *Engine) walkTree(r *counterRegion, u uint64, j *join, freshOK *bool) {
 // any attacker-replayed DRAM copy. Under the eager scheme the whole path
 // to the root is written back immediately instead of waiting for
 // evictions.
+//
+//simlint:hotpath
 func (e *Engine) dirtyCounter(r *counterRegion, i uint64) {
 	ca := r.sectorAddr(i)
-	e.handleEvictions(r.cache.Insert(ca, r.cache.MaskFor(ca), true), r.ctrClass)
+	ev, _ := r.cache.Insert(ca, r.cache.MaskFor(ca), true)
+	e.handleEviction(ev, r.ctrClass)
 	u := r.unitOf(i)
 	r.replayed.Clear(u)
 	r.tree.SetUnitHash(u, r.unitHash(u))

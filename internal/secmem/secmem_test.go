@@ -103,7 +103,7 @@ func TestWriteReadRoundTripAllSchemes(t *testing.T) {
 			if !res.OK {
 				t.Fatal("benign read failed verification")
 			}
-			if !bytes.Equal(res.Data, data) {
+			if !bytes.Equal(res.Data[:], data) {
 				t.Fatalf("round trip mismatch:\n got %x\nwant %x", res.Data, data)
 			}
 		})
@@ -124,7 +124,7 @@ func TestInitialContents(t *testing.T) {
 				t.Fatal("initial read failed verification")
 			}
 			want := sector(0x800, 0x801)
-			if !bytes.Equal(res.Data, want) {
+			if !bytes.Equal(res.Data[:], want) {
 				t.Fatalf("initial contents wrong: %x", res.Data)
 			}
 		})
@@ -137,8 +137,8 @@ func TestRepeatedWritesReadBack(t *testing.T) {
 		r.write(t, 0x1000, sector(k, k*3, k*5, k*7, k*11, k*13, k*17, k*19))
 	}
 	res := r.read(t, 0x1000)
-	if !res.OK || binary.LittleEndian.Uint32(res.Data) != 70 {
-		t.Fatalf("after 70 writes: ok=%v first word=%d", res.OK, binary.LittleEndian.Uint32(res.Data))
+	if !res.OK || binary.LittleEndian.Uint32(res.Data[:]) != 70 {
+		t.Fatalf("after 70 writes: ok=%v first word=%d", res.OK, binary.LittleEndian.Uint32(res.Data[:]))
 	}
 }
 
@@ -152,7 +152,7 @@ func TestCounterOverflowPreservesNeighbors(t *testing.T) {
 		r.write(t, 0x2000, sector(uint32(k)))
 	}
 	res := r.read(t, 0x2020)
-	if !res.OK || !bytes.Equal(res.Data, neighbor) {
+	if !res.OK || !bytes.Equal(res.Data[:], neighbor) {
 		t.Fatalf("neighbor corrupted by overflow re-encryption: ok=%v data=%x", res.OK, res.Data)
 	}
 }
@@ -489,7 +489,7 @@ func TestEagerTreeUpdateRoundTrip(t *testing.T) {
 	data := sector(0xAB, 0xCD, 0xEF, 0x12)
 	r.write(t, 0x9000, data)
 	res := r.read(t, 0x9000)
-	if !res.OK || !bytes.Equal(res.Data, data) {
+	if !res.OK || !bytes.Equal(res.Data[:], data) {
 		t.Fatalf("eager round trip failed: ok=%v", res.OK)
 	}
 	r.e.ReplayCounter(0x9000)

@@ -235,19 +235,21 @@ func (e *Engine) ssmShare0(i uint64) []byte {
 	return s
 }
 
-// ssmReconstruct rebuilds sector i's plaintext from its first k stored
-// shares and reports whether the n−k check shares are consistent with
-// them. Consistency fails exactly when some share's DRAM copy no longer
-// lies on the write-time polynomial — i.e. when anything was tampered.
-func (e *Engine) ssmReconstruct(i uint64) ([]byte, bool) {
+// ssmReconstruct rebuilds sector i's plaintext into pt from its first k
+// stored shares and reports whether the n−k check shares are consistent
+// with them. Consistency fails exactly when some share's DRAM copy no
+// longer lies on the write-time polynomial — i.e. when anything was
+// tampered.
+//
+//simlint:hotpath
+func (e *Engine) ssmReconstruct(pt *[geom.SectorSize]byte, i uint64) bool {
 	e.ssmEnsure(i)
 	k, n := e.cfg.SSMThreshold, e.cfg.SSMShares
-	shares := make([][]byte, n)
+	var shares [8][]byte // Normalize bounds SSMShares at 8
 	for r := 0; r < n; r++ {
 		s, _ := e.mem.Lookup(e.ssmSlot(r, i))
 		shares[r] = s
 	}
-	pt := make([]byte, geom.SectorSize)
 	for b := 0; b < geom.SectorSize; b++ {
 		var v byte
 		for r := 0; r < k; r++ {
@@ -255,7 +257,6 @@ func (e *Engine) ssmReconstruct(i uint64) ([]byte, bool) {
 		}
 		pt[b] = v
 	}
-	ok := true
 	for c := 0; c < n-k; c++ {
 		row := e.shares.check[c]
 		for b := 0; b < geom.SectorSize; b++ {
@@ -264,34 +265,33 @@ func (e *Engine) ssmReconstruct(i uint64) ([]byte, bool) {
 				v ^= gfMul(row[r], shares[r][b])
 			}
 			if v != shares[k+c][b] {
-				ok = false
-				break
+				return false
 			}
 		}
 	}
-	return pt, ok
+	return true
 }
 
-// ssmRead is the whole share-check read datapath: fetch all n share slots, then
-// reconstruct and classify after the crypto-pipeline latency.
-func (e *Engine) ssmRead(local geom.Addr, finish func(ReadResult)) {
-	i := e.sectorIdx(local)
-	j := &join{}
-	j.then = func() {
-		e.eng.Schedule(e.cfg.AESLatency, func() {
-			e.ssmCompleteRead(i, finish)
-		})
+// ssmRead is the whole share-check read datapath: fetch all n share
+// slots, then reconstruct and classify after the crypto-pipeline latency
+// (r's join continuation).
+//
+//simlint:hotpath
+func (e *Engine) ssmRead(r *readReq) {
+	i := e.sectorIdx(r.local)
+	for s := 0; s < e.cfg.SSMShares; s++ {
+		e.ch.Access(e.ssmSlotAddr(s, i), false, stats.Data, r.arm())
 	}
-	for r := 0; r < e.cfg.SSMShares; r++ {
-		e.ch.Access(e.ssmSlotAddr(r, i), false, stats.Data, j.arm())
-	}
-	j.seal()
+	r.seal()
 }
 
 // ssmCompleteRead reconstructs and turns share inconsistency into the
 // scheme's tamper verdict.
-func (e *Engine) ssmCompleteRead(i uint64, finish func(ReadResult)) {
-	pt, consistent := e.ssmReconstruct(i)
+//
+//simlint:hotpath
+func (e *Engine) ssmCompleteRead(r *readReq) {
+	i := e.sectorIdx(r.local)
+	consistent := e.ssmReconstruct(&r.res.Data, i)
 	e.st.Sec.SharesReconstructed++
 	tainted := e.taintData.Get(i)
 	if tainted {
@@ -300,7 +300,7 @@ func (e *Engine) ssmCompleteRead(i uint64, finish func(ReadResult)) {
 	if !consistent {
 		e.st.Sec.TamperDetected++
 		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByReconstruction)
-		finish(ReadResult{Data: pt, OK: false})
+		r.finish(false)
 		return
 	}
 	if tainted {
@@ -309,27 +309,23 @@ func (e *Engine) ssmCompleteRead(i uint64, finish func(ReadResult)) {
 		// zero (a single-share mutation provably breaks consistency).
 		e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
 	}
-	finish(ReadResult{Data: pt, OK: true})
+	r.finish(true)
 }
 
 // ssmWrite is the whole share-check write datapath: bump the version,
-// refresh the share set under new pads, then write all n slots.
-func (e *Engine) ssmWrite(local geom.Addr, pt []byte, finish func()) {
-	i := e.sectorIdx(local)
+// refresh the share set under new pads, then, after the crypto-pipeline
+// latency, write all n slots (w.issue).
+//
+//simlint:hotpath
+func (e *Engine) ssmWrite(w *writeReq) {
+	i := e.sectorIdx(w.local)
 	e.shares.ver.Set(i, e.shares.ver.Get(i)+1)
 	e.shares.written.Set(i)
-	e.ssmStoreShares(i, pt)
+	e.ssmStoreShares(i, w.pt[:])
 	// Every share's DRAM copy is rewritten wholesale: earlier mutations
 	// are gone.
 	e.taintData.Clear(i)
-	e.eng.Schedule(e.cfg.AESLatency, func() {
-		j := &join{}
-		j.then = finish
-		for r := 0; r < e.cfg.SSMShares; r++ {
-			e.ch.Access(e.ssmSlotAddr(r, i), true, stats.Data, j.arm())
-		}
-		j.seal()
-	})
+	e.eng.Schedule(e.cfg.AESLatency, w.issueFn)
 }
 
 // CorruptShare flips one bit of the stored copy of sector local's share

@@ -18,8 +18,8 @@ import (
 // sectors (times the share count, for the share-scattered image),
 // counter units, common-counter regions, or tree node addresses.
 //
-// The engine must be quiescent — no in-flight datapath requests and no
-// fetches parked on MSHR exhaustion — because those hold closures that
+// The engine must be quiescent — no request record in flight and no
+// fetches parked on MSHR exhaustion — because those hold callbacks that
 // cannot be serialized; snapshots are taken at drained epoch boundaries.
 // Scratch state (overflowPlain, hashScratch, the run buffers) is dead
 // between drained epochs and is deliberately not captured. Decoding
@@ -28,9 +28,9 @@ import (
 // hook, and the split store's OnOverflow callback — exactly as New
 // installed it.
 func (e *Engine) Codec(c *checkpoint.Codec) {
-	if e.pending != 0 || e.mshrWait.Len() != 0 {
-		c.Fail(fmt.Errorf("secmem: %d pending requests, %d MSHR waiters: %w",
-			e.pending, e.mshrWait.Len(), checkpoint.ErrNotQuiescent))
+	if e.Pending() != 0 || e.mshrWait.Len() != 0 {
+		c.Fail(fmt.Errorf("secmem: %d pending request records, %d MSHR waiters: %w",
+			e.Pending(), e.mshrWait.Len(), checkpoint.ErrNotQuiescent))
 	}
 	sectors := e.cfg.ProtectedBytes / geom.SectorSize
 	slots := sectors

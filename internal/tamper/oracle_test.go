@@ -152,10 +152,10 @@ func runOraclePaused(t *testing.T, rig *oracleRig, seed uint64, ops []gpusim.Tam
 		if tainted {
 			return
 		}
-		if want, ok := shadow[a]; ok && !bytes.Equal(res.Data, want) {
+		if want, ok := shadow[a]; ok && !bytes.Equal(res.Data[:], want) {
 			t.Fatalf("untainted read of %#x returned wrong plaintext (op %d)", uint64(a), cycle)
 		}
-		h.Write(res.Data)
+		h.Write(res.Data[:])
 	}
 
 	// Fill pass: write the whole working set so counters, MACs and tree
