@@ -7,13 +7,15 @@
 # checkouts in 5 pairs, alternating which side goes first, and appends
 # each run's result line to OUT_DIR/base.jsonl or OUT_DIR/head.jsonl;
 # then one sweep-write pair, base first, into OUT_DIR/base-write.jsonl
-# and OUT_DIR/head-write.jsonl. The run length and the kinsts_per_s and
-# alloc_mb bounds are read from HEAD_DIR/BENCHMARK.json. It fails when
-# any run exits non-zero (a failed output check), when the head loses
-# every sweep-graph pair and its median kinsts_per_s is below the base's
-# by more than its bound, or when the head's alloc_mb on either workload
-# is above the base's by more than its bound (alloc_mb is
-# deterministic, so the sweep-graph medians and the one sweep-write pair
+# and OUT_DIR/head-write.jsonl, and one trace-resume pair, base first,
+# into OUT_DIR/base-resume.jsonl and OUT_DIR/head-resume.jsonl. The run
+# length and the kinsts_per_s and alloc_mb bounds are read from
+# HEAD_DIR/BENCHMARK.json. It fails when any run exits non-zero (a
+# failed output check), when the head loses every sweep-graph pair and
+# its median kinsts_per_s is below the base's by more than its bound, or
+# when the head's alloc_mb on any of the three workloads is above the
+# base's by more than its bound (alloc_mb is deterministic, so the
+# sweep-graph medians and the one sweep-write and trace-resume pairs
 # decide). A base that has no perfbench/run.sh is skipped with a notice.
 set -euo pipefail
 [ $# -eq 3 ] || { echo "usage: $0 BASE_DIR HEAD_DIR OUT_DIR" >&2; exit 2; }
@@ -30,18 +32,18 @@ fi
 seconds=$(jq -er '.run_seconds' "$head/BENCHMARK.json")
 bound=$(jq -er '.end_to_end[] | select(.name == "kinsts_per_s") | .bound' "$head/BENCHMARK.json")
 alloc_bound=$(jq -er '.end_to_end[] | select(.name == "alloc_mb") | .bound' "$head/BENCHMARK.json")
-echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound, alloc_mb bound $alloc_bound; then one sweep-write pair"
+echo "perf-ab: sweep-graph, $pairs pairs of ${seconds}s runs, kinsts_per_s bound $bound, alloc_mb bound $alloc_bound; then one sweep-write and one trace-resume pair"
 
-: > "$out/base.jsonl"
-: > "$out/head.jsonl"
-: > "$out/base-write.jsonl"
-: > "$out/head-write.jsonl"
+for f in base head base-write head-write base-resume head-resume; do
+	: > "$out/$f.jsonl"
+done
 
 # run SIDE DIR PAIR [WORKLOAD]: one perfbench run (sweep-graph unless
-# named); its last output line is the result.
+# named; sweep-write's files end in -write, trace-resume's in -resume);
+# its last output line is the result.
 run() {
 	local workload=${4:-sweep-graph} suffix=
-	[ "$workload" = sweep-graph ] || suffix=-${workload#sweep-}
+	[ "$workload" = sweep-graph ] || suffix=-${workload#*-}
 	local log="$out/$1$suffix-$3.log"
 	if ! (cd "$2" && bash perfbench/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0) > "$log" 2>&1; then
 		tail -n 20 "$log" >&2
@@ -62,10 +64,13 @@ for i in $(seq 1 "$pairs"); do
 done
 run base "$base" 1 sweep-write
 run head "$head" 1 sweep-write
+run base "$base" 1 trace-resume
+run head "$head" 1 trace-resume
 
 jq -n --argjson bound "$bound" --argjson alloc_bound "$alloc_bound" \
 	--slurpfile b "$out/base.jsonl" --slurpfile h "$out/head.jsonl" \
-	--slurpfile bw "$out/base-write.jsonl" --slurpfile hw "$out/head-write.jsonl" '
+	--slurpfile bw "$out/base-write.jsonl" --slurpfile hw "$out/head-write.jsonl" \
+	--slurpfile br "$out/base-resume.jsonl" --slurpfile hr "$out/head-resume.jsonl" '
 	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
 	($b | map(.metrics.kinsts_per_s.value)) as $base
 	| ($h | map(.metrics.kinsts_per_s.value)) as $head
@@ -73,10 +78,12 @@ jq -n --argjson bound "$bound" --argjson alloc_bound "$alloc_bound" \
 	   head_wins: ([range($base | length) | select($head[.] >= $base[.])] | length), bound: $bound,
 	   base_alloc_mb_median: ($b | map(.metrics.alloc_mb.value) | median),
 	   head_alloc_mb_median: ($h | map(.metrics.alloc_mb.value) | median), alloc_bound: $alloc_bound,
-	   base_write_alloc_mb: $bw[0].metrics.alloc_mb.value, head_write_alloc_mb: $hw[0].metrics.alloc_mb.value}
+	   base_write_alloc_mb: $bw[0].metrics.alloc_mb.value, head_write_alloc_mb: $hw[0].metrics.alloc_mb.value,
+	   base_resume_alloc_mb: $br[0].metrics.alloc_mb.value, head_resume_alloc_mb: $hr[0].metrics.alloc_mb.value}
 	| .regressed = (.head_wins == 0 and .head_median < .base_median * (1 - $bound))
 	| .alloc_regressed = (.head_alloc_mb_median > .base_alloc_mb_median * (1 + $alloc_bound))
-	| .write_alloc_regressed = (.head_write_alloc_mb > .base_write_alloc_mb * (1 + $alloc_bound))' > "$out/summary.json"
+	| .write_alloc_regressed = (.head_write_alloc_mb > .base_write_alloc_mb * (1 + $alloc_bound))
+	| .resume_alloc_regressed = (.head_resume_alloc_mb > .base_resume_alloc_mb * (1 + $alloc_bound))' > "$out/summary.json"
 cat "$out/summary.json"
 status=0
 if jq -e '.regressed' "$out/summary.json" > /dev/null; then
@@ -89,6 +96,10 @@ if jq -e '.alloc_regressed' "$out/summary.json" > /dev/null; then
 fi
 if jq -e '.write_alloc_regressed' "$out/summary.json" > /dev/null; then
 	echo "::error::perf-ab: the head's sweep-write alloc_mb is more than $alloc_bound above the base's"
+	status=1
+fi
+if jq -e '.resume_alloc_regressed' "$out/summary.json" > /dev/null; then
+	echo "::error::perf-ab: the head's trace-resume alloc_mb is more than $alloc_bound above the base's"
 	status=1
 fi
 exit "$status"

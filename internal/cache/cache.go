@@ -10,10 +10,12 @@
 // non-sectored cache, which is how the fine-granularity 32 B metadata
 // designs are modelled.
 //
-// The cache is a pure state model: it holds tags and per-sector bits (and
-// optionally data via the caller), while all timing is imposed by the
-// component driving it. Misses allocate MSHRs with request merging;
-// allocation is on fill, as in the paper's Table II.
+// The cache is a pure state model: it holds tags and per-sector bits,
+// while all timing is imposed by the component driving it. A caller that
+// keeps block data does so by line: every tagged block occupies one of
+// the cache's numbered lines until it is evicted (Line, Eviction.Line).
+// Misses allocate MSHRs with request merging; allocation is on fill, as
+// in the paper's Table II.
 package cache
 
 import (
@@ -60,6 +62,8 @@ type line struct {
 type Eviction struct {
 	Addr  geom.Addr // block-aligned address of the victim
 	Dirty geom.SectorMask
+	// Line is the victim's line, which the incoming block now holds.
+	Line int
 }
 
 // MSHR names one allocation of an MSHR slot: the slot and the
@@ -96,8 +100,10 @@ type Waiters struct{ head int32 }
 
 // Cache is one cache instance. Create with New.
 type Cache struct {
-	cfg  Config
-	sets [][]line
+	cfg Config
+	// lines holds set s at lines[s*Ways : (s+1)*Ways]; a line's number
+	// is its index here.
+	lines []line
 	//simlint:ignore snapsym derived from cfg.Sets at construction
 	setMask geom.Addr
 	//simlint:ignore snapsym derived from cfg.BlockBytes at construction
@@ -125,13 +131,9 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / (cfg.BlockSize * cfg.Ways)
-	sets := make([][]line, nSets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, nSets*cfg.Ways),
 		setMask:   geom.Addr(nSets - 1),
 		sectors:   cfg.BlockSize / geom.SectorSize,
 		mshrs:     make([]mshr, cfg.MSHRs),
@@ -180,19 +182,39 @@ func (c *Cache) MaskFor(a geom.Addr) geom.SectorMask {
 // AllMask selects every sector of a block in this cache's geometry.
 func (c *Cache) AllMask() geom.SectorMask { return 1<<c.sectors - 1 }
 
-func (c *Cache) setOf(block geom.Addr) []line {
-	idx := (block / geom.Addr(c.cfg.BlockSize)) & c.setMask
-	return c.sets[idx]
+// setBase returns the number of block's set's first line.
+func (c *Cache) setBase(block geom.Addr) int {
+	return int((block/geom.Addr(c.cfg.BlockSize))&c.setMask) * c.cfg.Ways
+}
+
+// lineOf returns the number of the line holding block, or -1.
+func (c *Cache) lineOf(block geom.Addr) int {
+	base := c.setBase(block)
+	set := c.lines[base : base+c.cfg.Ways]
+	for i := range set {
+		if set[i].valid != 0 && set[i].tag == block {
+			return base + i
+		}
+	}
+	return -1
 }
 
 func (c *Cache) find(block geom.Addr) *line {
-	set := c.setOf(block)
-	for i := range set {
-		if set[i].valid != 0 && set[i].tag == block {
-			return &set[i]
-		}
+	if i := c.lineOf(block); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
+}
+
+// Line returns the line holding addr's block, and whether the block is
+// resident. Lines are numbered set × Ways + way, below SizeBytes /
+// BlockSize; a resident block keeps its line across hits and fills until
+// it is evicted or invalidated.
+//
+//simlint:hotpath
+func (c *Cache) Line(addr geom.Addr) (int, bool) {
+	i := c.lineOf(c.blockAddr(addr))
+	return i, i >= 0
 }
 
 // Outcome classifies a lookup.
@@ -395,17 +417,19 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) (Evic
 		ln.lru = c.lruClock
 		return Eviction{}, false
 	}
-	set := c.setOf(block)
-	victim := &set[0]
+	base := c.setBase(block)
+	set := c.lines[base : base+c.cfg.Ways]
+	v := 0
 	for i := range set {
 		if set[i].valid == 0 {
-			victim = &set[i]
+			v = i
 			break
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if set[i].lru < set[v].lru {
+			v = i
 		}
 	}
+	victim := &set[v]
 	var ev Eviction
 	evicted := victim.valid != 0
 	if evicted {
@@ -413,7 +437,7 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) (Evic
 		if victim.dirty != 0 {
 			c.Stats.DirtyEvictions++
 		}
-		ev = Eviction{Addr: victim.tag, Dirty: victim.dirty}
+		ev = Eviction{Addr: victim.tag, Dirty: victim.dirty, Line: base + v}
 	}
 	victim.tag = block
 	victim.valid = mask
@@ -486,11 +510,19 @@ func (c *Cache) FreeMSHRs() int { return len(c.freeSlots) }
 // WalkDirty visits every dirty (block, mask) pair; used to flush at
 // simulation end so writeback traffic is fully accounted.
 func (c *Cache) WalkDirty(fn func(block geom.Addr, dirty geom.SectorMask)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid != 0 && set[i].dirty != 0 {
-				fn(set[i].tag, set[i].dirty)
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid != 0 && ln.dirty != 0 {
+			fn(ln.tag, ln.dirty)
+		}
+	}
+}
+
+// WalkLines visits every valid line in line order with its block and
+// its valid and dirty sectors.
+func (c *Cache) WalkLines(fn func(line int, block geom.Addr, valid, dirty geom.SectorMask)) {
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid != 0 {
+			fn(i, ln.tag, ln.valid, ln.dirty)
 		}
 	}
 }

@@ -199,6 +199,105 @@ func TestWalkDirty(t *testing.T) {
 	}
 }
 
+// An eviction names the victim's line, and the incoming block holds it.
+func TestEvictionNamesIncomingLine(t *testing.T) {
+	c := small(t)
+	// 4 sets of 4 ways; these five blocks all map to set 0.
+	addrs := []geom.Addr{0, 512, 1024, 1536, 2048}
+	lines := map[int]bool{}
+	for _, a := range addrs[:4] {
+		_, _, m := c.Lookup(a, 0b0001, false, nil)
+		c.Fill(m, false)
+		ln, ok := c.Line(a)
+		if !ok || ln < 0 || ln >= len(c.lines) || lines[ln] {
+			t.Fatalf("block %#x: line %d ok=%v, want a fresh line of %d", a, ln, ok, len(c.lines))
+		}
+		lines[ln] = true
+	}
+	victimLine, _ := c.Line(512)
+	c.Lookup(0, 0b0001, false, nil) // 512 becomes LRU
+	_, _, m := c.Lookup(addrs[4], 0b0010, false, nil)
+	ev, evicted, _ := c.Fill(m, false)
+	if !evicted || ev.Addr != 512 || ev.Line != victimLine {
+		t.Fatalf("eviction = %+v (evicted %v), want block 0x200 from line %d", ev, evicted, victimLine)
+	}
+	if ln, ok := c.Line(addrs[4] + 32); !ok || ln != ev.Line {
+		t.Fatalf("incoming block is on line %d (ok=%v), want the victim's line %d", ln, ok, ev.Line)
+	}
+	// Insert reports the line the same way.
+	ev, evicted = c.Insert(3000*128, 0b0001, true)
+	if ln, ok := c.Line(3000 * 128); !evicted || !ok || ln != ev.Line {
+		t.Fatalf("Insert eviction %+v (evicted %v), incoming block on line %d (ok=%v)", ev, evicted, ln, ok)
+	}
+}
+
+// A resident block keeps its line across hits, partial fills, stores
+// and other blocks' traffic in its set.
+func TestLineStableWhileResident(t *testing.T) {
+	c := small(t)
+	_, _, m := c.Lookup(0x2000, 0b0001, false, nil)
+	c.Fill(m, false)
+	ln, ok := c.Line(0x2000)
+	if !ok {
+		t.Fatal("filled block has no line")
+	}
+	c.Lookup(0x2000, 0b0001, false, nil) // hit
+	_, _, m = c.Lookup(0x2040, 0b0100, false, nil)
+	c.FillSectors(m, 0b0100, false) // partial fill of another sector
+	c.Insert(0x2060, 0b1000, true)  // store-style insert
+	_, _, m = c.Lookup(0x2000+512, 0b0001, false, nil)
+	c.Fill(m, false) // another block in the same set
+	for _, a := range []geom.Addr{0x2000, 0x2020, 0x2040, 0x2060} {
+		if got, ok := c.Line(a); !ok || got != ln {
+			t.Fatalf("Line(%#x) = %d (ok=%v), want %d", a, got, ok, ln)
+		}
+	}
+	if c.Probe(0x2000) != 0b1101 {
+		t.Fatalf("Probe = %04b, want 1101", c.Probe(0x2000))
+	}
+}
+
+// A block that is not resident has no line: never installed, still
+// waiting on its MSHR, evicted, or invalidated.
+func TestAbsentBlockHasNoLine(t *testing.T) {
+	c := small(t)
+	if _, ok := c.Line(0x1000); ok {
+		t.Fatal("never-touched block has a line")
+	}
+	_, _, m := c.Lookup(0x1000, 0b0001, false, nil)
+	if _, ok := c.Line(0x1000); ok {
+		t.Fatal("block with only an MSHR has a line")
+	}
+	c.Fill(m, false)
+	c.Invalidate(0x1000)
+	if _, ok := c.Line(0x1000); ok {
+		t.Fatal("invalidated block has a line")
+	}
+	for _, a := range []geom.Addr{0, 512, 1024, 1536, 2048} {
+		c.Insert(a, 0b0001, false)
+	}
+	if _, ok := c.Line(0); ok {
+		t.Fatal("evicted block has a line")
+	}
+}
+
+// WalkLines visits exactly the valid lines, each with its own number.
+func TestWalkLines(t *testing.T) {
+	c := small(t)
+	c.Insert(0x100, 0b0011, true)
+	c.Insert(0x200, 0b0001, false)
+	seen := 0
+	c.WalkLines(func(ln int, b geom.Addr, valid, dirty geom.SectorMask) {
+		seen++
+		if got, ok := c.Line(b); !ok || got != ln || valid != c.Probe(b) || dirty != c.DirtyMask(b) {
+			t.Errorf("line %d: block %#x valid %04b dirty %04b; Line=%d ok=%v", ln, b, valid, dirty, got, ok)
+		}
+	})
+	if seen != 2 {
+		t.Fatalf("WalkLines visited %d lines, want 2", seen)
+	}
+}
+
 // Property: after any sequence of lookups+fills, every resident sector was
 // previously filled, and dirty implies valid.
 func TestDirtyImpliesValidProperty(t *testing.T) {
@@ -213,11 +312,9 @@ func TestDirtyImpliesValidProperty(t *testing.T) {
 			}
 		}
 		okAll := true
-		for _, set := range c.sets {
-			for i := range set {
-				if set[i].dirty&^set[i].valid != 0 {
-					okAll = false
-				}
+		for _, ln := range c.lines {
+			if ln.dirty&^ln.valid != 0 {
+				okAll = false
 			}
 		}
 		return okAll

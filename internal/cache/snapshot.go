@@ -18,16 +18,15 @@ func (c *Cache) Codec(cc *checkpoint.Codec) {
 		cc.Fail(fmt.Errorf("cache %q: %d in-flight MSHRs: %w",
 			c.cfg.Name, n, checkpoint.ErrNotQuiescent))
 	}
-	cc.Want32("cache "+c.cfg.Name+" sets", uint32(len(c.sets)))
+	cc.Want32("cache "+c.cfg.Name+" sets", uint32(len(c.lines)/c.cfg.Ways))
 	cc.Want32("cache "+c.cfg.Name+" ways", uint32(c.cfg.Ways))
 	cc.U64(&c.lruClock)
-	for _, set := range c.sets {
-		for i := range set {
-			checkpoint.Uint64(cc, &set[i].tag)
-			checkpoint.Uint8(cc, &set[i].valid)
-			checkpoint.Uint8(cc, &set[i].dirty)
-			cc.U64(&set[i].lru)
-		}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		checkpoint.Uint64(cc, &ln.tag)
+		checkpoint.Uint8(cc, &ln.valid)
+		checkpoint.Uint8(cc, &ln.dirty)
+		cc.U64(&ln.lru)
 	}
 	c.Stats.Codec(cc)
 }

@@ -234,20 +234,6 @@ func (s *Sectors) Put(i uint64) []byte {
 	return s.pages[p][o : o+SectorBytes : o+SectorBytes]
 }
 
-// Delete removes record i (its bytes are zeroed so a later Put starts
-// clean).
-//
-//simlint:hotpath
-func (s *Sectors) Delete(i uint64) {
-	if !s.present.Get(i) {
-		return
-	}
-	pg := s.pages[i>>pageBits]
-	o := (i & pageMask) * SectorBytes
-	clear(pg[o : o+SectorBytes])
-	s.present.Clear(i)
-}
-
 // Count returns the number of present records.
 //
 //simlint:hotpath

@@ -17,14 +17,12 @@ import (
 // memory-image pages; the memory-request path allocates nothing once its
 // free lists and MSHR slabs are warm.
 //
-// Three things are kept out of the window because they are not
+// Two things are kept out of the window because they are not
 // per-request allocation. The benchmarks run with 40 warps instead of
-// their 960, so the ramp during which the record lists grow to the
-// run's peak concurrency ends within the first n instructions. Every
-// shard's event ring is grown before the run (WarmEventQueues), since a
-// fresh engine's buckets keep growing for tens of thousands of cycles.
-// And the window closes at an issue, before the end-of-run flush, which
-// writes back every dirty L2 sector at once.
+// their 960, so the ramp during which the record lists and the event
+// queues' node slabs grow to the run's peak concurrency ends within the
+// first n instructions. And the window closes at an issue, before the
+// end-of-run flush, which writes back every dirty L2 sector at once.
 func TestRunAllocsPerInstruction(t *testing.T) {
 	const n = 4000
 	for _, bench := range []string{"bfs", "histo"} {
@@ -65,7 +63,6 @@ func windowMallocs(t *testing.T, bench, scheme string, n uint64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpusim.WarmEventQueues(g, 16)
 	var ms runtime.MemStats
 	var issued, from, to uint64
 	g.SetIssueTap(func(int, gpusim.Inst) {

@@ -1,8 +1,11 @@
 package gpusim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"github.com/plutus-gpu/plutus/internal/cache"
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/sim"
@@ -60,7 +63,9 @@ func (g *GPU) Run() *stats.Stats {
 // just-written snapshot as its resumable state — and that error is
 // returned. An instruction addressing memory past the protected space
 // stops issue, and the run fails with that error without taking another
-// snapshot.
+// snapshot. A run that ends with a request record still out or a load
+// still parked on a full MSHR file fails with ErrNotQuiescent: such a
+// request was stranded, and the statistics would leave it out.
 func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 	defer g.cluster.Close()
 	if g.cfg.CheckpointEvery > 0 && g.nextCkpt == 0 {
@@ -111,6 +116,9 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 		p.eng.Schedule(0, func() { p.sec.FlushDirtyMetadata() })
 	}
 	g.cluster.Run(1 << 30)
+	if err := g.requestsError(); err != nil {
+		return nil, fmt.Errorf("gpusim: run ended with requests in flight: %w", err)
+	}
 
 	out := &stats.Stats{
 		Benchmark:    g.wl.Name(),
@@ -188,10 +196,8 @@ func (g *GPU) takeCheckpoint(sink CheckpointSink) error {
 }
 
 // quiescenceError verifies the drained-epoch invariants: every active
-// warp is parked with no loads in flight, every request record is back
-// on its free list, and no partition holds in-flight misses, pending
-// secure-memory requests, or MSHR waiters. Any violation is a simulator
-// bug, reported as ErrNotQuiescent.
+// warp is parked with no loads in flight, and requestsError holds. Any
+// violation is a simulator bug, reported as ErrNotQuiescent.
 func (g *GPU) quiescenceError() error {
 	parked := make(map[int]bool, len(g.parked))
 	for _, w := range g.parked {
@@ -207,6 +213,14 @@ func (g *GPU) quiescenceError() error {
 				w.id, w.active, parked[w.id], checkpoint.ErrNotQuiescent)
 		}
 	}
+	return g.requestsError()
+}
+
+// requestsError verifies that every request record is back on its free
+// list and that no partition holds in-flight misses, pending
+// secure-memory requests, or MSHR waiters. A drained epoch and the end
+// of a run both require it; a violation is ErrNotQuiescent.
+func (g *GPU) requestsError() error {
 	if n := g.loadCtxs.Out() + g.sectorLoads.Out() + g.storeReqs.Out(); n != 0 {
 		return fmt.Errorf("gpusim: %d SM request records are not back on their free lists: %w",
 			n, checkpoint.ErrNotQuiescent)
@@ -357,16 +371,76 @@ func (g *GPU) workloadCodec(c *checkpoint.Codec) {
 
 // Codec walks one partition's complete mutable state: engine clock, L2
 // issue ladder, L2 tags and data, secure-memory engine, DRAM channel,
-// and statistics shard. L2 data indices are bounded by the partition's
-// protected sectors.
+// and statistics shard. L2 data addresses are bounded by the partition's
+// protected space.
 func (p *partition) Codec(c *checkpoint.Codec) {
 	walkClock(c, p.eng)
 	checkpoint.Uint64(c, &p.l2Free)
 	p.l2.Codec(c)
-	p.l2data.Walk(c, p.sec.Config().ProtectedBytes/geom.SectorSize)
+	p.l2data.walk(c, p.l2, &p.l2Order, p.sec.Config().ProtectedBytes)
 	p.sec.Codec(c)
 	p.ch.Codec(c)
 	p.st.Codec(c)
+}
+
+// l2Sector is one valid L2 sector in the data walk: its partition-local
+// address and its line.
+type l2Sector struct {
+	addr uint64
+	line int
+}
+
+// walk walks the data of every sector valid in l2 as a count, then
+// (byte address, 32 B record) pairs in ascending address order; order is
+// the encoding side's sort scratch. Decoding runs after l2's own walk.
+// It fails with ErrCorrupt unless the addresses are strictly ascending
+// sector addresses below limit, each naming a sector valid in the
+// restored l2, and the count is l2's number of valid sectors — so a
+// restored sector is valid exactly when it has data, as in a running
+// partition.
+func (d l2Data) walk(c *checkpoint.Codec, l2 *cache.Cache, order *[]l2Sector, limit uint64) {
+	valid := 0
+	l2.WalkLines(func(_ int, _ geom.Addr, v, _ geom.SectorMask) { valid += v.Count() })
+	n := valid
+	c.Len(&n, uint64(valid), 8+4+geom.SectorSize)
+	if !c.Decoding() {
+		o := (*order)[:0]
+		l2.WalkLines(func(line int, block geom.Addr, v, _ geom.SectorMask) {
+			v.Sectors(func(s int) {
+				o = append(o, l2Sector{uint64(block) + uint64(s*geom.SectorSize), line})
+			})
+		})
+		slices.SortFunc(o, func(a, b l2Sector) int { return cmp.Compare(a.addr, b.addr) })
+		for _, e := range o {
+			a := e.addr
+			c.U64(&a)
+			c.Bytes(d.sector(e.line, geom.Addr(a)))
+		}
+		*order = o
+		return
+	}
+	if n != valid && c.Err() == nil {
+		c.Corrupt("gpusim: L2 data holds %d sectors, the L2 has %d valid", n, valid)
+	}
+	var next uint64 // the lowest address the next record may name
+	var discard [geom.SectorSize]byte
+	for ; n > 0 && c.Err() == nil; n-- {
+		var a uint64
+		c.Index(&a, limit)
+		dst := discard[:]
+		line, ok := l2.Line(geom.Addr(a))
+		switch {
+		case c.Err() != nil:
+		case a%geom.SectorSize != 0 || a < next:
+			c.Corrupt("gpusim: L2 data address %#x is not a sector address at or above %#x", a, next)
+		case !ok || l2.Probe(geom.Addr(a))&geom.MaskFor(geom.Addr(a)) == 0:
+			c.Corrupt("gpusim: L2 data address %#x names no valid L2 sector", a)
+		default:
+			dst = d.sector(line, geom.Addr(a))
+		}
+		next = a + geom.SectorSize
+		c.Bytes(dst)
+	}
 }
 
 // walkClock walks an engine's clock; decoding restores it.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/plutus-gpu/plutus/internal/cache"
-	"github.com/plutus-gpu/plutus/internal/dense"
 	"github.com/plutus-gpu/plutus/internal/dram"
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/secmem"
@@ -100,7 +99,7 @@ type partition struct {
 	shard  *sim.Shard
 	eng    *sim.Engine // partition-local engine (shard's)
 	l2     *cache.Cache
-	l2data dense.Sectors // by local sector index → plaintext
+	l2data l2Data
 	sec    *secmem.Engine
 	ch     *dram.Channel
 	st     *stats.Stats
@@ -109,6 +108,13 @@ type partition struct {
 	// released when a fill frees an entry (no polling).
 	//simlint:ignore snapsym holds closures, empty by the quiescence invariant when snapshots are taken
 	mshrWait sim.FuncQueue
+	// woken holds the requests released from mshrWait, in release
+	// order, until their retry events run.
+	//simlint:ignore snapsym holds closures, empty whenever the partition's event queue is
+	woken sim.FuncQueue
+	// retryFn is p.retry, bound once by New.
+	//simlint:ignore snapsym construction wiring, rebuilt by New
+	retryFn func()
 	// fills is the partition's free list of L2 fill records.
 	//simlint:ignore snapsym request scratch: every record is back on its list when a drained partition is walked
 	fills sim.FreeList[l2Fill]
@@ -119,18 +125,56 @@ type partition struct {
 	// initBuf is InitData's result buffer.
 	//simlint:ignore snapsym per-call scratch, dead between calls
 	initBuf [geom.SectorSize]byte
+	// l2Order is the L2 data walk's sort scratch, reused across
+	// snapshots; no snapshot holds it.
+	l2Order []l2Sector
 }
 
 // releaseMSHRWaiters wakes as many blocked requests as there are free
-// MSHR entries (waking more would only re-park them).
+// MSHR entries (waking more would only re-park them); each retries a
+// cycle later. Fill completions call it; so does the last woken request
+// when no fill is left to complete (retry).
+//
+//simlint:hotpath
 func (p *partition) releaseMSHRWaiters() {
 	n := p.l2.FreeMSHRs()
 	if m := p.mshrWait.Len(); n > m {
 		n = m
 	}
 	for ; n > 0; n-- {
-		p.eng.Schedule(1, p.mshrWait.Pop())
+		p.woken.Push(p.mshrWait.Pop())
+		p.eng.Schedule(1, p.retryFn)
 	}
+}
+
+// retry re-runs the oldest woken request; retry events run in release
+// order, since all are scheduled one cycle out. Only fill completions
+// wake parked requests, so when a woken request takes no MSHR (it hits
+// or merges), no fill is in flight and no other woken request is
+// pending, the requests still parked would wait for some later miss's
+// fill, or forever: the next are woken here instead. With no fill in
+// flight every MSHR is free, so they make progress.
+//
+//simlint:hotpath
+func (p *partition) retry() {
+	p.woken.Pop()()
+	if p.mshrWait.Len() != 0 && p.woken.Len() == 0 && p.fills.Out() == 0 {
+		p.releaseMSHRWaiters()
+	}
+}
+
+// l2Data is an L2's plaintext, allocated once at the L2's capacity: one
+// BlockSize run per cache line, in line order. A sector's bytes are its
+// block's data while the block's line holds the sector valid, and stale
+// otherwise; nothing reads an invalid sector.
+type l2Data []byte
+
+// sector returns the bytes of address a's sector in line.
+//
+//simlint:hotpath
+func (d l2Data) sector(line int, a geom.Addr) []byte {
+	o := line*geom.BlockSize + int(a%geom.BlockSize)&^(geom.SectorSize-1)
+	return d[o : o+geom.SectorSize : o+geom.SectorSize]
 }
 
 type smCtx struct {
@@ -253,6 +297,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 			Ways:      cfg.L2Ways,
 			MSHRs:     cfg.L2MSHRs,
 		})
+		part.l2data = make(l2Data, cfg.L2PerPartition)
 		part.ch = dram.MustNew(cfg.DRAM, part.eng, &part.st.Traffic)
 		sec := cfg.Sec
 		part.sec, err = secmem.New(sec, part.eng, part.ch, part.st)
@@ -260,6 +305,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 			return nil, err
 		}
 		part.fills.New = part.newL2Fill
+		part.retryFn = part.retry
 		part.sec.InitData = part.initData
 		p := p
 		if src, ok := wl.(secmem.StreamCursorSource); ok {
@@ -507,7 +553,9 @@ func (s *sectorLoad) arrive() {
 	}
 }
 
-// read installs a secure read's data and completes the L2 fill.
+// read installs a secure read's data and completes the L2 fill. The
+// victim the fill displaces is written back from its line before the
+// fill's data lands there.
 //
 //simlint:hotpath
 func (f *l2Fill) read(res secmem.ReadResult) {
@@ -515,12 +563,14 @@ func (f *l2Fill) read(res secmem.ReadResult) {
 	p.fills.Put(f)
 	// A store may have raced ahead of this fill; its dirty data is newer
 	// than what memory returned.
-	if p.l2.DirtyMask(sa)&geom.MaskFor(sa) == 0 {
-		copy(p.l2data.Put(uint64(sa)/geom.SectorSize), res.Data[:])
-	}
+	fresh := p.l2.DirtyMask(sa)&geom.MaskFor(sa) == 0
 	ev, evicted, ws, done := p.l2.FillSectors(m, need, false)
 	if evicted {
 		p.handleL2Eviction(ev)
+	}
+	if fresh {
+		line, _ := p.l2.Line(sa) // the fill installed sa's sector
+		copy(p.l2data.sector(line, sa), res.Data[:])
 	}
 	if done {
 		p.l2.Wake(ws)
@@ -579,7 +629,8 @@ func (st *storeReq) write() {
 			p.handleL2Eviction(ev)
 		}
 	}
-	copy(p.l2data.Put(uint64(geom.SectorAddr(local))/geom.SectorSize), st.data[:])
+	line, _ := p.l2.Line(local) // resident: hit, or just inserted
+	copy(p.l2data.sector(line, local), st.data[:])
 	st.p = nil
 	p.spent = append(p.spent, st)
 }
@@ -598,34 +649,28 @@ func (g *GPU) reclaimStores() {
 }
 
 // handleL2Eviction writes back the dirty sectors of an evicted L2 block
-// and drops its data.
+// from the line it left. Writeback copies each sector before returning,
+// so the incoming block may overwrite the line afterwards.
 //
 //simlint:hotpath
 func (p *partition) handleL2Eviction(ev cache.Eviction) {
 	for s := 0; s < geom.SectorsPerBlock; s++ {
-		sa := ev.Addr + geom.Addr(s*geom.SectorSize)
-		si := uint64(sa) / geom.SectorSize
-		data, resident := p.l2data.Lookup(si)
 		if ev.Dirty.Has(s) {
-			if !resident {
-				panic(fmt.Sprintf("gpusim: dirty L2 sector %#x has no data", sa))
-			}
-			// Writeback copies the sector before returning, so handing
-			// it a slice aliasing the dense store is safe to delete.
-			p.sec.Writeback(sa, data, nil)
+			sa := ev.Addr + geom.Addr(s*geom.SectorSize)
+			p.sec.Writeback(sa, p.l2data.sector(ev.Line, sa), nil)
 		}
-		p.l2data.Delete(si)
 	}
 }
 
 // flushL2 writes back all remaining dirty L2 sectors at end of run.
 func (p *partition) flushL2() {
-	p.l2.WalkDirty(func(block geom.Addr, dirty geom.SectorMask) {
+	p.l2.WalkLines(func(line int, block geom.Addr, _, dirty geom.SectorMask) {
+		if dirty == 0 {
+			return
+		}
 		dirty.Sectors(func(s int) {
 			sa := block + geom.Addr(s*geom.SectorSize)
-			if data, ok := p.l2data.Lookup(uint64(sa) / geom.SectorSize); ok {
-				p.sec.Writeback(sa, data, nil)
-			}
+			p.sec.Writeback(sa, p.l2data.sector(line, sa), nil)
 		})
 		p.l2.CleanSectors(block, dirty)
 	})

@@ -273,3 +273,40 @@ func TestAddressPastProtectedSpaceFails(t *testing.T) {
 		})
 	}
 }
+
+// Loads parked on a full L2 MSHR file all complete. Only fill
+// completions wake parked loads, and a woken load that hits or merges
+// takes no MSHR; with one or two MSHRs and 16 warps sharing blocks, a
+// woken batch that issues no fill leaves the rest parked unless it
+// wakes the next itself. A stranded load would also fail the run.
+func TestParkedLoadsComplete(t *testing.T) {
+	const warps, loads = 16, 16
+	var script []Inst
+	for k := 0; k < loads; k++ {
+		addrs := make([]geom.Addr, 8)
+		for j := range addrs {
+			addrs[j] = geom.Addr((k%4)*8192 + j*1024)
+		}
+		script = append(script, Inst{Kind: Load, Addrs: addrs})
+	}
+	for _, mshrs := range []int{1, 2, 4} {
+		cfg := testCfg(secmem.Baseline(1 << 20))
+		cfg.L2MSHRs = mshrs
+		g, err := New(cfg, newScript(warps, script))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := g.RunWithCheckpoints(nil)
+		if err != nil {
+			t.Fatalf("%d MSHRs: %v", mshrs, err)
+		}
+		parked := 0
+		for _, p := range g.parts {
+			parked += p.mshrWait.Len()
+		}
+		if st.Instructions != warps*loads || parked != 0 || g.activeWarps != 0 {
+			t.Fatalf("%d MSHRs: issued %d of %d instructions; %d loads parked, %d warps active",
+				mshrs, st.Instructions, warps*loads, parked, g.activeWarps)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/plutus-gpu/plutus/internal/geom"
-	"github.com/plutus-gpu/plutus/internal/sim"
 )
 
 // TestRequestPathSteadyStateAllocs is the request path's dynamic
@@ -13,9 +12,10 @@ import (
 // growing; this test can. For every registry scheme, an engine with
 // small MSHR files is warmed over a fixed sector set with mixed reads
 // and writebacks until its metadata caches are full, its fetches park
-// on full MSHRs, and every record list, page and tree-map key the batch
-// touches exists. The same batch, drained to empty, must then allocate
-// nothing.
+// on full MSHRs, every record list, page and tree-map key the batch
+// touches exists, and the event queue's node slab has grown to the
+// batch's peak of live events. The same batch, drained to empty, must
+// then allocate nothing.
 //
 // Each sector is written at most twice, so no minor counter overflows
 // and no 2-bit compact counter saturates: overflow re-encryption and
@@ -38,7 +38,6 @@ func TestRequestPathSteadyStateAllocs(t *testing.T) {
 			r := wire(newRig(t, cfg))
 			parks, build := 0, r.e.rec.parked.New
 			r.e.rec.parked.New = func() *parkedFetch { parks++; return build() }
-			warmEventQueue(r.eng)
 			for k := 0; k < sectors; k++ {
 				r.e.Writeback(addr(k), data, nil)
 				r.e.Read(addr(k), discardRead)
@@ -90,26 +89,6 @@ func TestRequestPathSteadyStateAllocs(t *testing.T) {
 // discardRead is a top-level read callback, so passing it allocates no
 // closure.
 func discardRead(ReadResult) {}
-
-// warmEventQueue grows every bucket of eng's calendar ring, and its
-// overflow heap, past what a batch queues in one cycle, so the gate
-// measures the request path rather than a fresh engine's one-time queue
-// growth (the clock advances between batches, so each lands on other
-// buckets).
-func warmEventQueue(eng *sim.Engine) {
-	const ring = 4096 // sim's ring span, in cycles
-	for n := 0; n < 64; n++ {
-		for d := sim.Cycle(0); d < ring; d++ {
-			eng.Schedule(d, nop)
-		}
-	}
-	for d := sim.Cycle(0); d < ring; d++ {
-		eng.Schedule(2*ring+d, nop)
-	}
-	eng.Drain(0)
-}
-
-func nop() {}
 
 // Fetches parked on full MSHR files all complete. Fill completions wake
 // parked fetches a bounded batch at a time, and a burst like this one

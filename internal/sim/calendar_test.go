@@ -199,24 +199,28 @@ func TestCalendarRescheduleDuringDispatch(t *testing.T) {
 	}
 }
 
-// TestEventLoopSteadyStateZeroAllocs pins the pooled-event invariant: a
-// warmed engine's schedule+dispatch cycle performs no heap allocation.
-// It is the machine-independent allocation gate every `go test` run
-// applies; a failure here means someone reintroduced a per-event
-// allocation on the hot path (see DESIGN.md §10).
+// TestEventLoopSteadyStateZeroAllocs pins the pooled-event invariant:
+// once an engine's node slab and overflow heap have grown to its peak of
+// live events, its schedule+dispatch cycle performs no heap allocation,
+// whichever buckets the events land on. It is the machine-independent
+// allocation gate every `go test` run applies; a failure here means
+// someone reintroduced a per-event allocation on the hot path (see
+// DESIGN.md §12).
 func TestEventLoopSteadyStateZeroAllocs(t *testing.T) {
-	const ops = 4096
+	const ops, live = 4096, 64
 	eng := &Engine{}
 	rng := xorshift(5)
-	// Deterministic warm-up: one event in every ring bucket (so each
-	// bucket's slice is grown) plus a far event to size the overflow
-	// heap, all drained before counting. Steady state never holds more
-	// events per bucket than this, so no later append can grow anything.
-	for s := Cycle(0); s < ringSize; s++ {
-		eng.Schedule(s, sinkFn)
+	// Warm-up: hold more events at once than the batches ever do, in the
+	// ring and past it, and drain them. The batches then keep live or
+	// live+1 events queued, so nothing is left to grow.
+	for i := 0; i < 2*live; i++ {
+		eng.Schedule(Cycle(rng.next())%ringSize, sinkFn)
+		eng.Schedule(ringSize+Cycle(rng.next()%2000), sinkFn)
 	}
-	eng.Schedule(ringSize+1000, sinkFn)
 	for eng.Step() {
+	}
+	for i := 0; i < live; i++ {
+		eng.Schedule(Cycle(rng.next()%6000), sinkFn)
 	}
 	batch := func() {
 		for i := 0; i < ops; i++ {
@@ -226,6 +230,41 @@ func TestEventLoopSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, batch); got != 0 {
 		t.Fatalf("event loop allocates in steady state: %.1f allocs per %d-op batch", got, ops)
+	}
+}
+
+// TestFreshEngineAllocsFollowLiveEvents: a fresh engine's queue grows
+// with its peak of live events, not with the buckets and overflow cycles
+// the events visit. With at most 64 events live, 100k schedule/step
+// pairs whose delays span the ring and reach past it allocate only the
+// engine and, as they double to that peak, the slab and the overflow
+// heap; per-bucket growth cost thousands of allocations here.
+func TestFreshEngineAllocsFollowLiveEvents(t *testing.T) {
+	const live, pairs = 64, 100_000
+	rng := xorshift(17)
+	delay := func() Cycle {
+		if rng.next()%4 == 0 {
+			return ringSize + Cycle(rng.next()%20000)
+		}
+		return Cycle(rng.next()) % ringSize
+	}
+	fresh := func() {
+		eng := &Engine{}
+		for i := 0; i < live; i++ {
+			eng.Schedule(delay(), sinkFn)
+		}
+		for i := 0; i < pairs; i++ {
+			eng.Step()
+			eng.Schedule(delay(), sinkFn)
+		}
+		for eng.Step() {
+		}
+	}
+	n := testing.AllocsPerRun(5, fresh)
+	t.Logf("%.0f allocations per fresh engine", n)
+	if n > 4 {
+		t.Fatalf("a fresh engine with at most %d live events made %.0f allocations over %d schedule/step pairs, want at most 4",
+			live, n, pairs)
 	}
 }
 

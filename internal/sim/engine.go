@@ -26,17 +26,24 @@ type Cycle uint64
 // beyond the window (deep DRAM bus backlog) go to a small inline overflow
 // heap and migrate into the ring as time advances.
 //
-// Ordering invariant: dispatch is strictly (cycle, seq) — seq is the
-// global monotone schedule order, so same-cycle events run FIFO. The
-// overflow heap pops in (at, seq) order, and every heap event for a cycle
-// X was scheduled while now ≤ X−ringSize, whereas every ring append for X
-// requires now > X−ringSize; since now is monotone, all migrated heap
-// events for X carry smaller seq than any direct ring append for X, and
-// migration happens exactly when now first advances past X−ringSize —
-// before any event at the new now executes. Appending migrated events
-// ahead of future ring appends therefore preserves global (cycle, seq)
-// order. The scheduler_test.go property test cross-checks this dispatch
-// order against a reference heap over randomized event streams.
+// Every bucket is a FIFO list threaded through one node slab per engine,
+// so the queue's memory follows the engine's peak of live events rather
+// than the sum of per-bucket high-water marks. The slab, the overflow
+// heap and FreeList grow by doubling, in one out-of-line method each.
+//
+// Ordering invariant: dispatch is strictly (cycle, schedule order), so
+// same-cycle events run FIFO. A bucket's list is in append order, and
+// the overflow heap pops in (at, seq) order, seq numbering its own
+// pushes. Every heap event for a cycle X was scheduled while
+// now ≤ X−ringSize, whereas every ring append for X requires
+// now > X−ringSize; since now is monotone, all migrated heap events for
+// X were scheduled before any direct ring append for X, and migration
+// happens exactly when now first advances past X−ringSize — before any
+// event at the new now executes. Appending migrated events ahead of
+// future ring appends therefore preserves global schedule order, and
+// ring nodes need no sequence number of their own. The calendar_test.go
+// property test cross-checks this dispatch order against a reference
+// heap over randomized event streams.
 const (
 	ringBits  = 12
 	ringSize  = Cycle(1) << ringBits // bucketed scheduling window, in cycles
@@ -44,10 +51,11 @@ const (
 	busyWords = int(ringSize) / 64
 )
 
-// event is one queued closure; its cycle is implied by its bucket.
-type event struct {
-	seq uint64
-	fn  func()
+// node is one queued closure in the slab; its cycle is implied by the
+// bucket whose list holds it. Index 0 ends a list.
+type node struct {
+	fn   func()
+	next int32
 }
 
 // farEvent is an overflow-heap entry (cycle kept explicitly).
@@ -57,22 +65,20 @@ type farEvent struct {
 	fn  func()
 }
 
-// bucket holds one cycle's events in schedule order. head indexes the
-// next unconsumed event; the backing slice is reused across cycles once
-// fully drained, so steady-state scheduling never allocates.
-type bucket struct {
-	evs  []event
-	head int
-}
+// bucket holds one cycle's events in schedule order: a list of slab
+// nodes from head to tail, both 0 when empty.
+type bucket struct{ head, tail int32 }
 
 // Engine is the event queue. The zero value is ready to use.
 type Engine struct {
 	now   Cycle
 	last  Cycle
-	seq   uint64
+	seq   uint64 // overflow-heap push order
 	count int
 	busy  [busyWords]uint64 // occupancy bitmap over ring slots
 	ring  [ringSize]bucket
+	nodes []node     // the bucket lists' slab; nodes[0] is the terminator
+	free  int32      // first free slab node, 0 when none
 	far   []farEvent // min-heap on (at, seq) for events ≥ now+ringSize
 }
 
@@ -89,10 +95,13 @@ func (e *Engine) LastEventAt() Cycle { return e.last }
 //
 //simlint:hotpath
 func (e *Engine) Schedule(delay Cycle, fn func()) {
-	e.seq++
 	if delay < ringSize {
-		e.pushRing(e.now+delay, event{seq: e.seq, fn: fn})
+		if e.free == 0 {
+			e.growNodes()
+		}
+		e.pushRing(e.now+delay, fn)
 	} else {
+		e.seq++
 		e.pushFar(farEvent{at: e.now + delay, seq: e.seq, fn: fn})
 	}
 	e.count++
@@ -111,20 +120,49 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 	e.Schedule(at-e.now, fn)
 }
 
+// pushRing links fn at the tail of cycle at's bucket, in a free slab
+// node: the caller grows the slab first when none is free, which keeps
+// pushRing small enough to inline.
+//
 //simlint:hotpath
-func (e *Engine) pushRing(at Cycle, ev event) {
+func (e *Engine) pushRing(at Cycle, fn func()) {
+	i := e.free
+	n := &e.nodes[i]
+	e.free = n.next
+	n.fn, n.next = fn, 0
 	s := at & ringMask
 	b := &e.ring[s]
-	if len(b.evs) == 0 {
+	if b.head == 0 {
+		b.head = i
 		e.busy[s>>6] |= 1 << (s & 63)
+	} else {
+		e.nodes[b.tail].next = i
 	}
-	b.evs = append(b.evs, ev)
+	b.tail = i
+}
+
+// growNodes doubles the slab (to at least 256 nodes) and puts the new
+// nodes on the free list.
+//
+//go:noinline
+func (e *Engine) growNodes() {
+	old := len(e.nodes)
+	nodes := make([]node, max(256, 2*old))
+	copy(nodes, e.nodes)
+	for i := max(1, old); i < len(nodes)-1; i++ {
+		nodes[i].next = int32(i + 1)
+	}
+	e.nodes, e.free = nodes, int32(max(1, old))
 }
 
 //simlint:hotpath
 func (e *Engine) pushFar(fe farEvent) {
-	e.far = append(e.far, fe)
-	i := len(e.far) - 1
+	i := len(e.far)
+	if i == cap(e.far) {
+		e.growFar()
+	}
+	e.far = e.far[:i+1]
+	e.far[i] = fe
 	for i > 0 {
 		p := (i - 1) / 2
 		if !farLess(&e.far[i], &e.far[p]) {
@@ -133,6 +171,15 @@ func (e *Engine) pushFar(fe farEvent) {
 		e.far[i], e.far[p] = e.far[p], e.far[i]
 		i = p
 	}
+}
+
+// growFar doubles the overflow heap's capacity (to at least 64).
+//
+//go:noinline
+func (e *Engine) growFar() {
+	far := make([]farEvent, len(e.far), max(64, 2*cap(e.far)))
+	copy(far, e.far)
+	e.far = far
 }
 
 func farLess(a, b *farEvent) bool {
@@ -179,7 +226,10 @@ func (e *Engine) migrateFar() {
 	horizon := e.now + ringSize
 	for len(e.far) > 0 && e.far[0].at < horizon {
 		fe := e.popFar()
-		e.pushRing(fe.at, event{seq: fe.seq, fn: fe.fn})
+		if e.free == 0 {
+			e.growNodes()
+		}
+		e.pushRing(fe.at, fe.fn)
 	}
 }
 
@@ -238,17 +288,19 @@ func (e *Engine) stepAt(at Cycle) {
 	}
 	s := at & ringMask
 	b := &e.ring[s]
-	ev := b.evs[b.head]
-	b.evs[b.head].fn = nil // release the closure for GC
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	i := b.head
+	n := &e.nodes[i]
+	fn := n.fn
+	b.head = n.next
+	n.fn, n.next = nil, e.free // release the closure for GC
+	e.free = i
+	if b.head == 0 {
+		b.tail = 0
 		e.busy[s>>6] &^= 1 << (s & 63)
 	}
 	e.count--
 	e.last = at
-	ev.fn()
+	fn()
 }
 
 // Step executes the earliest event, advancing time to it. It reports

@@ -83,7 +83,21 @@ func (l *FreeList[T]) Get() *T {
 //simlint:hotpath
 func (l *FreeList[T]) Put(r *T) {
 	l.out--
-	l.free = append(l.free, r)
+	n := len(l.free)
+	if n == cap(l.free) {
+		l.grow()
+	}
+	l.free = l.free[:n+1]
+	l.free[n] = r
+}
+
+// grow doubles the free stack's capacity (to at least 16 records).
+//
+//go:noinline
+func (l *FreeList[T]) grow() {
+	free := make([]*T, len(l.free), max(16, 2*cap(l.free)))
+	copy(free, l.free)
+	l.free = free
 }
 
 // Out returns the number of records handed out and not yet returned.
