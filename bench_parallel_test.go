@@ -11,6 +11,10 @@ import (
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
+// protected is the per-partition protected range of the paper's
+// configuration (4 GiB over 32 partitions).
+const protected = 128 << 20
+
 // runPartitionMode executes one full bfs/Plutus simulation on the scaled
 // 8-partition GPU directly (no harness cache — every call simulates),
 // sequentially or with one worker per core.

@@ -70,8 +70,7 @@ func main() {
 		}
 		fmt.Println(out)
 		path := filepath.Join(*outDir, f.ID+".txt")
-		body := f.Title + "\n\n" + out + fmt.Sprintf("\n(budget: %d instructions/run; generated in %.1fs)\n",
-			cfg.MaxInstructions, time.Since(start).Seconds())
+		body := r.FigureFile(f, out, time.Since(start))
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

@@ -12,10 +12,9 @@
 //
 //	go run ./cmd/plutussim -bench bfs -scheme plutus
 //	go run ./cmd/experiments           # regenerate every paper figure
+//	go run ./cmd/experiments -fig fig18 -insts 4000 -out /tmp/results
 //	go run ./examples/quickstart
 //
-// The benchmarks in bench_test.go regenerate each evaluation figure at a
-// reduced instruction budget:
-//
-//	go test -bench=. -benchmem
+// Every figure, the paper's and the design-choice ablations alike, runs
+// through cmd/experiments and is pinned in results/.
 package plutus

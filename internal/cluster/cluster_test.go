@@ -172,7 +172,7 @@ func TestWorkerDeathMidSweep(t *testing.T) {
 }
 
 // cancelInFlight parks a run at its first checkpoint (see the harness
-// checkpoint tests): the first ctx.Err() check — RunContext's entry
+// checkpoint tests): the first ctx.Err() check — RunSeededContext's entry
 // guard — passes, every later one reports cancellation.
 type cancelInFlight struct {
 	context.Context

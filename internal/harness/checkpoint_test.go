@@ -13,7 +13,7 @@ import (
 )
 
 // cancelInFlight is a context that reports cancellation only once the
-// run is under way: RunContext's entry check (the first Err call) sees
+// run is under way: RunSeededContext's entry check (the first Err call) sees
 // nil, and the checkpoint sink's check at the first epoch boundary sees
 // context.Canceled — a deterministic stand-in for a preemption landing
 // mid-run.
@@ -71,10 +71,10 @@ func TestHarnessResumeByteIdentical(t *testing.T) {
 	// Interrupted lineage: preempt at the first checkpoint...
 	dir := t.TempDir()
 	preempted := NewRunner(ckptHarnessCfg(dir, false))
-	if _, err := preempted.RunContext(newCancelInFlight(), "stream", sc); !errors.Is(err, checkpoint.ErrPreempted) {
+	if _, err := preempted.RunSeededContext(newCancelInFlight(), "stream", sc, 0); !errors.Is(err, checkpoint.ErrPreempted) {
 		t.Fatalf("err = %v, want ErrPreempted", err)
 	}
-	if _, err := os.Stat(preempted.SnapshotPath("stream", sc)); err != nil {
+	if _, err := os.Stat(preempted.SnapshotPathSeeded("stream", sc, 0)); err != nil {
 		t.Fatalf("no snapshot left behind: %v", err)
 	}
 
@@ -95,7 +95,7 @@ func TestHarnessResumeByteIdentical(t *testing.T) {
 	if _, err := resumed.Run("stream", sc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(resumed.SnapshotPath("stream", sc)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(resumed.SnapshotPathSeeded("stream", sc, 0)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("snapshot still present after completed run: %v", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestPreemptedRetrySameRunner(t *testing.T) {
 	}
 
 	r := NewRunner(ckptHarnessCfg(t.TempDir(), true))
-	if _, err := r.RunContext(newCancelInFlight(), "bfs", sc); !errors.Is(err, checkpoint.ErrPreempted) {
+	if _, err := r.RunSeededContext(newCancelInFlight(), "bfs", sc, 0); !errors.Is(err, checkpoint.ErrPreempted) {
 		t.Fatalf("err = %v, want ErrPreempted", err)
 	}
 	st, err := r.Run("bfs", sc)

@@ -25,7 +25,7 @@ func TestSingleFlightExecutesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := r.RunContext(context.Background(), "hotspot", secmem.PSSM(128<<20))
+			st, err := r.RunSeededContext(context.Background(), "hotspot", secmem.PSSM(128<<20), 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -58,10 +58,10 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunContext(ctx, "bfs", secmem.PSSM(128<<20)); err == nil {
+	if _, err := r.RunSeededContext(ctx, "bfs", secmem.PSSM(128<<20), 0); err == nil {
 		t.Fatal("cancelled context did not error")
 	}
-	st, err := r.RunContext(context.Background(), "bfs", secmem.PSSM(128<<20))
+	st, err := r.RunSeededContext(context.Background(), "bfs", secmem.PSSM(128<<20), 0)
 	if err != nil || st == nil {
 		t.Fatalf("cache poisoned by cancelled call: %v", err)
 	}

@@ -162,7 +162,8 @@ func TestExperimentsQuotesResults(t *testing.T) {
 	}
 	doc := strings.Join(strings.Fields(string(raw)), " ")
 	fig := map[string]reportTable{}
-	for _, id := range []string{"eq1", "fig6", "fig7", "fig9", "fig10", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22"} {
+	for _, id := range []string{"eq1", "fig6", "fig7", "fig9", "fig10", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
+		"frontier", "ablation-valcache", "ablation-metacache"} {
 		fig[id] = readReport(t, id)
 	}
 	cells := func(id, col string, rows ...string) string {
@@ -189,6 +190,7 @@ func TestExperimentsQuotesResults(t *testing.T) {
 	f6, f7, f9, f10 := fig["fig6"], fig["fig7"], fig["fig9"], fig["fig10"]
 	f15, f16, f17, f18 := fig["fig15"], fig["fig16"], fig["fig17"], fig["fig18"]
 	f19, f20, f21, f22, eq1 := fig["fig19"], fig["fig20"], fig["fig21"], fig["fig22"], fig["eq1"]
+	front, vc, mc := fig["frontier"], fig["ablation-valcache"], fig["ablation-metacache"]
 
 	vBest := best("fig15", "pssm", "plutus-V")
 	headline := f18.match(t, `Plutus over PSSM: \+([0-9.]+)% IPC \(max \+([0-9.]+)% on (\w+)\)`)
@@ -203,6 +205,30 @@ func TestExperimentsQuotesResults(t *testing.T) {
 	regular := []string{"backprop", "hotspot", "kmeans", "nw", "pathfinder", "sgemm", "srad", "stencil", "stream"}
 	vcFrac := func(n int) string {
 		return f21.match(t, fmt.Sprintf(`(?m)^ +%d entries: ([0-9.]+)%% of reads`, n))[1] + " %"
+	}
+	// forgery is ablation-valcache's Eq. 1 bound at threshold x under
+	// the mask of column i (0, 4 and 8 bits).
+	forgery := func(x, i int) string {
+		return vc.match(t, fmt.Sprintf(`(?m)^%d of 4 +(\S+) +(\S+) +(\S+)`, x))[1+i]
+	}
+	for _, b := range vc.rows {
+		if vc.get(t, b, "mask=8") != vc.get(t, b, "default") {
+			t.Errorf("EXPERIMENTS.md says mask = 8 reads the same as mask = 4 on every benchmark; %s differs", b)
+		}
+	}
+	pinSwing := func(b string) float64 { return vc.num(t, b, "pinned=50%") - vc.num(t, b, "pinned=0%") }
+	mostPinned := vc.rows[0]
+	for _, b := range vc.rows {
+		if b != "mean" && pinSwing(b) > pinSwing(mostPinned) {
+			mostPinned = b
+		}
+	}
+	mcGain := func(col, base string) string { return signedPct(gain("ablation-metacache", "geomean", base, col)) }
+	if mc.num(t, "geomean", "pssm-mc8") <= f18.num(t, "geomean", "plutus") {
+		t.Error("EXPERIMENTS.md says PSSM with 8 KiB caches is above Plutus; results/ disagree")
+	}
+	if front.get(t, "pssm-4Bmac", "ipc") != front.get(t, "pssm", "ipc") {
+		t.Error("EXPERIMENTS.md says pssm-4Bmac and pssm share a geomean IPC; results/frontier.txt disagrees")
 	}
 
 	claims := []string{
@@ -260,6 +286,26 @@ func TestExperimentsQuotesResults(t *testing.T) {
 		// Eq. 1.
 		fmt.Sprintf("p = %s per value", eq1.match(t, `\(p=([0-9.e+-]+)\)`)[1]),
 		fmt.Sprintf("probability **%s**", eq1.get(t, "3 of 4", "P(tampered block passes)")),
+		// Ablation: value-cache parameters.
+		fmt.Sprintf("value-verified fraction: **%s** at the default", vc.get(t, "mean", "default")),
+		fmt.Sprintf("x = 2 raises the mean to %s and x = 4 cuts it to %s", vc.get(t, "mean", "x=2"), vc.get(t, "mean", "x=4")),
+		fmt.Sprintf("(bfs %s → %s → %s at x = 2/3/4)", vc.get(t, "bfs", "x=2"), vc.get(t, "bfs", "default"), vc.get(t, "bfs", "x=4")),
+		fmt.Sprintf("passes with %s at x = 2, %s at x = 3 and %s at x = 4", forgery(2, 1), forgery(3, 1), forgery(4, 1)),
+		fmt.Sprintf("benchmark (mean %s), while raising the forgery bound at x = 3 to %s", vc.get(t, "mean", "mask=8"), forgery(3, 2)),
+		fmt.Sprintf("the mean falls to %s (pagerank %s → %s)", vc.get(t, "mean", "mask=0"), vc.get(t, "pagerank", "default"), vc.get(t, "pagerank", "mask=0")),
+		fmt.Sprintf("read a mean of %s, %s and %s; %s moves most (%s → %s → %s)",
+			vc.get(t, "mean", "pinned=0%"), vc.get(t, "mean", "default"), vc.get(t, "mean", "pinned=50%"), mostPinned,
+			vc.get(t, mostPinned, "pinned=0%"), vc.get(t, mostPinned, "default"), vc.get(t, mostPinned, "pinned=50%")),
+		// Ablation: metadata-cache size.
+		fmt.Sprintf("Normalized IPC geomean %s / %s / %s / %s (bfs %s → %s → %s → %s)",
+			mc.get(t, "geomean", "pssm-mc1"), mc.get(t, "geomean", "pssm"), mc.get(t, "geomean", "pssm-mc4"), mc.get(t, "geomean", "pssm-mc8"),
+			mc.get(t, "bfs", "pssm-mc1"), mc.get(t, "bfs", "pssm"), mc.get(t, "bfs", "pssm-mc4"), mc.get(t, "bfs", "pssm-mc8")),
+		fmt.Sprintf("1 KiB costs %s, and 2 → 4 KiB buys %s and 4 → 8 KiB %s",
+			mcGain("pssm-mc1", "pssm"), mcGain("pssm-mc4", "pssm"), mcGain("pssm-mc8", "pssm-mc4")),
+		fmt.Sprintf("(geomean %s in Fig. 18)", f18.get(t, "geomean", "plutus")),
+		// Ablation: MAC size.
+		fmt.Sprintf("geomean IPC %s for both, with DRAM bytes %s× and %s× no security",
+			front.get(t, "pssm", "ipc"), front.get(t, "pssm-4Bmac", "dram bytes"), front.get(t, "pssm", "dram bytes")),
 	}
 	for _, c := range claims {
 		if !strings.Contains(doc, c) {

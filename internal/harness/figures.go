@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/plutus-gpu/plutus/internal/counters"
 	"github.com/plutus-gpu/plutus/internal/geom"
@@ -20,8 +21,9 @@ type Figure struct {
 	Run   func(r *Runner) (string, error)
 }
 
-// Figures lists every table/figure the reproduction regenerates, in paper
-// order.
+// Figures lists every table/figure the reproduction regenerates: the
+// paper's in paper order, then the scheme frontier and the design-choice
+// ablations.
 func Figures() []Figure {
 	return []Figure{
 		{"fig6", "Fig. 6: IPC of PSSM-secured GPU normalized to no security", Fig6},
@@ -38,6 +40,8 @@ func Figures() []Figure {
 		{"fig22", "Fig. 22: average power normalized to no security", Fig22},
 		{"eq1", "Eq. 1: forgery-probability bound for the value-verification threshold", Eq1Table},
 		{"frontier", "Scheme frontier: every registered scheme vs no security", Frontier},
+		{"ablation-valcache", "Ablation: value-cache match threshold, mask width and pinned fraction", AblationValueCache},
+		{"ablation-metacache", "Ablation: metadata-cache size under PSSM (IPC norm. to no security)", AblationMetaCache},
 	}
 }
 
@@ -49,6 +53,14 @@ func FigureByID(id string) (Figure, error) {
 		}
 	}
 	return Figure{}, fmt.Errorf("harness: unknown figure %q", id)
+}
+
+// FigureFile renders figure f's report file as results/<id>.txt holds
+// it: the title, the figure's output, and a footer with the runner's
+// instruction budget and the wall time the figure took.
+func (r *Runner) FigureFile(f Figure, out string, elapsed time.Duration) string {
+	return fmt.Sprintf("%s\n\n%s\n(budget: %d instructions/run; generated in %.1fs)\n",
+		f.Title, out, r.cfg.MaxInstructions, elapsed.Seconds())
 }
 
 func pb(r *Runner) uint64 { return r.cfg.ProtectedBytes }
@@ -84,43 +96,68 @@ func Fig7(r *Runner) (string, error) {
 	return "DRAM bytes by class, relative to demand data (PSSM)\n" + stats.Table(header, rows), nil
 }
 
-// Fig9 reproduces the value-locality study: the fraction of 32 B sector
-// accesses whose values would pass each of the three matching scenarios,
-// using a 512-entry (2 kB) value cache per partition as in §III-B.
-func Fig9(r *Runner) (string, error) {
-	type scenario struct {
-		name      string
-		mask      int
-		threshold int // per 128-bit half; 8-of-8 is modelled as 4-of-4
+// valueCache is the paper's value cache with its three matching
+// parameters swapped: x of 4 values per 128-bit block must hit, with
+// mask low bits of each value ignored.
+func valueCache(entries, mask, x int) valcache.Config {
+	c := valcache.DefaultConfig()
+	c.Entries, c.MaskBits, c.MatchThreshold = entries, mask, x
+	return c
+}
+
+// reuseColumn is one value-cache configuration of a reuse table.
+type reuseColumn struct {
+	name string
+	cfg  valcache.Config
+}
+
+// reuseRows measures every benchmark's value-reuse rate under each
+// column's configuration: the table's header and one row per benchmark,
+// with each column's rates in benchmark order.
+func (r *Runner) reuseRows(cols []reuseColumn) (header []string, rows [][]string, rates [][]float64, err error) {
+	header = []string{"benchmark"}
+	for _, c := range cols {
+		header = append(header, c.name)
 	}
-	scenarios := []scenario{
-		{"all-8", 0, 4},
-		{"3-of-4 halves", 0, 3},
-		{"3-of-4 masked", 4, 3},
-	}
-	header := []string{"benchmark"}
-	for _, s := range scenarios {
-		header = append(header, s.name)
-	}
-	var rows [][]string
+	rates = make([][]float64, len(cols))
 	for _, bench := range r.cfg.Benchmarks {
 		row := []string{bench}
-		for _, s := range scenarios {
-			rate, err := valueReuseRate(bench, s.mask, s.threshold, r.cfg.MaxInstructions)
+		for i, c := range cols {
+			rate, err := valueReuseRate(bench, c.cfg, r.cfg.MaxInstructions)
 			if err != nil {
-				return "", err
+				return nil, nil, nil, err
 			}
+			rates[i] = append(rates[i], rate)
 			row = append(row, fmt.Sprintf("%.1f%%", 100*rate))
 		}
 		rows = append(rows, row)
+	}
+	return header, rows, rates, nil
+}
+
+// Fig9 reproduces the value-locality study: the fraction of 32 B sector
+// accesses whose values would pass each of the three matching scenarios,
+// using a 512-entry (2 kB) value cache per partition as in §III-B.
+// 8-of-8 is modelled as 4-of-4 per 128-bit half.
+func Fig9(r *Runner) (string, error) {
+	header, rows, _, err := r.reuseRows([]reuseColumn{
+		{"all-8", valueCache(512, 0, 4)},
+		{"3-of-4 halves", valueCache(512, 0, 3)},
+		{"3-of-4 masked", valueCache(512, 4, 3)},
+	})
+	if err != nil {
+		return "", err
 	}
 	return "Fraction of sector accesses passing value matching (2 kB/partition cache)\n" +
 		stats.Table(header, rows), nil
 }
 
 // valueReuseRate streams a benchmark's memory traffic through
-// per-partition value caches and reports the reuse fraction.
-func valueReuseRate(bench string, maskBits, threshold int, budget uint64) (float64, error) {
+// per-partition value caches of configuration cfg and reports the
+// fraction of sector accesses that value-verify. Each instruction's
+// sectors are counted once, and only loads can verify; every access
+// trains the cache.
+func valueReuseRate(bench string, cfg valcache.Config, budget uint64) (float64, error) {
 	wl, err := workload.Get(bench)
 	if err != nil {
 		return 0, err
@@ -129,10 +166,10 @@ func valueReuseRate(bench string, maskBits, threshold int, budget uint64) (float
 	il := geom.MustInterleaver(parts)
 	caches := make([]*valcache.Cache, parts)
 	for i := range caches {
-		caches[i] = valcache.MustNew(valcache.Config{
-			Entries: 512, PinnedFrac: 0.25, MaskBits: maskBits,
-			PinThreshold: 8, MatchThreshold: threshold,
-		})
+		caches[i], err = valcache.New(cfg)
+		if err != nil {
+			return 0, err
+		}
 	}
 	var accesses, reused uint64
 	buf := make([]byte, geom.SectorSize)
@@ -461,4 +498,71 @@ func Eq1Table(r *Runner) (string, error) {
 	return fmt.Sprintf(
 		"Eq. 1 with K=256 entries, 28-bit keys (p=%.3e); minimum x for the 1/256 bound: %d; Plutus uses 3.\n%s",
 		p, min, stats.Table(header, rows)), nil
+}
+
+// AblationValueCache sweeps the value cache's design parameters one at a
+// time around the paper's choice (3-of-4 matching, 4-bit mask, 25 %
+// pinned entries, 256 entries per partition): the fraction of sector
+// accesses that value-verify, and Eq. 1's bound on a tampered block
+// passing for each threshold and mask.
+func AblationValueCache(r *Runner) (string, error) {
+	pinned := func(frac float64) valcache.Config {
+		c := valcache.DefaultConfig()
+		c.PinnedFrac = frac
+		return c
+	}
+	header, rows, rates, err := r.reuseRows([]reuseColumn{
+		{"default", valcache.DefaultConfig()},
+		{"x=2", valueCache(256, 4, 2)},
+		{"x=4", valueCache(256, 4, 4)},
+		{"mask=0", valueCache(256, 0, 3)},
+		{"mask=8", valueCache(256, 8, 3)},
+		{"pinned=0%", pinned(0)},
+		{"pinned=50%", pinned(0.5)},
+	})
+	if err != nil {
+		return "", err
+	}
+	mean := []string{"mean"}
+	for _, col := range rates {
+		var sum float64
+		for _, x := range col {
+			sum += x
+		}
+		mean = append(mean, fmt.Sprintf("%.1f%%", 100*sum/float64(len(col))))
+	}
+	rows = append(rows, mean)
+
+	masks := []int{0, 4, 8}
+	eqHeader := []string{"threshold x"}
+	for _, m := range masks {
+		eqHeader = append(eqHeader, fmt.Sprintf("mask=%d", m))
+	}
+	var eqRows [][]string
+	for x := 2; x <= 4; x++ {
+		row := []string{fmt.Sprintf("%d of 4", x)}
+		for _, m := range masks {
+			row = append(row, fmt.Sprintf("%.3e", valcache.ForgeryProbability(4, x, valcache.HitProbability(256, m))))
+		}
+		eqRows = append(eqRows, row)
+	}
+	return "Fraction of sector accesses passing value matching (256-entry cache per partition; " +
+		"default: 3-of-4, 4-bit mask, 25% pinned)\n" + stats.Table(header, rows) +
+		"\nEq. 1: P(tampered 128-bit block passes), K=256 entries\n" + stats.Table(eqHeader, eqRows), nil
+}
+
+// AblationMetaCache sweeps the per-partition metadata-cache capacity
+// around the paper's 2 KiB (Table II) under PSSM: each of the counter,
+// MAC and tree caches at 1, 2, 4 and 8 KiB.
+func AblationMetaCache(r *Runner) (string, error) {
+	schemes := []secmem.Config{secmem.Baseline(pb(r))}
+	for _, kb := range []int{1, 2, 4, 8} {
+		sc := secmem.PSSM(pb(r))
+		if kb != 2 {
+			sc.Scheme = fmt.Sprintf("pssm-mc%d", kb)
+			sc.MetaCacheBytes = kb << 10
+		}
+		schemes = append(schemes, sc)
+	}
+	return r.ipcTable("IPC normalized to no security, by metadata-cache size (pssm-mcN: N KiB per cache; pssm: 2 KiB)", schemes)
 }

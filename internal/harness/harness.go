@@ -114,9 +114,14 @@ type runEntry struct {
 type Runner struct {
 	cfg Config
 
-	mu         sync.Mutex
-	cache      map[string]*runEntry
-	lookups    uint64 // Run/RunContext calls
+	mu    sync.Mutex
+	cache map[string]*runEntry
+	// schemes holds the one normalized configuration each Scheme name
+	// stands for in this runner. A run key carries the name, not the
+	// configuration, so a second configuration under a name would be
+	// served the first one's cached stats; RunSeededContext refuses it.
+	schemes    map[string]secmem.Config
+	lookups    uint64 // Run, RunSeeded and RunSeededContext calls
 	executions uint64 // simulations actually executed (cache misses)
 	sem        chan struct{}
 }
@@ -125,7 +130,7 @@ type Runner struct {
 // plutusd exposes it at /debug/statsz; tests use it to prove that
 // concurrent identical requests coalesced into one execution.
 type Metrics struct {
-	// Lookups counts Run/RunContext calls.
+	// Lookups counts Run, RunSeeded and RunSeededContext calls.
 	Lookups uint64
 	// Executions counts simulations actually executed — cache misses
 	// that reached simulate.
@@ -148,17 +153,31 @@ func (r *Runner) Metrics() Metrics {
 	return Metrics{Lookups: r.lookups, Executions: r.executions}
 }
 
-// NewRunner builds a Runner (normalizing cfg in place).
+// NewRunner builds a Runner (normalizing cfg in place). Every
+// registered scheme's Scheme name is reserved for its registered
+// configuration from the start.
 func NewRunner(cfg Config) *Runner {
 	cfg.normalize()
 	// Simulations allocate heavily in steady state; relaxing the GC
 	// target roughly halves wall time for full sweeps.
 	debug.SetGCPercent(600)
-	return &Runner{
-		cfg:   cfg,
-		cache: make(map[string]*runEntry),
-		sem:   make(chan struct{}, cfg.Parallelism),
+	r := &Runner{
+		cfg:     cfg,
+		cache:   make(map[string]*runEntry),
+		schemes: make(map[string]secmem.Config),
+		sem:     make(chan struct{}, cfg.Parallelism),
 	}
+	for _, name := range secmem.Names() {
+		sc, err := secmem.ByName(name, cfg.ProtectedBytes)
+		if err == nil {
+			err = sc.Normalize()
+		}
+		if err != nil {
+			panic(fmt.Sprintf("harness: registered scheme %s: %v", name, err))
+		}
+		r.schemes[sc.Scheme] = sc
+	}
+	return r
 }
 
 // Config returns the runner's (normalized) sweep configuration.
@@ -168,17 +187,13 @@ func (r *Runner) key(bench string, sc secmem.Config, seed uint64) string {
 	return CacheKey(r.cfg, bench, sc, seed)
 }
 
-// CacheKey returns the run-cache key of one grid cell under this
-// runner's configuration.
-func (r *Runner) CacheKey(bench string, sc secmem.Config, seed uint64) string {
-	return CacheKey(r.cfg, bench, sc, seed)
-}
-
 // CacheKey returns the run-cache key of one grid cell under cfg — the
 // string the cluster's content-addressed result store indexes by, so a
 // worker's bytes and a local single-box run of the same cell land on
 // the same address. It builds no Runner, so a process that only
-// computes keys (the cluster coordinator) keeps its own GC target.
+// computes keys (the cluster coordinator) keeps its own GC target. The
+// key holds the scheme's name only; a Runner keeps each name to one
+// configuration.
 func CacheKey(cfg Config, bench string, sc secmem.Config, seed uint64) string {
 	cfg.normalize()
 	k := fmt.Sprintf("%s|%s|%d|%d", bench, sc.Scheme, cfg.MaxInstructions, cfg.ProtectedBytes)
@@ -201,14 +216,9 @@ func CacheKey(cfg Config, bench string, sc secmem.Config, seed uint64) string {
 	return k
 }
 
-// SnapshotPath returns the snapshot file a given run reads and writes:
-// the run key with filesystem-hostile characters replaced.
-func (r *Runner) SnapshotPath(bench string, sc secmem.Config) string {
-	return r.SnapshotPathSeeded(bench, sc, 0)
-}
-
-// SnapshotPathSeeded is SnapshotPath for a seed-perturbed run: seeded
-// runs park in their own snapshot files, which is what lets a cluster
+// SnapshotPathSeeded returns the snapshot file a run reads and writes:
+// the run key with filesystem-hostile characters replaced. Seeded runs
+// park in their own snapshot files, which is what lets a cluster
 // coordinator migrate one grid cell's PLUTSNAP between workers without
 // colliding with the canonical seed-zero lineage.
 func (r *Runner) SnapshotPathSeeded(bench string, sc secmem.Config, seed uint64) string {
@@ -219,22 +229,7 @@ func (r *Runner) SnapshotPathSeeded(bench string, sc secmem.Config, seed uint64)
 // Run simulates one (benchmark, scheme) pair, serving repeats from cache.
 // Concurrent calls for the same pair coalesce into a single simulation.
 func (r *Runner) Run(bench string, sc secmem.Config) (*stats.Stats, error) {
-	return r.RunContext(context.Background(), bench, sc)
-}
-
-// RunContext is Run with cancellation: a caller that gives up while
-// queued behind the parallelism semaphore, or while waiting on another
-// goroutine's in-flight run of the same pair, unblocks with ctx.Err().
-// The simulation itself is never interrupted once started — results are
-// deterministic and cheap to keep, so an executing run always settles
-// its cache entry. A leader cancelled before its simulation starts
-// removes the entry again, leaving the cache clean for a retry; any
-// waiters already parked on that entry observe the cancellation error.
-//
-// RunContext is safe for concurrent use; plutusd's worker pool calls it
-// from many goroutines.
-func (r *Runner) RunContext(ctx context.Context, bench string, sc secmem.Config) (*stats.Stats, error) {
-	return r.RunSeededContext(ctx, bench, sc, 0)
+	return r.RunSeededContext(context.Background(), bench, sc, 0)
 }
 
 // RunSeeded is Run for a seed-perturbed workload instantiation (seed
@@ -245,18 +240,43 @@ func (r *Runner) RunSeeded(bench string, sc secmem.Config, seed uint64) (*stats.
 	return r.RunSeededContext(context.Background(), bench, sc, seed)
 }
 
-// RunSeededContext is RunContext over the full (benchmark, scheme, seed)
-// grid cell — the unit the distributed sweep fabric shards, steals, and
-// content-addresses cluster-wide.
+// RunSeededContext is RunSeeded with cancellation, over the full
+// (benchmark, scheme, seed) grid cell — the unit the distributed sweep
+// fabric shards, steals, and content-addresses cluster-wide. A caller
+// that gives up while queued behind the parallelism semaphore, or while
+// waiting on another goroutine's in-flight run of the same cell,
+// unblocks with ctx.Err(). The simulation itself is interrupted only at
+// a checkpoint (Config.CheckpointEvery), where it parks with
+// checkpoint.ErrPreempted; otherwise an executing run always settles
+// its cache entry. A leader cancelled before its simulation starts
+// removes the entry again, leaving the cache clean for a retry; any
+// waiters already parked on that entry observe the cancellation error.
+//
+// A configuration whose Scheme name this runner already knows under
+// other fields (a registered scheme, or an earlier run) is refused with
+// an error: its run key would alias the other configuration's cell.
+//
+// RunSeededContext is safe for concurrent use; plutusd's worker pool
+// calls it from many goroutines.
 func (r *Runner) RunSeededContext(ctx context.Context, bench string, sc secmem.Config, seed uint64) (*stats.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sc.ProtectedBytes = r.cfg.ProtectedBytes
 	k := r.key(bench, sc, seed)
+	want := sc
+	if err := want.Normalize(); err != nil {
+		return nil, fmt.Errorf("harness: %s/%s: %w", bench, sc.Scheme, err)
+	}
 
 	r.mu.Lock()
 	r.lookups++
+	if seen, ok := r.schemes[sc.Scheme]; !ok {
+		r.schemes[sc.Scheme] = want
+	} else if seen != want {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("harness: scheme %q already names another configuration in this runner; give the variant its own Scheme", sc.Scheme)
+	}
 	if e, ok := r.cache[k]; ok {
 		r.mu.Unlock()
 		select {
@@ -453,13 +473,11 @@ func (r *Runner) ipcTable(title string, schemes []secmem.Config) (string, error)
 	return title + "\n" + stats.Table(header, rows), nil
 }
 
-// Speedup summarizes scheme b over scheme a: per-benchmark IPC ratios,
-// their geometric mean, and the max.
+// Speedup summarizes scheme b over scheme a: the geometric mean of the
+// per-benchmark IPC ratios, and the largest ratio with its benchmark.
 type Speedup struct {
-	Mean, Max   float64
-	MaxBench    string
-	PerBench    map[string]float64
-	TrafficMean float64 // mean metadata-traffic ratio (b / a)
+	Mean, Max float64
+	MaxBench  string
 }
 
 // CompareSchemes computes the headline speedup of b over a.
@@ -467,8 +485,8 @@ func (r *Runner) CompareSchemes(a, b secmem.Config) (*Speedup, error) {
 	if err := r.runMatrix([]secmem.Config{a, b}); err != nil {
 		return nil, err
 	}
-	out := &Speedup{PerBench: make(map[string]float64), Max: 0}
-	var ratios, traffic []float64
+	out := &Speedup{}
+	var ratios []float64
 	for _, bench := range r.cfg.Benchmarks {
 		sa, err := r.Run(bench, a)
 		if err != nil {
@@ -479,16 +497,11 @@ func (r *Runner) CompareSchemes(a, b secmem.Config) (*Speedup, error) {
 			return nil, err
 		}
 		ratio := sb.IPC() / sa.IPC()
-		out.PerBench[bench] = ratio
 		ratios = append(ratios, ratio)
 		if ratio > out.Max {
 			out.Max, out.MaxBench = ratio, bench
 		}
-		if m := sa.Traffic.MetadataBytes(); m > 0 {
-			traffic = append(traffic, float64(sb.Traffic.MetadataBytes())/float64(m))
-		}
 	}
 	out.Mean = stats.GeoMean(ratios)
-	out.TrafficMean = stats.GeoMean(traffic)
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/workload"
@@ -63,17 +64,31 @@ func readGolden(t *testing.T, id string) string {
 }
 
 // regenFigureBody regenerates one figure on r in cmd/experiments' exact
-// on-disk format. The wall-clock half of the footer is cosmetic and
-// normalized away before every comparison; the test writer pins it to
-// 0.0s so a rewritten file is fully deterministic (cmd/experiments
-// records the real elapsed time when it regenerates the same files).
+// on-disk format (Runner.FigureFile). The wall-clock half of the footer
+// is cosmetic and normalized away before every comparison; the test
+// writer pins it to 0.0s so a rewritten file is fully deterministic
+// (cmd/experiments records the real elapsed time when it regenerates
+// the same files).
 func regenFigureBody(r *Runner, f Figure) (string, error) {
 	out, err := f.Run(r)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", f.ID, err)
 	}
-	return f.Title + "\n\n" + out + fmt.Sprintf("\n(budget: %d instructions/run; generated in 0.0s)\n",
-		resultsBudget), nil
+	return r.FigureFile(f, out, 0), nil
+}
+
+// A figure's file states the budget the runner actually simulated: a
+// zero MaxInstructions runs at the default, and the footer says so.
+func TestFigureFileStatesNormalizedBudget(t *testing.T) {
+	f, err := FigureByID("eq1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewRunner(Config{MaxInstructions: 0}).FigureFile(f, "table\n", 1500*time.Millisecond)
+	want := f.Title + "\n\ntable\n\n(budget: 20000 instructions/run; generated in 1.5s)\n"
+	if got != want {
+		t.Errorf("FigureFile = %q, want %q", got, want)
+	}
 }
 
 // diffFigureGolden regenerates one figure and byte-diffs it against the
@@ -199,10 +214,11 @@ func TestResultsEq1Golden(t *testing.T) {
 
 // TestResultsFiguresGolden regenerates every simulated figure at the
 // committed budget and byte-diffs it against results/. A full sweep
-// simulates all benchmarks under all twelve schemes, which takes tens
-// of minutes on one core, so the suite only runs when explicitly asked
-// for via PLUTUS_GOLDEN_FIGS=1 (or when rewriting with -update);
-// results/eq1.txt stays covered on every run by TestResultsEq1Golden.
+// simulates all benchmarks under every registered scheme and the
+// figures' variants, which takes minutes even on several cores, so the
+// suite only runs when explicitly asked for via PLUTUS_GOLDEN_FIGS=1 (or
+// when rewriting with -update); results/eq1.txt stays covered on every
+// run by TestResultsEq1Golden.
 func TestResultsFiguresGolden(t *testing.T) {
 	if os.Getenv("PLUTUS_GOLDEN_FIGS") != "1" && !*update {
 		t.Skip("full figure regeneration is slow; set PLUTUS_GOLDEN_FIGS=1 (or run with -update) to enable")

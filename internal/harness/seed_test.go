@@ -62,7 +62,7 @@ func TestSeedIsACacheDimension(t *testing.T) {
 		t.Fatalf("expected 2 executions, got %d", m.Executions)
 	}
 	// Seeded snapshot lineages must not collide with the canonical one.
-	if p0, p1 := r.SnapshotPath("bfs", sc), r.SnapshotPathSeeded("bfs", sc, 1); p0 == p1 {
+	if p0, p1 := r.SnapshotPathSeeded("bfs", sc, 0), r.SnapshotPathSeeded("bfs", sc, 1); p0 == p1 {
 		t.Fatalf("seeded snapshot path collides with canonical: %q", p0)
 	}
 }

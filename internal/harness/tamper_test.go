@@ -155,10 +155,10 @@ func TestTamperResumeByteIdentical(t *testing.T) {
 
 			dir := t.TempDir()
 			preempted := NewRunner(cfg(dir, false))
-			if _, err := preempted.RunContext(newCancelInFlight(), "stream", sc); !errors.Is(err, checkpoint.ErrPreempted) {
+			if _, err := preempted.RunSeededContext(newCancelInFlight(), "stream", sc, 0); !errors.Is(err, checkpoint.ErrPreempted) {
 				t.Fatalf("err = %v, want ErrPreempted", err)
 			}
-			if _, err := os.Stat(preempted.SnapshotPath("stream", sc)); err != nil {
+			if _, err := os.Stat(preempted.SnapshotPathSeeded("stream", sc, 0)); err != nil {
 				t.Fatalf("no snapshot left behind: %v", err)
 			}
 			if got := render(NewRunner(cfg(dir, true))); got != ref {

@@ -77,14 +77,14 @@ func TestTraceWorkloadThroughHarness(t *testing.T) {
 	}
 
 	// Trace cells must not collide with suite cells or with other traces.
-	k := r.CacheKey(bench, sc, 0)
-	if other := r.CacheKey("trace:/elsewhere/cap.pltr", sc, 0); other == k {
+	k := CacheKey(r.Config(), bench, sc, 0)
+	if other := CacheKey(r.Config(), "trace:/elsewhere/cap.pltr", sc, 0); other == k {
 		t.Errorf("distinct trace paths share cache key %q", k)
 	}
 	if !strings.Contains(k, bench) {
 		t.Errorf("cache key %q does not pin the trace path", k)
 	}
-	if p := r.SnapshotPath(bench, sc); strings.ContainsAny(filepath.Base(p), "|/") {
+	if p := r.SnapshotPathSeeded(bench, sc, 0); strings.ContainsAny(filepath.Base(p), "|/") {
 		t.Errorf("snapshot filename %q keeps filesystem-hostile characters", filepath.Base(p))
 	}
 }

@@ -136,12 +136,11 @@ const (
 	// FreshLazyBMT verifies counters through a Bonsai Merkle Tree whose
 	// updates ride metadata-cache evictions (every evaluated scheme).
 	FreshLazyBMT
-	// FreshEagerBMT writes every counter update's whole tree path back
-	// at once (paper §II-A3's eager scheme, for the ablation).
-	FreshEagerBMT
 	// FreshBMTNoTraffic keeps the tree's verdicts but elides all of its
 	// traffic, modelling the MGX/TNPU/softVN-style comparison of Fig. 20.
-	FreshBMTNoTraffic
+	// It keeps the value 3: snapshot fingerprints print the config's
+	// fields as numbers, and 2 belonged to a removed eager-update part.
+	FreshBMTNoTraffic Freshness = 3
 )
 
 // Config describes one partition's secure-memory scheme.

@@ -142,9 +142,8 @@ func (e *Engine) walkTree(r *counterRegion, u uint64, j *join, freshOK *bool) {
 
 // dirtyCounter marks data sector i's counter sector of region r dirty
 // and refreshes the tree's hash of its unit; writing the unit replaces
-// any attacker-replayed DRAM copy. Under the eager scheme the whole path
-// to the root is written back immediately instead of waiting for
-// evictions.
+// any attacker-replayed DRAM copy. The tree's nodes are written back
+// later, when evictions reach them (propagateDirty).
 //
 //simlint:hotpath
 func (e *Engine) dirtyCounter(r *counterRegion, i uint64) {
@@ -154,15 +153,6 @@ func (e *Engine) dirtyCounter(r *counterRegion, i uint64) {
 	u := r.unitOf(i)
 	r.replayed.Clear(u)
 	r.tree.SetUnitHash(u, r.unitHash(u))
-	if e.cfg.Freshness == FreshEagerBMT {
-		var buf bmt.PathBuf
-		for _, ref := range r.tree.PathInto(u, &buf) {
-			if r.tree.IsRoot(ref) {
-				break
-			}
-			e.ch.Access(geom.SectorAddr(r.treeBase+r.tree.NodeAddr(ref)), true, r.treeClass, nil)
-		}
-	}
 }
 
 // propagateDirty marks unit u's level-0 parent node dirty in the tree
@@ -170,8 +160,7 @@ func (e *Engine) dirtyCounter(r *counterRegion, i uint64) {
 // parent hash stale in memory until that node is itself written back).
 func (e *Engine) propagateDirty(r *counterRegion, u uint64) {
 	if e.cfg.Freshness != FreshLazyBMT {
-		// Eager mode already wrote the whole path at update time; the
-		// no-traffic tree never writes it.
+		// The no-traffic tree never writes its nodes back.
 		return
 	}
 	var buf bmt.PathBuf

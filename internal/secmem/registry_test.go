@@ -46,7 +46,6 @@ func TestNormalizeRejectsIllegalCompositions(t *testing.T) {
 	}{
 		{"value check under CME", func(c *Config) { c.Check = CheckValue }},
 		{"shares with a lazy tree", func(c *Config) { *c = SSMConfig(protected); c.Freshness = FreshLazyBMT }},
-		{"shares with an eager tree", func(c *Config) { *c = SSMConfig(protected); c.Freshness = FreshEagerBMT }},
 		{"shares over stored versions", func(c *Config) { c.Check = CheckShares; c.Freshness = FreshNone }},
 		{"on-chip versions with a MAC", func(c *Config) { c.Versions = VersionsOnChip; c.Freshness = FreshNone }},
 		{"k = 1", func(c *Config) { *c = SSMConfig(protected); c.SSMThreshold = 1 }},

@@ -457,47 +457,6 @@ func TestFlushDirtyMetadataAccounts(t *testing.T) {
 	}
 }
 
-// Eager tree updates must write more BMT traffic than lazy updates for
-// the same write stream (the reason every evaluated scheme is lazy).
-func TestEagerTreeUpdateCostsMoreBMTTraffic(t *testing.T) {
-	run := func(eager bool) uint64 {
-		cfg := PSSM(protected)
-		if eager {
-			cfg.Freshness = FreshEagerBMT
-			cfg.Scheme = "pssm-eager"
-		}
-		r := newRig(t, cfg)
-		for k := 0; k < 200; k++ {
-			r.write(t, geom.Addr(0x1000+(k%50)*0x2000), sector(uint32(k)))
-		}
-		r.e.FlushDirtyMetadata()
-		r.eng.Drain(1 << 22)
-		return r.st.Traffic.WriteBytes[stats.BMT]
-	}
-	lazy, eager := run(false), run(true)
-	if eager <= lazy {
-		t.Fatalf("eager BMT write bytes %d should exceed lazy %d", eager, lazy)
-	}
-}
-
-// Round trips must still verify under eager updates.
-func TestEagerTreeUpdateRoundTrip(t *testing.T) {
-	cfg := PSSM(protected)
-	cfg.Freshness = FreshEagerBMT
-	cfg.Scheme = "pssm-eager"
-	r := newRig(t, cfg)
-	data := sector(0xAB, 0xCD, 0xEF, 0x12)
-	r.write(t, 0x9000, data)
-	res := r.read(t, 0x9000)
-	if !res.OK || !bytes.Equal(res.Data[:], data) {
-		t.Fatalf("eager round trip failed: ok=%v", res.OK)
-	}
-	r.e.ReplayCounter(0x9000)
-	if res := r.read(t, 0x9000); res.OK {
-		t.Fatal("replay passed under eager updates")
-	}
-}
-
 // TestSchemeRegistry pins the ByName/Names contract plutusd's discovery
 // endpoint and plutussim -list rely on: every advertised name resolves,
 // normalizes cleanly, and carries the requested protected size; names

@@ -64,7 +64,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if mb, ok := s.cfg.Backend.(metricsBackend); ok {
 		m := mb.Metrics()
-		counter("plutusd_cache_lookups_total", "Run-cache lookups (Run/RunContext calls).", m.Lookups)
+		counter("plutusd_cache_lookups_total", "Run-cache lookups (one per Run, RunSeeded or RunSeededContext call).", m.Lookups)
 		counter("plutusd_cache_executions_total", "Simulations actually executed (cache misses).", m.Executions)
 		gauge("plutusd_cache_hit_rate", "Fraction of lookups served without a fresh simulation.", m.HitRate())
 	}

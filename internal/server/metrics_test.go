@@ -23,7 +23,7 @@ import (
 )
 
 // cancelInFlight mirrors the harness checkpoint tests' helper: a
-// context whose first Err check (RunContext's entry guard) passes and
+// context whose first Err check (RunSeededContext's entry guard) passes and
 // whose second (the checkpoint sink's) reports cancellation, parking
 // the run at its first snapshot deterministically.
 type cancelInFlight struct {
