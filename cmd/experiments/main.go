@@ -19,13 +19,12 @@ import (
 
 	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/secmem"
-	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
 func main() {
 	var (
 		fig     = flag.String("fig", "", "run a single figure (e.g. fig18); empty = all")
-		insts   = flag.Uint64("insts", 20000, "warp-instruction budget per run")
+		insts   = flag.Uint64("insts", harness.DefaultInstructions, "warp-instruction budget per run")
 		outDir  = flag.String("out", "results", "output directory for per-figure reports")
 		benches = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
 		volta   = flag.Bool("volta", false, "full Volta configuration (much slower)")
@@ -34,14 +33,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := harness.DefaultConfig()
-	cfg.MaxInstructions = *insts
-	cfg.FullVolta = *volta
-	cfg.Parallelism = *par
+	cfg := harness.Config{MaxInstructions: *insts, FullVolta: *volta, Parallelism: *par}
 	if *benches != "" {
 		cfg.Benchmarks = strings.Split(*benches, ",")
-	} else {
-		cfg.Benchmarks = workload.SuiteNames()
 	}
 	r := harness.NewRunner(cfg)
 

@@ -81,7 +81,7 @@ func runCoord(args []string) error {
 	fs := flag.NewFlagSet("coord", flag.ExitOnError)
 	listen := fs.String("listen", ":8095", "coordinator listen address")
 	workers := fs.String("workers", "", "comma-separated plutusd base URLs")
-	insts := fs.Uint64("insts", 20000, "warp-instruction budget per run (must match workers)")
+	insts := fs.Uint64("insts", harness.DefaultInstructions, "warp-instruction budget per run (must match workers)")
 	ckptEvery := fs.Uint64("checkpoint-every", 0, "workers' checkpoint cadence in cycles (must match workers)")
 	storeDir := fs.String("store-dir", "", "persist the content-addressed result store here")
 	lease := fs.Duration("lease-timeout", 30*time.Second, "steal a cell from a worker holding it longer than this")

@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8091", "listen address")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size (concurrent simulations)")
 	flag.IntVar(&o.queue, "queue", 64, "queued-job bound; a full queue rejects submissions with 429")
-	flag.Uint64Var(&o.insts, "insts", 20000, "warp-instruction budget per run")
+	flag.Uint64Var(&o.insts, "insts", harness.DefaultInstructions, "warp-instruction budget per run")
 	flag.BoolVar(&o.volta, "volta", false, "full 80-SM/32-partition Volta config (slow)")
 	flag.DurationVar(&o.linger, "linger", 2*time.Second, "how long to keep serving reads after the drain finishes")
 	flag.StringVar(&o.stateDir, "state-dir", "", "persist jobs and run snapshots here; a restarted daemon recovers them")
@@ -87,18 +87,15 @@ func main() {
 }
 
 func run(o options) error {
-	const protected = 128 << 20
 	hcfg := harness.Config{
-		ProtectedBytes:  protected,
 		MaxInstructions: o.insts,
 		Parallelism:     o.workers,
 		FullVolta:       o.volta,
 	}
 	scfg := server.Config{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		ProtectedBytes: protected,
-		PreemptSlice:   o.preemptSlice,
+		Workers:      o.workers,
+		QueueDepth:   o.queue,
+		PreemptSlice: o.preemptSlice,
 	}
 	if o.stateDir != "" {
 		scfg.StateDir = filepath.Join(o.stateDir, "jobs")

@@ -52,7 +52,7 @@ func main() {
 	var (
 		bench   = flag.String("bench", "bfs", "benchmark name (see -list)")
 		scheme  = flag.String("scheme", "plutus", "security scheme (see -list)")
-		insts   = flag.Uint64("insts", 20000, "warp-instruction budget")
+		insts   = flag.Uint64("insts", harness.DefaultInstructions, "warp-instruction budget")
 		seed    = flag.Uint64("seed", 0, "workload seed perturbation (0 = canonical instantiation; distinct seeds are distinct runs)")
 		volta   = flag.Bool("volta", false, "full 80-SM/32-partition Volta config (slow)")
 		asJSON  = flag.Bool("json", false, "print the canonical JSON record instead of the text report")
@@ -92,8 +92,7 @@ func main() {
 		return
 	}
 
-	const protected = 128 << 20
-	sc, err := secmem.ByName(*scheme, protected)
+	sc, err := secmem.ByName(*scheme, harness.ProtectedBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "plutussim:", err)
 		os.Exit(1)
@@ -135,7 +134,6 @@ func main() {
 	}
 	// One cell: Parallelism 1 gives its simulation every core.
 	r := harness.NewRunner(harness.Config{
-		ProtectedBytes:  protected,
 		MaxInstructions: *insts,
 		Benchmarks:      []string{*bench},
 		Parallelism:     1,

@@ -55,13 +55,12 @@ func run(bench, scheme, out, inspect string, seed, insts uint64, report bool) er
 	if err != nil {
 		return err
 	}
-	const protected = 128 << 20
-	sc, err := secmem.ByName(scheme, protected)
+	sc, err := secmem.ByName(scheme, harness.ProtectedBytes)
 	if err != nil {
 		return err
 	}
 	cfg := gpusim.ScaledConfig(sc)
-	cfg.Sec.ProtectedBytes = protected
+	cfg.Sec.ProtectedBytes = harness.ProtectedBytes
 	cfg.MaxInstructions = insts
 
 	path := out

@@ -16,18 +16,15 @@ import (
 )
 
 func main() {
-	const protected = 128 << 20 // 128 MiB protected range per partition
-
 	runner := harness.NewRunner(harness.Config{
-		ProtectedBytes:  protected,
 		MaxInstructions: 15000,
 		Benchmarks:      []string{"bfs"},
 	})
 
 	schemes := []secmem.Config{
-		secmem.Baseline(protected),
-		secmem.PSSM(protected),
-		secmem.Plutus(protected),
+		secmem.Baseline(harness.ProtectedBytes),
+		secmem.PSSM(harness.ProtectedBytes),
+		secmem.Plutus(harness.ProtectedBytes),
 	}
 
 	fmt.Println("simulating bfs under three memory-security schemes...")

@@ -70,55 +70,55 @@ type Config struct {
 	// later via AddWorker (POST /v1/workers on the coordinator API).
 	Workers []string
 	// Harness is the sweep-wide harness configuration every worker is
-	// expected to run with (same MaxInstructions, ProtectedBytes and
-	// checkpoint cadence — the run-cache key, and therefore byte
-	// identity, depends on all three). The coordinator uses it to
-	// compute store keys and never simulates itself.
+	// expected to run with (same MaxInstructions and checkpoint cadence —
+	// the run-cache key, and therefore byte identity, depends on both).
+	// The coordinator uses it to compute store keys and never simulates
+	// itself.
 	Harness harness.Config
 	// Store collects results; nil means a fresh in-memory store.
 	Store *castore.Store
 	// LeaseTimeout is how long one worker may hold a cell before the
 	// scheduler steals it onto a second worker (default 30 s).
 	LeaseTimeout time.Duration
-	// HeartbeatEvery paces worker health polls and in-flight snapshot
-	// pulls (default 1 s).
-	HeartbeatEvery time.Duration
-	// DeadAfter marks a worker dead after this many consecutive failed
-	// heartbeats (default 3); dead workers take no new leases until a
-	// heartbeat succeeds again.
-	DeadAfter int
-	// MaxAttempts bounds scheduling attempts per cell (default 4).
-	MaxAttempts int
-	// RetryBase and RetryCap pace rescheduling after a failed attempt:
-	// capped exponential, base doubling per attempt (defaults 50 ms / 2 s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// TenantMaxInflight caps concurrently leased cells per tenant
 	// (0 = unlimited).
 	TenantMaxInflight int
 	// TenantMaxPending sheds new admissions for a tenant whose
 	// admitted-but-unfinished count would exceed it (0 = unlimited).
 	TenantMaxPending int
+
+	// timing paces heartbeats and retries; zero means defaultTiming.
+	// Only this package's tests set it.
+	timing timing
+}
+
+// timing paces the coordinator. A heartbeat (a worker health poll, and
+// in-flight snapshot pulls) runs every heartbeatEvery; deadAfter
+// consecutive failed heartbeats mark a worker dead, and a dead worker
+// takes no new leases until a heartbeat succeeds again. A cell gets at
+// most maxAttempts scheduling attempts, rescheduled after a failure at
+// retryBase doubling per attempt up to retryCap.
+type timing struct {
+	heartbeatEvery      time.Duration
+	deadAfter           int
+	maxAttempts         int
+	retryBase, retryCap time.Duration
+}
+
+var defaultTiming = timing{
+	heartbeatEvery: time.Second,
+	deadAfter:      3,
+	maxAttempts:    4,
+	retryBase:      50 * time.Millisecond,
+	retryCap:       2 * time.Second,
 }
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 30 * time.Second
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Second
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 2 * time.Second
+	if c.timing == (timing{}) {
+		c.timing = defaultTiming
 	}
 	return c
 }
@@ -328,10 +328,10 @@ func (co *Coordinator) tenant(name string) *tenant {
 // same ones plutusd validates against) and returns its store key. A name
 // that does not resolve is a *BadRequestError.
 func (co *Coordinator) resolve(bench, scheme string, seed uint64) (string, error) {
-	if _, err := workload.Get(bench); err != nil {
+	if err := workload.Check(bench); err != nil {
 		return "", &BadRequestError{err}
 	}
-	sc, err := secmem.ByName(scheme, co.cfg.Harness.ProtectedBytes)
+	sc, err := secmem.ByName(scheme, harness.ProtectedBytes)
 	if err != nil {
 		return "", &BadRequestError{err}
 	}
@@ -391,14 +391,15 @@ func (co *Coordinator) RunCell(ctx context.Context, tenantName, bench, scheme st
 	}
 }
 
-// heartbeatLoop polls every worker's /healthz on a fixed cadence,
-// scrapes /debug/statsz for capacity, and, when the sweep checkpoints,
-// pulls the latest PLUTSNAP of every cell leased to the worker — the
-// coordinator-side half of checkpoint migration: when a worker dies, the
-// retry resumes from the last pulled snapshot instead of cycle zero.
+// heartbeatLoop polls every worker's /debug/statsz on a fixed cadence
+// (an answer that decodes means the worker is alive, and its body gives
+// the capacity) and, when the sweep checkpoints, pulls the latest
+// PLUTSNAP of every cell leased to the worker — the coordinator-side
+// half of checkpoint migration: when a worker dies, the retry resumes
+// from the last pulled snapshot instead of cycle zero.
 func (co *Coordinator) heartbeatLoop() {
 	defer close(co.hbDone)
-	tick := time.NewTicker(co.cfg.HeartbeatEvery)
+	tick := time.NewTicker(co.cfg.timing.heartbeatEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -422,21 +423,16 @@ func (co *Coordinator) heartbeat(url string) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.HeartbeatEvery)
+	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.timing.heartbeatEvery)
 	defer cancel()
-	err := w.c.Health(ctx)
-	var capacity int
-	if err == nil {
-		if sz, szErr := w.c.Statsz(ctx); szErr == nil {
-			capacity = sz.Workers + sz.QueueCapacity
-		}
-	}
+	sz, err := w.c.Statsz(ctx)
+	capacity := sz.Workers + sz.QueueCapacity
 
 	co.mu.Lock()
 	var leased []*cell
 	if err != nil {
 		w.missed++
-		if w.missed >= co.cfg.DeadAfter && w.alive {
+		if w.missed >= co.cfg.timing.deadAfter && w.alive {
 			w.alive = false
 		}
 	} else {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -43,14 +44,16 @@ func newWorker(t *testing.T, hcfg harness.Config) (string, *harness.Runner) {
 // stealing see it.
 func testConfig(hcfg harness.Config, workers ...string) Config {
 	return Config{
-		Workers:        workers,
-		Harness:        hcfg,
-		HeartbeatEvery: 20 * time.Millisecond,
-		DeadAfter:      2,
-		LeaseTimeout:   10 * time.Second,
-		MaxAttempts:    6,
-		RetryBase:      20 * time.Millisecond,
-		RetryCap:       200 * time.Millisecond,
+		Workers:      workers,
+		Harness:      hcfg,
+		LeaseTimeout: 10 * time.Second,
+		timing: timing{
+			heartbeatEvery: 20 * time.Millisecond,
+			deadAfter:      2,
+			maxAttempts:    6,
+			retryBase:      20 * time.Millisecond,
+			retryCap:       200 * time.Millisecond,
+		},
 	}
 }
 
@@ -59,7 +62,7 @@ func testConfig(hcfg harness.Config, workers ...string) Config {
 func localRendering(t *testing.T, hcfg harness.Config, bench, scheme string, seed uint64) string {
 	t.Helper()
 	r := harness.NewRunner(hcfg)
-	sc, err := secmem.ByName(scheme, r.Config().ProtectedBytes)
+	sc, err := secmem.ByName(scheme, harness.ProtectedBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func TestCheckpointMigration(t *testing.T) {
 	// tests do, to stand in for the straggler's last checkpoint.
 	parkDir := t.TempDir()
 	parker := harness.NewRunner(mkCfg(parkDir))
-	sc, err := secmem.ByName("plutus", parker.Config().ProtectedBytes)
+	sc, err := secmem.ByName("plutus", harness.ProtectedBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +375,7 @@ func TestDivergenceFailsCell(t *testing.T) {
 	store := castore.New()
 	cfg := testConfig(hcfg) // no workers yet: the cell blocks in acquireWorker
 	cfg.Store = store
-	cfg.MaxAttempts = 1
+	cfg.timing.maxAttempts = 1
 	co := New(cfg)
 	defer co.Close()
 
@@ -471,7 +474,7 @@ func countingWorker(t *testing.T, hcfg harness.Config) (string, func() map[strin
 	mux := http.NewServeMux()
 	for _, route := range []string{
 		"POST /v1/runs", "GET /v1/runs/{id}", "GET /v1/runs/{id}/events", "GET /v1/runs/{id}/result",
-		"/v1/snapshots", "/",
+		"/v1/snapshots", "GET /healthz", "/",
 	} {
 		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
@@ -493,7 +496,8 @@ func countingWorker(t *testing.T, hcfg harness.Config) (string, func() map[strin
 // TestNoSnapshotTrafficWithoutCheckpoints: at checkpoint cadence 0 no
 // worker holds a snapshot, so a sweep sends no /v1/snapshots request at
 // all, and each cell costs its worker exactly one submit, one event
-// stream, one status and one result request.
+// stream, one status and one result request. Heartbeats ask
+// /debug/statsz alone, never /healthz.
 func TestNoSnapshotTrafficWithoutCheckpoints(t *testing.T) {
 	hcfg := harness.Config{MaxInstructions: 400, Parallelism: 2}
 	u, counts := countingWorker(t, hcfg)
@@ -514,10 +518,32 @@ func TestNoSnapshotTrafficWithoutCheckpoints(t *testing.T) {
 	if got["/v1/snapshots"] != 0 {
 		t.Errorf("%d /v1/snapshots requests at cadence 0, want 0", got["/v1/snapshots"])
 	}
+	if got["GET /healthz"] != 0 {
+		t.Errorf("%d GET /healthz requests, want 0: a heartbeat is one GET /debug/statsz", got["GET /healthz"])
+	}
 	for _, route := range []string{"POST /v1/runs", "GET /v1/runs/{id}/events", "GET /v1/runs/{id}", "GET /v1/runs/{id}/result"} {
 		if got[route] != cells {
 			t.Errorf("%s: %d requests for %d cells, want one per cell", route, got[route], cells)
 		}
+	}
+}
+
+// TestResolveBuildsNoWorkload: resolving a registered cell, which every
+// store hit does, checks its names without instantiating the workload
+// (a 960-warp benchmark's step counters alone take about 8 KB).
+func TestResolveBuildsNoWorkload(t *testing.T) {
+	co := &Coordinator{cfg: testConfig(harness.Config{MaxInstructions: 400})}
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := co.resolve("bfs", "plutus", 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 1024 {
+		t.Errorf("resolve allocates %d B per call, want under 1 KiB", perCall)
 	}
 }
 

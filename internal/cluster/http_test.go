@@ -44,7 +44,7 @@ func forgetfulWorker(t *testing.T) string {
 // server.MaxRequestBytes is 413 on every endpoint that decodes one.
 func TestHandlerStatusCodes(t *testing.T) {
 	cfg := testConfig(harness.Config{MaxInstructions: 400, Parallelism: 1}, forgetfulWorker(t))
-	cfg.MaxAttempts = 2
+	cfg.timing.maxAttempts = 2
 	co := New(cfg)
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())

@@ -13,14 +13,14 @@ import (
 // and bind the winning bytes into the content-addressed store.
 func (co *Coordinator) drive(c *cell) {
 	var lastErr error
-	for attempt := 0; attempt < co.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < co.cfg.timing.maxAttempts; attempt++ {
 		if attempt > 0 {
 			co.mu.Lock()
 			co.counters.Retries++
 			co.mu.Unlock()
-			wait := co.cfg.RetryBase << (attempt - 1)
-			if wait > co.cfg.RetryCap {
-				wait = co.cfg.RetryCap
+			wait := co.cfg.timing.retryBase << (attempt - 1)
+			if wait > co.cfg.timing.retryCap {
+				wait = co.cfg.timing.retryCap
 			}
 			time.Sleep(wait)
 		}
@@ -112,14 +112,14 @@ func (co *Coordinator) pickLocked(exclude *worker) *worker {
 
 // suspect benches a worker whose attempt just failed. A connection
 // refusal or mid-run disconnect usually means the process is gone, and
-// waiting out the DeadAfter heartbeat budget would burn every retry
+// waiting out the deadAfter heartbeat budget would burn every retry
 // against the corpse — so fail fast and let the retry land elsewhere.
 // The next healthy heartbeat reinstates a worker benched in error.
 func (co *Coordinator) suspect(w *worker) {
 	co.mu.Lock()
 	if w.alive {
 		w.alive = false
-		w.missed = co.cfg.DeadAfter
+		w.missed = co.cfg.timing.deadAfter
 	}
 	co.mu.Unlock()
 }

@@ -132,14 +132,9 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 	for _, p := range g.parts {
 		p.sec.FinishStats()
 		p.st.L2 = p.l2.Stats
-		out.Traffic.Add(&p.st.Traffic)
-		out.Sec.Add(&p.st.Sec)
-		out.L2.Add(&p.st.L2)
-		out.CounterCache.Add(&p.st.CounterCache)
-		out.MACCache.Add(&p.st.MACCache)
-		out.BMTCache.Add(&p.st.BMTCache)
-		out.CompactCache.Add(&p.st.CompactCache)
-		out.CompactBMTC.Add(&p.st.CompactBMTC)
+		// A partition's record never holds cycles or instruction counts,
+		// so Merge adds only its traffic, security and cache counters.
+		out.Merge(p.st)
 	}
 	return out, nil
 }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,17 +65,15 @@ func (r *Runner) FigureFile(f Figure, out string, elapsed time.Duration) string 
 		f.Title, out, r.cfg.MaxInstructions, elapsed.Seconds())
 }
 
-func pb(r *Runner) uint64 { return r.cfg.ProtectedBytes }
-
 // Fig6 reproduces the motivation result: security is expensive.
 func Fig6(r *Runner) (string, error) {
 	return r.ipcTable("IPC normalized to no-security baseline",
-		[]secmem.Config{secmem.Baseline(pb(r)), secmem.PSSM(pb(r))})
+		[]secmem.Config{secmem.Baseline(ProtectedBytes), secmem.PSSM(ProtectedBytes)})
 }
 
 // Fig7 reproduces the traffic breakdown that motivates Plutus.
 func Fig7(r *Runner) (string, error) {
-	sc := secmem.PSSM(pb(r))
+	sc := secmem.PSSM(ProtectedBytes)
 	if err := r.runMatrix([]secmem.Config{sc}); err != nil {
 		return "", err
 	}
@@ -121,12 +121,12 @@ func (r *Runner) reuseRows(cols []reuseColumn) (header []string, rows [][]string
 	}
 	rates = make([][]float64, len(cols))
 	for _, bench := range r.cfg.Benchmarks {
+		benchRates, err := valueReuseRates(bench, cols, r.cfg.MaxInstructions)
+		if err != nil {
+			return nil, nil, nil, err
+		}
 		row := []string{bench}
-		for i, c := range cols {
-			rate, err := valueReuseRate(bench, c.cfg, r.cfg.MaxInstructions)
-			if err != nil {
-				return nil, nil, nil, err
-			}
+		for i, rate := range benchRates {
 			rates[i] = append(rates[i], rate)
 			row = append(row, fmt.Sprintf("%.1f%%", 100*rate))
 		}
@@ -135,16 +135,19 @@ func (r *Runner) reuseRows(cols []reuseColumn) (header []string, rows [][]string
 	return header, rows, rates, nil
 }
 
+// fig9Columns are Fig. 9's three matching scenarios, strictest first.
+var fig9Columns = []reuseColumn{
+	{"all-8", valueCache(512, 0, 4)},
+	{"3-of-4 halves", valueCache(512, 0, 3)},
+	{"3-of-4 masked", valueCache(512, 4, 3)},
+}
+
 // Fig9 reproduces the value-locality study: the fraction of 32 B sector
 // accesses whose values would pass each of the three matching scenarios,
 // using a 512-entry (2 kB) value cache per partition as in §III-B.
 // 8-of-8 is modelled as 4-of-4 per 128-bit half.
 func Fig9(r *Runner) (string, error) {
-	header, rows, _, err := r.reuseRows([]reuseColumn{
-		{"all-8", valueCache(512, 0, 4)},
-		{"3-of-4 halves", valueCache(512, 0, 3)},
-		{"3-of-4 masked", valueCache(512, 4, 3)},
-	})
+	header, rows, _, err := r.reuseRows(fig9Columns)
 	if err != nil {
 		return "", err
 	}
@@ -152,27 +155,32 @@ func Fig9(r *Runner) (string, error) {
 		stats.Table(header, rows), nil
 }
 
-// valueReuseRate streams a benchmark's memory traffic through
-// per-partition value caches of configuration cfg and reports the
-// fraction of sector accesses that value-verify. Each instruction's
-// sectors are counted once, and only loads can verify; every access
-// trains the cache.
-func valueReuseRate(bench string, cfg valcache.Config, budget uint64) (float64, error) {
+// valueReuseRates streams a benchmark's memory traffic once through
+// per-partition value caches of every column's configuration and
+// reports, per column, the fraction of sector accesses that
+// value-verify. Each instruction's sectors are counted once, and only
+// loads can verify; every access trains the caches. Each column's caches
+// see the same accesses in the same order, so a column's rate does not
+// depend on the others.
+func valueReuseRates(bench string, cols []reuseColumn, budget uint64) ([]float64, error) {
 	wl, err := workload.Get(bench)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	const parts = 8
 	il := geom.MustInterleaver(parts)
-	caches := make([]*valcache.Cache, parts)
-	for i := range caches {
-		caches[i], err = valcache.New(cfg)
-		if err != nil {
-			return 0, err
+	caches := make([][parts]*valcache.Cache, len(cols))
+	for i, c := range cols {
+		for p := range caches[i] {
+			if caches[i][p], err = valcache.New(c.cfg); err != nil {
+				return nil, err
+			}
 		}
 	}
-	var accesses, reused uint64
+	var accesses uint64
+	reused := make([]uint64, len(cols))
 	buf := make([]byte, geom.SectorSize)
+	var seen []geom.Addr // the current instruction's sectors so far
 	var issued uint64
 	for w := 0; w < wl.Warps() && issued < budget; w++ {
 		for issued < budget {
@@ -184,38 +192,38 @@ func valueReuseRate(bench string, cfg valcache.Config, budget uint64) (float64, 
 			if inst.Kind == gpusim.Compute {
 				continue
 			}
-			seen := map[geom.Addr]bool{}
+			seen = seen[:0]
 			for _, a := range inst.Addrs {
 				s := geom.SectorAddr(a)
-				if seen[s] {
+				if slices.Contains(seen, s) {
 					continue
 				}
-				seen[s] = true
-				vc := caches[il.Partition(s)]
+				seen = append(seen, s)
 				for k := 0; k < geom.SectorSize/4; k++ {
-					v := wl.MemValue(s + geom.Addr(k*4))
-					buf[k*4] = byte(v)
-					buf[k*4+1] = byte(v >> 8)
-					buf[k*4+2] = byte(v >> 16)
-					buf[k*4+3] = byte(v >> 24)
+					binary.LittleEndian.PutUint32(buf[k*4:], wl.MemValue(s+geom.Addr(k*4)))
 				}
 				accesses++
-				if inst.Kind == gpusim.Load && vc.VerifySector(buf).Verified {
-					reused++
+				part := il.Partition(s)
+				for i := range caches {
+					vc := caches[i][part]
+					if inst.Kind == gpusim.Load && vc.VerifySector(buf).Verified {
+						reused[i]++
+					}
+					vc.ObserveSector(buf)
 				}
-				vc.ObserveSector(buf)
 			}
 		}
 	}
-	if accesses == 0 {
-		return 0, nil
+	rates := make([]float64, len(cols))
+	for i, n := range reused {
+		rates[i] = float64(n) / float64(max(accesses, 1))
 	}
-	return float64(reused) / float64(accesses), nil
+	return rates, nil
 }
 
 // Fig10 reproduces the read/write request mix.
 func Fig10(r *Runner) (string, error) {
-	sc := secmem.Baseline(pb(r))
+	sc := secmem.Baseline(ProtectedBytes)
 	if err := r.runMatrix([]secmem.Config{sc}); err != nil {
 		return "", err
 	}
@@ -240,17 +248,17 @@ func Fig10(r *Runner) (string, error) {
 // Fig15 isolates value-based integrity verification.
 func Fig15(r *Runner) (string, error) {
 	return r.ipcTable("IPC normalized to no security: PSSM vs PSSM+value-verification",
-		[]secmem.Config{secmem.Baseline(pb(r)), secmem.PSSM(pb(r)), secmem.PlutusValueOnly(pb(r))})
+		[]secmem.Config{secmem.Baseline(ProtectedBytes), secmem.PSSM(ProtectedBytes), secmem.PlutusValueOnly(ProtectedBytes)})
 }
 
 // Fig16 isolates the three metadata-granularity designs.
 func Fig16(r *Runner) (string, error) {
 	return r.ipcTable("IPC normalized to no security: metadata-block granularity",
 		[]secmem.Config{
-			secmem.Baseline(pb(r)),
-			secmem.PSSM(pb(r)), // all-128B
-			secmem.PlutusFineGrain(pb(r), secmem.GranCtr32BMT128),
-			secmem.PlutusFineGrain(pb(r), secmem.GranAll32),
+			secmem.Baseline(ProtectedBytes),
+			secmem.PSSM(ProtectedBytes), // all-128B
+			secmem.PlutusFineGrain(ProtectedBytes, secmem.GranCtr32BMT128),
+			secmem.PlutusFineGrain(ProtectedBytes, secmem.GranAll32),
 		})
 }
 
@@ -258,11 +266,11 @@ func Fig16(r *Runner) (string, error) {
 func Fig17(r *Runner) (string, error) {
 	return r.ipcTable("IPC normalized to no security: compact mirrored counters",
 		[]secmem.Config{
-			secmem.Baseline(pb(r)),
-			secmem.PSSM(pb(r)),
-			secmem.PlutusCompact(pb(r), counters.Compact2Bit),
-			secmem.PlutusCompact(pb(r), counters.Compact3Bit),
-			secmem.PlutusCompact(pb(r), counters.Compact3BitAdaptive),
+			secmem.Baseline(ProtectedBytes),
+			secmem.PSSM(ProtectedBytes),
+			secmem.PlutusCompact(ProtectedBytes, counters.Compact2Bit),
+			secmem.PlutusCompact(ProtectedBytes, counters.Compact3Bit),
+			secmem.PlutusCompact(ProtectedBytes, counters.Compact3BitAdaptive),
 		})
 }
 
@@ -270,15 +278,15 @@ func Fig17(r *Runner) (string, error) {
 func Fig18(r *Runner) (string, error) {
 	table, err := r.ipcTable("IPC normalized to no security: Plutus overall",
 		[]secmem.Config{
-			secmem.Baseline(pb(r)),
-			secmem.PSSM(pb(r)),
-			secmem.CommonCtr(pb(r)),
-			secmem.Plutus(pb(r)),
+			secmem.Baseline(ProtectedBytes),
+			secmem.PSSM(ProtectedBytes),
+			secmem.CommonCtr(ProtectedBytes),
+			secmem.Plutus(ProtectedBytes),
 		})
 	if err != nil {
 		return "", err
 	}
-	sp, err := r.CompareSchemes(secmem.PSSM(pb(r)), secmem.Plutus(pb(r)))
+	sp, err := r.CompareSchemes(secmem.PSSM(ProtectedBytes), secmem.Plutus(ProtectedBytes))
 	if err != nil {
 		return "", err
 	}
@@ -290,7 +298,7 @@ func Fig18(r *Runner) (string, error) {
 
 // Fig19 reports the metadata-traffic reduction.
 func Fig19(r *Runner) (string, error) {
-	a, b := secmem.PSSM(pb(r)), secmem.Plutus(pb(r))
+	a, b := secmem.PSSM(ProtectedBytes), secmem.Plutus(ProtectedBytes)
 	if err := r.runMatrix([]secmem.Config{a, b}); err != nil {
 		return "", err
 	}
@@ -327,16 +335,16 @@ func Fig19(r *Runner) (string, error) {
 // Fig20 compares Plutus against Plutus with tree traffic eliminated.
 func Fig20(r *Runner) (string, error) {
 	return r.ipcTable("IPC normalized to no security: Plutus vs Plutus-without-tree-traffic",
-		[]secmem.Config{secmem.Baseline(pb(r)), secmem.Plutus(pb(r)), secmem.PlutusNoTree(pb(r))})
+		[]secmem.Config{secmem.Baseline(ProtectedBytes), secmem.Plutus(ProtectedBytes), secmem.PlutusNoTree(ProtectedBytes)})
 }
 
 // Fig21 sweeps the value-cache size.
 func Fig21(r *Runner) (string, error) {
 	sizes := []int{64, 128, 256, 512, 1024}
-	base := secmem.Baseline(pb(r))
+	base := secmem.Baseline(ProtectedBytes)
 	schemes := []secmem.Config{base}
 	for _, n := range sizes {
-		sc := secmem.PlutusValueOnly(pb(r))
+		sc := secmem.PlutusValueOnly(ProtectedBytes)
 		sc.Scheme = fmt.Sprintf("vc-%d", n)
 		sc.Value.Entries = n
 		schemes = append(schemes, sc)
@@ -364,7 +372,7 @@ func Fig21(r *Runner) (string, error) {
 
 // Fig22 reports normalized average power.
 func Fig22(r *Runner) (string, error) {
-	schemes := []secmem.Config{secmem.Baseline(pb(r)), secmem.PSSM(pb(r)), secmem.Plutus(pb(r))}
+	schemes := []secmem.Config{secmem.Baseline(ProtectedBytes), secmem.PSSM(ProtectedBytes), secmem.Plutus(ProtectedBytes)}
 	if err := r.runMatrix(schemes); err != nil {
 		return "", err
 	}
@@ -433,7 +441,7 @@ func Frontier(r *Runner) (string, error) {
 	names := secmem.Names()
 	schemes := make([]secmem.Config, 0, len(names))
 	for _, name := range names {
-		sc, err := secmem.ByName(name, pb(r))
+		sc, err := secmem.ByName(name, ProtectedBytes)
 		if err != nil {
 			return "", err
 		}
@@ -555,9 +563,9 @@ func AblationValueCache(r *Runner) (string, error) {
 // around the paper's 2 KiB (Table II) under PSSM: each of the counter,
 // MAC and tree caches at 1, 2, 4 and 8 KiB.
 func AblationMetaCache(r *Runner) (string, error) {
-	schemes := []secmem.Config{secmem.Baseline(pb(r))}
+	schemes := []secmem.Config{secmem.Baseline(ProtectedBytes)}
 	for _, kb := range []int{1, 2, 4, 8} {
-		sc := secmem.PSSM(pb(r))
+		sc := secmem.PSSM(ProtectedBytes)
 		if kb != 2 {
 			sc.Scheme = fmt.Sprintf("pssm-mc%d", kb)
 			sc.MetaCacheBytes = kb << 10

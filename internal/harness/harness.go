@@ -25,14 +25,22 @@ import (
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
+// ProtectedBytes is the per-partition protected range every run
+// simulates (paper: 4 GiB over 32 partitions = 128 MiB per partition).
+// Run keys still spell it out, so snapshot file names and result-store
+// addresses stay those of the runs already recorded.
+const ProtectedBytes = 128 << 20
+
+// DefaultInstructions is the warp-instruction budget of a Config that
+// sets none, and the budget results/ is generated at. The paper
+// simulates 2 G instructions on GPGPU-Sim; this budget keeps full
+// sweeps to minutes while preserving relative results.
+const DefaultInstructions = 20000
+
 // Config controls the experiment sweep.
 type Config struct {
-	// ProtectedBytes is the per-partition protected range (paper: 4 GiB
-	// over 32 partitions = 128 MiB per partition).
-	ProtectedBytes uint64
-	// MaxInstructions is the warp-instruction budget per run. The paper
-	// simulates 2 G instructions on GPGPU-Sim; the reproduction's default
-	// keeps full sweeps to minutes while preserving relative results.
+	// MaxInstructions is the warp-instruction budget per run (default
+	// DefaultInstructions).
 	MaxInstructions uint64
 	// Benchmarks lists the workloads to run (default: the full suite).
 	Benchmarks []string
@@ -68,28 +76,31 @@ type Config struct {
 	TamperPlan *tamper.Plan
 }
 
-// DefaultConfig returns the sweep configuration used by cmd/experiments.
+// DefaultConfig returns the default sweep: every suite benchmark at
+// DefaultInstructions, GOMAXPROCS simulations at a time.
 func DefaultConfig() Config {
 	var c Config
 	c.normalize()
 	return c
 }
 
-// normalize fills c's zero fields with the defaults. Only a missing
-// benchmark list allocates, so CacheKey can run it per key.
+// normalize fills c's zero fields with the defaults.
 func (c *Config) normalize() {
-	if c.ProtectedBytes == 0 {
-		c.ProtectedBytes = 128 << 20
-	}
-	if c.MaxInstructions == 0 {
-		c.MaxInstructions = 20000
-	}
+	c.MaxInstructions = c.budget()
 	if len(c.Benchmarks) == 0 {
 		c.Benchmarks = workload.SuiteNames()
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
+}
+
+// budget is c's instruction budget with the default applied.
+func (c Config) budget() uint64 {
+	if c.MaxInstructions == 0 {
+		return DefaultInstructions
+	}
+	return c.MaxInstructions
 }
 
 // coreShare is how many cores each of parallelism concurrent simulations
@@ -168,7 +179,7 @@ func NewRunner(cfg Config) *Runner {
 		sem:     make(chan struct{}, cfg.Parallelism),
 	}
 	for _, name := range secmem.Names() {
-		sc, err := secmem.ByName(name, cfg.ProtectedBytes)
+		sc, err := secmem.ByName(name, ProtectedBytes)
 		if err == nil {
 			err = sc.Normalize()
 		}
@@ -195,8 +206,7 @@ func (r *Runner) key(bench string, sc secmem.Config, seed uint64) string {
 // key holds the scheme's name only; a Runner keeps each name to one
 // configuration.
 func CacheKey(cfg Config, bench string, sc secmem.Config, seed uint64) string {
-	cfg.normalize()
-	k := fmt.Sprintf("%s|%s|%d|%d", bench, sc.Scheme, cfg.MaxInstructions, cfg.ProtectedBytes)
+	k := fmt.Sprintf("%s|%s|%d|%d", bench, sc.Scheme, cfg.budget(), ProtectedBytes)
 	if seed != 0 {
 		// Seed zero is the canonical workload instantiation (workload.Get);
 		// omitting it keeps every pre-seed cache key, snapshot filename,
@@ -262,7 +272,7 @@ func (r *Runner) RunSeededContext(ctx context.Context, bench string, sc secmem.C
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sc.ProtectedBytes = r.cfg.ProtectedBytes
+	sc.ProtectedBytes = ProtectedBytes
 	k := r.key(bench, sc, seed)
 	want := sc
 	if err := want.Normalize(); err != nil {
@@ -335,7 +345,7 @@ func (r *Runner) simulate(ctx context.Context, bench string, sc secmem.Config, s
 	} else {
 		gcfg = gpusim.ScaledConfig(sc)
 	}
-	gcfg.Sec.ProtectedBytes = r.cfg.ProtectedBytes
+	gcfg.Sec.ProtectedBytes = ProtectedBytes
 	gcfg.MaxInstructions = r.cfg.MaxInstructions
 	gcfg.Workers = coreShare(runtime.GOMAXPROCS(0), r.cfg.Parallelism)
 	gcfg.CheckpointEvery = r.cfg.CheckpointEvery

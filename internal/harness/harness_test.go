@@ -15,7 +15,6 @@ import (
 // tinyConfig keeps harness tests fast: two benchmarks, small budget.
 func tinyConfig() Config {
 	return Config{
-		ProtectedBytes:  128 << 20,
 		MaxInstructions: 3000,
 		Benchmarks:      []string{"bfs", "hotspot"},
 		Parallelism:     4,
@@ -226,18 +225,11 @@ func TestFig9ValueReuseOrdering(t *testing.T) {
 	// The masked scenario must pass at least as often as the unmasked
 	// 3-of-4, which must pass at least as often as all-8 (thresholds
 	// strictly relax left to right).
-	strict, err := valueReuseRate("bfs", valueCache(512, 0, 4), 2000)
+	rates, err := valueReuseRates("bfs", fig9Columns, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := valueReuseRate("bfs", valueCache(512, 0, 3), 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	masked, err := valueReuseRate("bfs", valueCache(512, 4, 3), 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	strict, loose, masked := rates[0], rates[1], rates[2]
 	if loose < strict {
 		t.Errorf("3-of-4 rate %.3f below all-8 rate %.3f", loose, strict)
 	}
@@ -246,6 +238,24 @@ func TestFig9ValueReuseOrdering(t *testing.T) {
 	}
 	if loose == 0 {
 		t.Error("bfs should show nonzero value reuse")
+	}
+}
+
+// TestReuseColumnsIndependent: one walk feeds every column's caches, and
+// each column's rate is the one a walk with that column alone measures.
+func TestReuseColumnsIndependent(t *testing.T) {
+	all, err := valueReuseRates("bfs", fig9Columns, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range fig9Columns {
+		alone, err := valueReuseRates("bfs", []reuseColumn{c}, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[0] != all[i] {
+			t.Errorf("%s: rate %v alone, %v beside the other columns", c.name, alone[0], all[i])
+		}
 	}
 }
 

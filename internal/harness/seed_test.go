@@ -13,7 +13,7 @@ import (
 func TestSeedZeroIsCanonical(t *testing.T) {
 	r := NewRunner(Config{Benchmarks: []string{"stream"}, MaxInstructions: 200})
 	sc := secmem.PSSM(0)
-	sc.ProtectedBytes = r.cfg.ProtectedBytes
+	sc.ProtectedBytes = ProtectedBytes
 	if k0, k := r.key("stream", sc, 0), "stream|pssm|200|134217728"; k0 != k {
 		t.Fatalf("seed-0 key = %q, want %q", k0, k)
 	}
@@ -38,7 +38,7 @@ func TestSeedZeroIsCanonical(t *testing.T) {
 func TestSeedIsACacheDimension(t *testing.T) {
 	r := NewRunner(Config{Benchmarks: []string{"bfs"}, MaxInstructions: 200})
 	sc := secmem.PSSM(0)
-	sc.ProtectedBytes = r.cfg.ProtectedBytes
+	sc.ProtectedBytes = ProtectedBytes
 	k1 := r.key("bfs", sc, 1)
 	k2 := r.key("bfs", sc, 2)
 	if k1 == k2 {

@@ -29,14 +29,13 @@ const statsGoldenBudget = 4000
 // ./internal/harness/`.
 func TestRunStatsGolden(t *testing.T) {
 	r := NewRunner(Config{
-		ProtectedBytes:  128 << 20,
 		MaxInstructions: statsGoldenBudget,
 		Benchmarks:      statsGoldenBenches,
 		Parallelism:     2,
 	})
 	var out strings.Builder
 	for _, name := range secmem.Names() {
-		sc, err := secmem.ByName(name, r.Config().ProtectedBytes)
+		sc, err := secmem.ByName(name, ProtectedBytes)
 		if err != nil {
 			t.Fatal(err)
 		}

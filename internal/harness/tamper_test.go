@@ -218,7 +218,7 @@ func TestTamperPlanCacheKey(t *testing.T) {
 	benign := NewRunner(Config{Benchmarks: []string{"stream"}})
 	attacked := NewRunner(Config{Benchmarks: []string{"stream"}, TamperPlan: testPlan(t)})
 	sc := secmem.Plutus(0)
-	sc.ProtectedBytes = benign.Config().ProtectedBytes
+	sc.ProtectedBytes = ProtectedBytes
 
 	kBenign := benign.key("stream", sc, 0)
 	kAttack := attacked.key("stream", sc, 0)

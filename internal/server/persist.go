@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
+	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
@@ -63,7 +64,7 @@ func (s *Server) writeRecord(p persistedJob) {
 // returned settled (for result serving); the rest are returned as
 // pending, to be re-enqueued. maxID is the highest numeric job id seen,
 // so fresh ids never collide with recovered ones.
-func recoverState(dir string, protectedBytes uint64) (settled, pending []*job, maxID int, err error) {
+func recoverState(dir string) (settled, pending []*job, maxID int, err error) {
 	ents, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, 0, nil
@@ -93,7 +94,7 @@ func recoverState(dir string, protectedBytes uint64) (settled, pending []*job, m
 		if _, serr := fmt.Sscanf(p.ID, "run-%06d", &n); serr == nil && n > maxID {
 			maxID = n
 		}
-		sc, serr := secmem.ByName(p.Request.Scheme, protectedBytes)
+		sc, serr := secmem.ByName(p.Request.Scheme, harness.ProtectedBytes)
 		if serr != nil {
 			return nil, nil, 0, fmt.Errorf("state record %s: %w", p.ID, serr)
 		}

@@ -26,15 +26,13 @@ import (
 func TestResultsSurviveRestart(t *testing.T) {
 	stateDir := t.TempDir()
 	hcfg := harness.Config{
-		ProtectedBytes:  128 << 20,
 		MaxInstructions: 3000,
 		Benchmarks:      []string{"bfs"},
 	}
 	scfg := server.Config{
-		Workers:        1,
-		QueueDepth:     2,
-		ProtectedBytes: hcfg.ProtectedBytes,
-		StateDir:       stateDir,
+		Workers:    1,
+		QueueDepth: 2,
+		StateDir:   stateDir,
 	}
 	ctx := context.Background()
 

@@ -55,9 +55,6 @@ type Config struct {
 	// MaxInstructions is the daemon's per-run budget, advertised in
 	// statsz and asserted against RunRequest.MaxInstructions.
 	MaxInstructions uint64
-	// ProtectedBytes resolves scheme names (default 128 MiB, matching
-	// the harness default per-partition protected range).
-	ProtectedBytes uint64
 	// StateDir, when set, persists every job to disk: finished jobs keep
 	// serving their results after a daemon restart, and jobs that were
 	// queued or running when the daemon died are re-enqueued on boot (a
@@ -107,9 +104,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.ProtectedBytes == 0 {
-		cfg.ProtectedBytes = 128 << 20
-	}
 	var settled, requeue []*job
 	var maxID int
 	if cfg.StateDir != "" {
@@ -117,7 +111,7 @@ func New(cfg Config) *Server {
 			panic(fmt.Sprintf("server: state dir: %v", err))
 		}
 		var err error
-		settled, requeue, maxID, err = recoverState(cfg.StateDir, cfg.ProtectedBytes)
+		settled, requeue, maxID, err = recoverState(cfg.StateDir)
 		if err != nil {
 			panic(fmt.Sprintf("server: recover state: %v", err))
 		}
@@ -313,14 +307,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate before enqueue: a job that reaches the queue can only
 	// fail in simulation, never on name resolution.
-	if _, err := workload.Get(req.Benchmark); err != nil {
+	if err := workload.Check(req.Benchmark); err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error:           err.Error(),
 			ValidBenchmarks: workload.Names(),
 		})
 		return
 	}
-	sc, err := secmem.ByName(req.Scheme, s.cfg.ProtectedBytes)
+	sc, err := secmem.ByName(req.Scheme, harness.ProtectedBytes)
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error:        err.Error(),
@@ -378,11 +372,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // jobs ahead of the caller. Deliberately coarse — it is advice, not a
 // reservation.
 func (s *Server) retryAfterLocked() int {
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return 1 + s.queued/workers
+	return 1 + s.queued/s.cfg.Workers
 }
 
 func (s *Server) lookup(r *http.Request) (*job, bool) {
@@ -482,6 +472,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.statsz())
+}
+
+// statsz snapshots the server's counters, as /debug/statsz serves them
+// and /metrics renders them.
+func (s *Server) statsz() Statsz {
 	s.mu.Lock()
 	sz := Statsz{
 		QueueDepth:      s.queued,
@@ -507,5 +503,5 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		m := mb.Metrics()
 		sz.Cache = &CacheStatsz{Lookups: m.Lookups, Executions: m.Executions, HitRate: m.HitRate()}
 	}
-	WriteJSON(w, http.StatusOK, sz)
+	return sz
 }

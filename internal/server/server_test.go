@@ -195,7 +195,6 @@ func asQueueFull(err error, out **client.QueueFullError) bool {
 // locally for the same run through the shared harness renderers.
 func TestResultByteIdenticalToCLI(t *testing.T) {
 	hcfg := harness.Config{
-		ProtectedBytes:  128 << 20,
 		MaxInstructions: 3000,
 		Benchmarks:      []string{"bfs"},
 		Parallelism:     2,
@@ -205,7 +204,6 @@ func TestResultByteIdenticalToCLI(t *testing.T) {
 		Workers:         2,
 		QueueDepth:      4,
 		MaxInstructions: hcfg.MaxInstructions,
-		ProtectedBytes:  hcfg.ProtectedBytes,
 	}, nil)
 	ctx := context.Background()
 
@@ -223,7 +221,7 @@ func TestResultByteIdenticalToCLI(t *testing.T) {
 
 	// Independent local "CLI" rendering of the identical run.
 	local := harness.NewRunner(hcfg)
-	sc := secmem.PSSM(hcfg.ProtectedBytes)
+	sc := secmem.PSSM(harness.ProtectedBytes)
 	lst, err := local.Run("bfs", sc)
 	if err != nil {
 		t.Fatal(err)
@@ -433,16 +431,14 @@ func TestOversizeBodyIs413(t *testing.T) {
 // visible through /debug/statsz's cache block.
 func TestStatszReportsCacheHitRate(t *testing.T) {
 	hcfg := harness.Config{
-		ProtectedBytes:  128 << 20,
 		MaxInstructions: 3000,
 		Benchmarks:      []string{"bfs"},
 		Parallelism:     2,
 	}
 	_, c := startServer(t, server.Config{
-		Backend:        harness.NewRunner(hcfg),
-		Workers:        1,
-		QueueDepth:     2,
-		ProtectedBytes: hcfg.ProtectedBytes,
+		Backend:    harness.NewRunner(hcfg),
+		Workers:    1,
+		QueueDepth: 2,
 	}, nil)
 	ctx := context.Background()
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
+	"github.com/plutus-gpu/plutus/internal/harness"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
@@ -29,10 +30,10 @@ func (s *Server) snapshotQuery(r *http.Request) (path string, err error) {
 		return "", errors.New("snapshots unavailable: daemon runs without checkpointing (-state-dir/-checkpoint-every)")
 	}
 	bench := r.URL.Query().Get("benchmark")
-	if _, err := workload.Get(bench); err != nil {
+	if err := workload.Check(bench); err != nil {
 		return "", err
 	}
-	sc, err := secmem.ByName(r.URL.Query().Get("scheme"), s.cfg.ProtectedBytes)
+	sc, err := secmem.ByName(r.URL.Query().Get("scheme"), harness.ProtectedBytes)
 	if err != nil {
 		return "", err
 	}

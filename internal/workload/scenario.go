@@ -118,7 +118,7 @@ func genDNNInfer(seed uint64, w int, step uint64) gpusim.Inst {
 func genMultiTenant(seed uint64, w int, step uint64) gpusim.Inst {
 	tenant := uint64(w % 4)
 	space := tenant << 26 // 64 MiB per tenant, 256 MiB total
-	fp := uint64(32 << 20)
+	fp := uint64(32 * mib)
 	h := valmodel.Hash2(seed^tenant, uint64(w)<<32|step)
 
 	if h%10 < 3 {
@@ -165,7 +165,7 @@ func genMultiTenant(seed uint64, w int, step uint64) gpusim.Inst {
 func genPhase(seed uint64, w int, step uint64) gpusim.Inst {
 	const phaseLen = 128
 	phase := step / phaseLen % 3
-	fp := uint64(64 << 20)
+	fp := uint64(64 * mib)
 	h := valmodel.Hash2(seed^phase, uint64(w)<<32|step)
 
 	switch phase {
@@ -210,7 +210,7 @@ func genPhase(seed uint64, w int, step uint64) gpusim.Inst {
 // — the regime where lazy verification windows are widest.
 func genAttackLoad(seed uint64, w int, step uint64) gpusim.Inst {
 	const window = uint64(1 << 20) // probed window
-	fp := uint64(128 << 20)
+	fp := uint64(128 * mib)
 	h := valmodel.Hash2(seed, uint64(w)<<32|step)
 
 	if w >= 20 { // probe warps

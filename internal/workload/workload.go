@@ -385,6 +385,19 @@ func GetSeeded(name string, seed uint64) (gpusim.Workload, error) {
 	return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
 }
 
+// Check reports whether Get would instantiate name, with Get's error
+// when it would not. A registered name is a map lookup that builds
+// nothing; anything else goes through Get, so a `trace:` file is opened
+// and validated as its run would open it. Servers call it to refuse a
+// request before queueing it.
+func Check(name string) error {
+	if _, ok := registry[name]; ok {
+		return nil
+	}
+	_, err := Get(name)
+	return err
+}
+
 // MustGet is Get for tests and static tables.
 func MustGet(name string) gpusim.Workload {
 	b, err := Get(name)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -80,6 +81,32 @@ func TestTraceSeedRejected(t *testing.T) {
 	if _, err := GetSeeded("trace:/nonexistent.pltr", 7); err == nil ||
 		!strings.Contains(err.Error(), "seedless") {
 		t.Fatalf("seeded trace replay should be rejected, got %v", err)
+	}
+}
+
+// TestCheckRegisteredBuildsNothing: every listed name checks clean, and
+// checking a registered name instantiates nothing.
+func TestCheckRegisteredBuildsNothing(t *testing.T) {
+	for _, n := range Names() {
+		if err := Check(n); err != nil {
+			t.Fatalf("Check(%q): %v", n, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Check("bfs") }); n != 0 {
+		t.Errorf("Check of a registered name allocates %v times per call, want 0", n)
+	}
+}
+
+// TestCheckFailsAsGet: a name Get refuses, Check refuses with Get's
+// exact error — an unknown name, and a trace path that does not exist.
+func TestCheckFailsAsGet(t *testing.T) {
+	missing := "trace:" + filepath.Join(t.TempDir(), "missing.pltr")
+	for _, name := range []string{"nope", missing} {
+		_, want := Get(name)
+		got := Check(name)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("Check(%q) = %v, want Get's error %v", name, got, want)
+		}
 	}
 }
 
