@@ -17,8 +17,11 @@
 # when the head's alloc_mb on any of the four workloads is above the
 # base's by more than its bound (alloc_mb varies by well under its bound
 # between runs, so the sweep-graph medians and the one pair of each other
-# workload decide). A base that has no perfbench/run.sh is skipped with
-# a notice.
+# workload decide). summary.json also lists both sides' peak_rss_mb,
+# op_mean_ms and setup_s for every pair of every workload, under
+# "spread"; no gate reads them, they collect the run-to-run spread of
+# metrics a single CI run cannot resolve. A base that has no
+# perfbench/run.sh is skipped with a notice.
 set -euo pipefail
 [ $# -eq 3 ] || { echo "usage: $0 BASE_DIR HEAD_DIR OUT_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -77,6 +80,7 @@ jq -n --argjson bound "$bound" --argjson alloc_bound "$alloc_bound" \
 	--slurpfile br "$out/base-resume.jsonl" --slurpfile hr "$out/head-resume.jsonl" \
 	--slurpfile bc "$out/base-cells.jsonl" --slurpfile hc "$out/head-cells.jsonl" '
 	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	def spread: map({peak_rss_mb: .metrics.peak_rss_mb.value, op_mean_ms: .metrics.op_mean_ms.value, setup_s: .metrics.setup_s.value});
 	($b | map(.metrics.kinsts_per_s.value)) as $base
 	| ($h | map(.metrics.kinsts_per_s.value)) as $head
 	| {base: $base, head: $head, base_median: ($base | median), head_median: ($head | median),
@@ -85,7 +89,11 @@ jq -n --argjson bound "$bound" --argjson alloc_bound "$alloc_bound" \
 	   head_alloc_mb_median: ($h | map(.metrics.alloc_mb.value) | median), alloc_bound: $alloc_bound,
 	   base_write_alloc_mb: $bw[0].metrics.alloc_mb.value, head_write_alloc_mb: $hw[0].metrics.alloc_mb.value,
 	   base_resume_alloc_mb: $br[0].metrics.alloc_mb.value, head_resume_alloc_mb: $hr[0].metrics.alloc_mb.value,
-	   base_cells_alloc_mb: $bc[0].metrics.alloc_mb.value, head_cells_alloc_mb: $hc[0].metrics.alloc_mb.value}
+	   base_cells_alloc_mb: $bc[0].metrics.alloc_mb.value, head_cells_alloc_mb: $hc[0].metrics.alloc_mb.value,
+	   spread: {"sweep-graph": {base: ($b | spread), head: ($h | spread)},
+	            "sweep-write": {base: ($bw | spread), head: ($hw | spread)},
+	            "trace-resume": {base: ($br | spread), head: ($hr | spread)},
+	            "serve-cells": {base: ($bc | spread), head: ($hc | spread)}}}
 	| .regressed = (.head_wins == 0 and .head_median < .base_median * (1 - $bound))
 	| .alloc_regressed = (.head_alloc_mb_median > .base_alloc_mb_median * (1 + $alloc_bound))
 	| .write_alloc_regressed = (.head_write_alloc_mb > .base_write_alloc_mb * (1 + $alloc_bound))

@@ -220,6 +220,72 @@ func TestSortedKeys(t *testing.T) {
 	}
 }
 
+// TestWriterMatchesFile: sections walked straight into a Writer give
+// the bytes of the same walks marshalled one by one into a File, a
+// walk's error reaches Finish, and a Writer sized too small still
+// writes the whole file.
+func TestWriterMatchesFile(t *testing.T) {
+	walks := []struct {
+		name string
+		walk func(*Codec)
+	}{
+		{"meta", func(c *Codec) {
+			v, s := uint64(0xdeadbeefcafe), "plutus"
+			c.U64(&v)
+			c.String(&s)
+		}},
+		{"part0", func(c *Codec) { c.Bytes([]byte("partition zero state")) }},
+		{"part1", func(*Codec) {}},
+	}
+	f := &File{}
+	for _, s := range walks {
+		p, err := Marshal(s.walk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Add(s.name, p)
+	}
+	want := f.Encode()
+	for _, size := range []int{0, len(want)} {
+		w := NewWriter(size)
+		for _, s := range walks {
+			w.Section(s.name, s.walk)
+		}
+		got, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("Writer sized %d: %x, want %x", size, got, want)
+		}
+	}
+
+	w := NewWriter(0)
+	w.Section("meta", walks[0].walk)
+	w.Section("bad", func(c *Codec) { c.Corrupt("walk failed") })
+	w.Section("part0", walks[1].walk)
+	if _, err := w.Finish(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Finish after a failed walk: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeAliasesInput: Decode copies no payload, so a section read
+// after its input changed shows the change.
+func TestDecodeAliasesInput(t *testing.T) {
+	data := sampleFile().Encode()
+	f, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := f.Section("part0")
+	for i := range data {
+		data[i] = 'x'
+	}
+	if string(p) != "xxxxxxxxxxxxxxxxxxxx" {
+		t.Fatalf("part0 = %q after its input changed, want it to alias the input", p)
+	}
+}
+
 func TestDuplicateSectionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

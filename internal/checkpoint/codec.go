@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -14,7 +13,7 @@ import (
 // footer, and the value model are written through a Codec walk; only
 // trace chunk records use a Decoder directly.
 type Encoder struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
 // NewEncoder returns an empty Encoder.
@@ -22,27 +21,16 @@ func NewEncoder() *Encoder { return &Encoder{} }
 
 // Data returns the bytes encoded so far. The slice aliases the
 // encoder's buffer; callers hand it to File.Add and stop appending.
-func (e *Encoder) Data() []byte { return e.buf.Bytes() }
-
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return e.buf.Len() }
+func (e *Encoder) Data() []byte { return e.buf }
 
 // U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf.WriteByte(v) }
+func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
 // U32 appends a little-endian uint32.
-func (e *Encoder) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
 // U64 appends a little-endian uint64.
-func (e *Encoder) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 // Bool appends a bool as one byte (0 or 1).
 func (e *Encoder) Bool(v bool) {
@@ -56,13 +44,13 @@ func (e *Encoder) Bool(v bool) {
 // Bytes appends a u32 length prefix followed by p.
 func (e *Encoder) Bytes(p []byte) {
 	e.U32(uint32(len(p)))
-	e.buf.Write(p)
+	e.buf = append(e.buf, p...)
 }
 
 // String appends s with a u32 length prefix.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
-	e.buf.WriteString(s)
+	e.buf = append(e.buf, s...)
 }
 
 // Decoder reads fields written by Encoder. Errors are sticky: after the

@@ -70,24 +70,105 @@ func (f *File) Sections() []Section { return f.sections }
 
 // Encode serializes the file, trailer and checksums included.
 func (f *File) Encode() []byte {
-	e := NewEncoder()
-	e.buf.WriteString(fileMagic)
-	e.U32(Version)
-	e.U32(uint32(len(f.sections)))
+	size := minFileLen
 	for _, s := range f.sections {
-		e.String(s.Name)
-		e.U64(uint64(len(s.Payload)))
-		e.buf.Write(s.Payload)
-		e.U32(crc32.ChecksumIEEE(s.Payload))
+		size += 4 + len(s.Name) + 8 + len(s.Payload) + 4
 	}
-	e.buf.WriteString(trailerMagic)
-	e.U32(crc32.ChecksumIEEE(e.Data()))
-	return e.Data()
+	w := NewWriter(size)
+	for _, s := range f.sections {
+		at := w.begin(s.Name)
+		w.e.buf = append(w.e.buf, s.Payload...)
+		w.end(at)
+	}
+	return w.close()
+}
+
+// Writer writes one snapshot file in a single pass. Each section's walk
+// encodes straight into the file buffer; its payload length is
+// back-patched and its CRC taken over the bytes just written, so a
+// snapshot costs one buffer of about its own size, not a buffer per
+// section plus a copy of each into the file. It is the one place the
+// file layout above is written.
+type Writer struct {
+	e     Encoder
+	names []string
+	err   error
+}
+
+// NewWriter starts a snapshot file in a buffer with room for size
+// bytes; the buffer grows if the file turns out larger.
+func NewWriter(size int) *Writer {
+	w := &Writer{e: Encoder{buf: make([]byte, 0, max(size, minFileLen))}}
+	w.e.buf = append(w.e.buf, fileMagic...)
+	w.e.U32(Version)
+	w.e.U32(0) // the section count, patched by close
+	return w
+}
+
+// Section appends a section whose payload is walk's encoding. Adding two
+// sections with the same name is a programming error and panics, as in
+// File.Add. After a walk records an error, later sections are skipped
+// and Finish returns that error.
+func (w *Writer) Section(name string, walk func(*Codec)) {
+	if w.err != nil {
+		return
+	}
+	at := w.begin(name)
+	c := Codec{e: &w.e}
+	walk(&c)
+	if c.err != nil {
+		w.err = c.err
+		return
+	}
+	w.end(at)
+}
+
+// Finish returns the file, which belongs to the caller, or the first
+// error a section's walk recorded.
+func (w *Writer) Finish() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.close(), nil
+}
+
+// begin writes a section's name and a placeholder payload length, and
+// returns the placeholder's offset for end.
+func (w *Writer) begin(name string) int {
+	for _, n := range w.names {
+		if n == name {
+			panic("checkpoint: duplicate section " + name)
+		}
+	}
+	w.names = append(w.names, name)
+	w.e.String(name)
+	at := len(w.e.buf)
+	w.e.U64(0)
+	return at
+}
+
+// end patches the length of the payload written since begin and
+// appends its CRC.
+func (w *Writer) end(at int) {
+	payload := w.e.buf[at+8:]
+	binary.LittleEndian.PutUint64(w.e.buf[at:], uint64(len(payload)))
+	w.e.U32(crc32.ChecksumIEEE(payload))
+}
+
+// close patches the section count and appends the trailer and the file
+// CRC.
+func (w *Writer) close() []byte {
+	binary.LittleEndian.PutUint32(w.e.buf[12:], uint32(len(w.names)))
+	w.e.buf = append(w.e.buf, trailerMagic...)
+	w.e.U32(crc32.ChecksumIEEE(w.e.buf))
+	return w.e.buf
 }
 
 // Decode parses and verifies a snapshot. It never returns partially
 // decoded state: any failure yields a nil File and one of the typed
-// errors (ErrTruncated, ErrCorrupt, ErrVersion).
+// errors (ErrTruncated, ErrCorrupt, ErrVersion). It copies nothing: the
+// File's section payloads alias data, so the caller must leave data
+// unchanged for as long as it reads them.
 func Decode(data []byte) (*File, error) {
 	if len(data) < minFileLen {
 		return nil, fmt.Errorf("%d bytes, need at least %d: %w", len(data), minFileLen, ErrTruncated)
@@ -130,10 +211,7 @@ func Decode(data []byte) (*File, error) {
 		if _, dup := f.Section(name); dup {
 			return nil, fmt.Errorf("duplicate section %q: %w", name, ErrCorrupt)
 		}
-		// Copy so the File does not alias the caller's buffer.
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		f.Add(name, p)
+		f.Add(name, payload[:len(payload):len(payload)])
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("section table: %w", err)

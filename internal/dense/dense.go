@@ -3,9 +3,9 @@
 // previously kept this state in Go maps, whose hashing and pointer-ful
 // buckets dominated both CPU (map probes on every access) and GC cost
 // (scan work proportional to resident state). These stores replace them
-// with flat pages allocated on first touch: O(1) array indexing, noscan
-// page payloads, and a deterministic ascending-index walk for snapshot
-// encoding.
+// with flat pages allocated on first touch (and, for 32 B records, a
+// slab grown one chunk at a time): O(1) array indexing, noscan payloads,
+// and a deterministic ascending-index walk for snapshot encoding.
 //
 // All stores share the map semantics the callers relied on: a key that
 // was never written reads as the zero value, and explicit presence (where
@@ -20,8 +20,12 @@ import (
 )
 
 // pageBits sizes one page at 4096 entries: large enough that page-table
-// indirection is negligible, small enough that sparse touch patterns do
-// not balloon memory.
+// indirection is negligible. A touched page costs its whole size however
+// few of its entries are set: 512 B for a Bitmap, 16 KiB for a U32 or a
+// Sectors index, 32 KiB for a U64. Sectors keeps its 32 B records out of
+// the pages, in a slab: a record page of 4096 would cost 128 KiB, and
+// the simulator's memory images fill a tenth to a third of the pages
+// they touch.
 const pageBits = 12
 const pageSize = 1 << pageBits
 const pageMask = pageSize - 1
@@ -193,14 +197,35 @@ func (v *U32) Set(i uint64, x uint32) {
 // 32 B DRAM sector).
 const SectorBytes = 32
 
-// Sectors is a lazily-paged store of 32-byte records with explicit
-// presence, replacing map[addr][]byte DRAM images. Pages are flat byte
-// arrays (noscan: the GC never walks them), and Lookup returns a slice
-// aliasing page storage so callers mutate records in place without
-// copying.
+// chunkBits sizes one slab chunk of a Sectors store at 512 records
+// (16 KiB).
+const chunkBits = 9
+const chunkRecords = 1 << chunkBits
+const chunkMask = chunkRecords - 1
+
+// Sectors is a store of 32-byte records with explicit presence,
+// replacing map[addr][]byte DRAM images. The records sit in a slab of
+// fixed-size chunks in first-Put order, reached through a paged int32
+// slot index (a record's number plus one; zero is absent) and a present
+// bitmap for the ascending walk. An image therefore costs its records
+// plus 4 B per slot of every touched index page, not a whole record page
+// per touched page. The slab is flat bytes (noscan: the GC never walks
+// it), and Lookup returns a slice aliasing it so callers mutate records
+// in place without copying. A store holds fewer than 2^31 records.
 type Sectors struct {
-	pages   [][]byte
+	index   [][]int32
+	chunks  [][]byte
+	n       int32 // records in the slab
 	present Bitmap
+}
+
+// record returns record r of the slab.
+//
+//simlint:hotpath
+func (s *Sectors) record(r int32) []byte {
+	c := s.chunks[r>>chunkBits]
+	o := int(r&chunkMask) * SectorBytes
+	return c[o : o+SectorBytes : o+SectorBytes]
 }
 
 // Lookup returns the record at index i and whether it is present. The
@@ -209,12 +234,15 @@ type Sectors struct {
 //
 //simlint:hotpath
 func (s *Sectors) Lookup(i uint64) ([]byte, bool) {
-	if !s.present.Get(i) {
+	p := i >> pageBits
+	if p >= uint64(len(s.index)) || s.index[p] == nil {
 		return nil, false
 	}
-	pg := s.pages[i>>pageBits]
-	o := (i & pageMask) * SectorBytes
-	return pg[o : o+SectorBytes : o+SectorBytes], true
+	r := s.index[p][i&pageMask]
+	if r == 0 {
+		return nil, false
+	}
+	return s.record(r - 1), true
 }
 
 // Put marks record i present and returns its 32-byte slice for the
@@ -223,29 +251,34 @@ func (s *Sectors) Lookup(i uint64) ([]byte, bool) {
 //simlint:hotpath
 func (s *Sectors) Put(i uint64) []byte {
 	p := i >> pageBits
-	for uint64(len(s.pages)) <= p {
-		s.pages = append(s.pages, nil)
+	for uint64(len(s.index)) <= p {
+		s.index = append(s.index, nil)
 	}
-	if s.pages[p] == nil {
-		s.pages[p] = newPage[byte](pageSize * SectorBytes)
+	if s.index[p] == nil {
+		s.index[p] = newPage[int32](pageSize)
 	}
-	s.present.Set(i)
-	o := (i & pageMask) * SectorBytes
-	return s.pages[p][o : o+SectorBytes : o+SectorBytes]
+	slot := &s.index[p][i&pageMask]
+	if *slot == 0 {
+		if s.n&chunkMask == 0 {
+			s.chunks = append(s.chunks, newPage[byte](chunkRecords*SectorBytes))
+		}
+		s.n++
+		*slot = s.n
+		s.present.Set(i)
+	}
+	return s.record(*slot - 1)
 }
 
 // Count returns the number of present records.
 //
 //simlint:hotpath
-func (s *Sectors) Count() int { return s.present.Count() }
+func (s *Sectors) Count() int { return int(s.n) }
 
 // ForEach calls fn for every present record in ascending index order.
 // The slice passed to fn aliases store memory.
 func (s *Sectors) ForEach(fn func(i uint64, rec []byte)) {
 	s.present.ForEach(func(i uint64) {
-		pg := s.pages[i>>pageBits]
-		o := (i & pageMask) * SectorBytes
-		fn(i, pg[o:o+SectorBytes:o+SectorBytes])
+		fn(i, s.record(s.index[i>>pageBits][i&pageMask]-1))
 	})
 }
 
@@ -290,8 +323,9 @@ func (b *Bitmap) WalkSet(c *checkpoint.Codec, limit uint64) {
 
 // Walk walks the store as a count, then (byte address, 32 B record)
 // pairs in ascending order: the layout of the address-keyed maps it
-// replaced. Decoding rebuilds the store, and fails with ErrCorrupt on a
-// record index at or past limit.
+// replaced. Decoding rebuilds the store, its slab in the order the
+// records arrive, and fails with ErrCorrupt on a record index at or past
+// limit.
 func (s *Sectors) Walk(c *checkpoint.Codec, limit uint64) {
 	n := s.Count()
 	c.Len(&n, limit, 8+4+SectorBytes)

@@ -2,6 +2,7 @@ package dense
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -172,6 +173,34 @@ func TestSectors(t *testing.T) {
 	}
 }
 
+// TestSparseSectorsCostTheirRecords: a store holding one record in
+// every ten slots allocates its records, its index pages and its
+// bitmap, not a 128 KiB record page for each 4096 slots it touches.
+func TestSparseSectorsCostTheirRecords(t *testing.T) {
+	const slots = 256 * pageSize
+	var s Sectors
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := uint64(0); i < slots; i += 10 {
+		s.Put(i)[0] = byte(i)
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	records := uint64(s.Count()) * SectorBytes
+	index := uint64(slots/pageSize) * (pageSize*4 + pageSize/8)
+	if want := (records + index) * 11 / 10; got > want {
+		t.Fatalf("%d records over %d slots allocated %d B, want at most %d (records %d, index and bitmap %d)",
+			s.Count(), slots, got, want, records, index)
+	}
+	for i := uint64(0); i < slots; i++ {
+		rec, ok := s.Lookup(i)
+		if ok != (i%10 == 0) || ok && rec[0] != byte(i) {
+			t.Fatalf("Lookup(%d) = %x, %v", i, rec, ok)
+		}
+	}
+}
+
 // walkAll walks a bitmap, a payload-carrying bitmap and a sector store
 // under one limit.
 func walkAll(b, m *Bitmap, vals *U64, s *Sectors, limit uint64) func(*checkpoint.Codec) {
@@ -250,7 +279,7 @@ func TestWalkRejectsHostileInput(t *testing.T) {
 		if err := checkpoint.Unmarshal(e.Data(), walkAll(&b, &m, &vals, &s, limit)); !errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
-		if len(b.pages) > 0 || len(s.pages) > 0 {
+		if len(b.pages) > 0 || len(s.index) > 0 || len(s.chunks) > 0 {
 			t.Errorf("%s: pages allocated from a rejected input", name)
 		}
 	}

@@ -241,18 +241,26 @@ func (g *GPU) requestsError() error {
 
 // WriteSnapshot serializes the complete simulator state as a
 // self-describing snapshot file. The GPU must be quiescent (drained epoch
-// boundary); RunWithCheckpoints arranges that before calling it.
+// boundary); RunWithCheckpoints arranges that before calling it. The
+// file is written in one pass into a buffer sized from the previous
+// snapshot, and the returned slice belongs to the caller.
 func (g *GPU) WriteSnapshot() ([]byte, error) {
-	f := &checkpoint.File{}
+	w := checkpoint.NewWriter(g.snapshotLen + g.snapshotLen/snapshotHeadroom)
 	for _, s := range g.sections() {
-		data, err := checkpoint.Marshal(s.walk)
-		if err != nil {
-			return nil, err
-		}
-		f.Add(s.name, data)
+		w.Section(s.name, s.walk)
 	}
-	return f.Encode(), nil
+	data, err := w.Finish()
+	if err != nil {
+		return nil, err
+	}
+	g.snapshotLen = len(data)
+	return data, nil
 }
+
+// snapshotHeadroom sizes a snapshot's buffer at 1/snapshotHeadroom more
+// than the previous snapshot. A run's images only grow, and after its
+// first few snapshots by less than that between two of them.
+const snapshotHeadroom = 8
 
 // ResumeSnapshot builds a GPU from cfg and wl and restores the state in
 // data, a snapshot previously produced by WriteSnapshot under the same
@@ -261,7 +269,8 @@ func (g *GPU) WriteSnapshot() ([]byte, error) {
 // cycle when run; by the deterministic-replay guarantee its remaining
 // execution, statistics, and later snapshots are byte-identical to the
 // run the snapshot was taken from. On any error the half-restored GPU is
-// discarded.
+// discarded. data is only read: the GPU keeps no reference to it, so the
+// caller may reuse it as soon as ResumeSnapshot returns.
 func ResumeSnapshot(cfg Config, wl Workload, data []byte) (*GPU, error) {
 	f, err := checkpoint.Decode(data)
 	if err != nil {
@@ -280,6 +289,7 @@ func ResumeSnapshot(cfg Config, wl Workload, data []byte) (*GPU, error) {
 			return nil, fmt.Errorf("gpusim: %s section: %w", s.name, err)
 		}
 	}
+	g.snapshotLen = len(data)
 	return g, nil
 }
 

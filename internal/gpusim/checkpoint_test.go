@@ -75,11 +75,18 @@ func runCheckpointed(t *testing.T, cfg Config) (*stats.Stats, []snap) {
 
 // resumeAndFinish restores snapshot s under cfg with a fresh workload and
 // runs to completion, collecting the snapshots taken after the resume.
+// It restores from a copy of s and overwrites the copy before running,
+// so every resume test also checks that a restored GPU keeps no
+// reference to the bytes it was restored from.
 func resumeAndFinish(t *testing.T, cfg Config, s snap) (*stats.Stats, []snap) {
 	t.Helper()
-	g, err := ResumeSnapshot(cfg, newScript(8, ckptScript()), s.data)
+	data := append([]byte(nil), s.data...)
+	g, err := ResumeSnapshot(cfg, newScript(8, ckptScript()), data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xa5
 	}
 	var snaps []snap
 	st, err := g.RunWithCheckpoints(func(cycle uint64, data []byte) error {

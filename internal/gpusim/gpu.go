@@ -61,11 +61,14 @@ type GPU struct {
 	// warps instead of issuing; parked records the park order, which is
 	// part of the deterministic-replay contract. restoredParked seeds the
 	// first window of a resumed run; nextCkpt is the next checkpoint
-	// trigger cycle when cfg.CheckpointEvery > 0.
+	// trigger cycle when cfg.CheckpointEvery > 0. snapshotLen is the
+	// length of the last snapshot written or restored, which sizes the
+	// next snapshot's buffer.
 	draining       bool
 	parked         []*warpCtx
 	restoredParked []int
 	nextCkpt       uint64
+	snapshotLen    int
 
 	// Fault-injection schedule (see tamper.go). tamperApplied is the
 	// count of ops already applied; it is part of the snapshot so a

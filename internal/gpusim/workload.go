@@ -42,6 +42,9 @@ type Workload interface {
 	// Warps is the total warp count (distributed round-robin over SMs).
 	Warps() int
 	// Next produces warp w's next instruction; ok=false retires the warp.
+	// inst.Addrs may alias a buffer the workload reuses: it stays valid
+	// until the next call of Next for the same warp, so a caller that
+	// keeps the addresses longer copies them.
 	Next(w int) (inst Inst, ok bool)
 	// MemValue gives the initial 32-bit plaintext at global address addr
 	// (addr is 4-byte aligned). This defines the device memory image and

@@ -148,6 +148,10 @@ type Bench struct {
 	spec Spec
 	seed uint64
 	step []uint64 // per-warp instruction counter
+	// addrBuf holds each warp's ThreadsPerAccess addresses of its latest
+	// memory instruction: Next hands out warp w's window, valid until
+	// w's next Next.
+	addrBuf []geom.Addr
 }
 
 // NewBench instantiates spec with a name-derived seed.
@@ -171,7 +175,11 @@ func NewBenchSeeded(spec Spec, seed uint64) (*Bench, error) {
 	if seed != 0 {
 		s ^= splitmix64(seed)
 	}
-	return &Bench{spec: spec, seed: s, step: make([]uint64, spec.Warps)}, nil
+	b := &Bench{spec: spec, seed: s, step: make([]uint64, spec.Warps)}
+	if spec.gen == nil {
+		b.addrBuf = make([]geom.Addr, spec.Warps*spec.ThreadsPerAccess)
+	}
+	return b, nil
 }
 
 // Spec returns the benchmark's parameters.
@@ -210,15 +218,16 @@ func (b *Bench) Next(w int) (gpusim.Inst, bool) {
 	if isLoad {
 		kind = gpusim.Load
 	}
-	return gpusim.Inst{Kind: kind, Addrs: b.addrs(w, step, isLoad)}, true
+	return gpusim.Inst{Kind: kind, Addrs: b.addrs(w, step)}, true
 }
 
-// addrs generates the per-thread addresses of one memory instruction.
-func (b *Bench) addrs(w int, step uint64, isLoad bool) []geom.Addr {
+// addrs generates the per-thread addresses of one memory instruction
+// into warp w's window of addrBuf.
+func (b *Bench) addrs(w int, step uint64) []geom.Addr {
 	s := b.spec
 	fp := s.Footprint &^ (geom.BlockSize - 1)
 	n := s.ThreadsPerAccess
-	out := make([]geom.Addr, 0, n)
+	out := b.addrBuf[w*n : w*n : w*n+n]
 
 	switch s.Pattern {
 	case Streaming:
